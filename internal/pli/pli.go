@@ -82,8 +82,10 @@ type Cluster struct {
 func (c *Cluster) Size() int { return len(c.IDs) }
 
 // MaxID returns the largest (newest) record id in the cluster, or -1 if the
-// cluster is empty. Because IDs are sorted this is a constant-time lookup —
-// it drives the cluster pruning of paper §4.2.
+// cluster is empty. Because IDs are sorted this is a constant-time lookup.
+// (Cluster pruning does not test it per cluster: the validation kernel
+// finds the clusters holding new records from the new records themselves,
+// via Store.AppendLiveFrom.)
 func (c *Cluster) MaxID() int64 {
 	if len(c.IDs) == 0 {
 		return -1
@@ -357,6 +359,37 @@ func (s *Store) ForEachRecord(fn func(id int64, rec Record) bool) {
 			}
 		}
 	}
+}
+
+// AppendLiveFrom appends the ids of all live records with id >= from to dst
+// in ascending order and returns the extended slice. It walks the liveness
+// bitmaps from from's page on, so the cost follows the id range [from, end
+// of arena), not the store size. Between StageBatch and Finish the staged
+// inserts are already live and the staged deletes already dead, so inside a
+// staging window it returns the batch's surviving new records; ids born and
+// deleted within one batch never become live and never appear. A from
+// beyond every allocated page yields dst unchanged.
+func (s *Store) AppendLiveFrom(dst []int64, from int64) []int64 {
+	if from < 0 {
+		from = 0
+	}
+	for pg := from >> pageBits; pg < int64(len(s.live)); pg++ {
+		base := pg << pageBits
+		for w, word := range s.live[pg] {
+			lo := base + int64(w<<6)
+			if lo+64 <= from {
+				continue
+			}
+			if lo < from {
+				word &^= 1<<uint(from-lo) - 1
+			}
+			for word != 0 {
+				dst = append(dst, lo+int64(bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
+		}
+	}
+	return dst
 }
 
 // ensurePage makes the arena page holding id available for writing and

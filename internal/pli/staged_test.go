@@ -186,3 +186,81 @@ func (s *Store) RunAttrMustPanic(t *testing.T, a int) {
 	}()
 	s.RunAttr(a)
 }
+
+// TestAppendLiveFrom checks the live-id walk that cluster pruning uses to
+// find a batch's new records: ids come out ascending, dead ids and freed
+// pages are skipped, a staged batch's inserts are included (and its
+// deletes excluded) before Finish, and a start beyond the arena yields
+// nothing. Starts on word and page boundaries and inside words are
+// compared against a filter over ForEachRecord.
+func TestAppendLiveFrom(t *testing.T) {
+	t.Parallel()
+	const w = 2
+	s := NewStore(w)
+	for i := 0; i < 3*pageSize+100; i++ {
+		if _, err := s.Insert([]string{fmt.Sprint(i % 7), fmt.Sprint(i % 5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Kill the whole second page (freed) and every third id elsewhere.
+	var deletes []int64
+	for id := int64(0); id < s.NextID(); id++ {
+		if id>>pageBits == 1 || id%3 == 0 {
+			deletes = append(deletes, id)
+		}
+	}
+	if err := s.ApplyBatch(deletes, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.live[1] != nil {
+		t.Fatal("precondition: page 1 should be freed")
+	}
+	want := func(from int64) []int64 {
+		var ids []int64
+		s.ForEachRecord(func(id int64, _ Record) bool {
+			if id >= from {
+				ids = append(ids, id)
+			}
+			return true
+		})
+		return ids
+	}
+	check := func(label string) {
+		t.Helper()
+		for _, from := range []int64{-5, 0, 1, 63, 64, 65, pageSize - 1, pageSize, 2*pageSize + 7,
+			s.NextID() - 1, s.NextID(), s.NextID() + 10*pageSize} {
+			got := s.AppendLiveFrom(nil, from)
+			if fmt.Sprint(got) != fmt.Sprint(want(from)) {
+				t.Fatalf("%s: AppendLiveFrom(%d) = %v, want %v", label, from, got, want(from))
+			}
+		}
+	}
+	check("after batch")
+	if got := s.AppendLiveFrom([]int64{-1}, s.NextID()); len(got) != 1 || got[0] != -1 {
+		t.Fatalf("from at the horizon must append nothing, got %v", got)
+	}
+
+	// Inside a staging window: inserts (with a gap — an id born and deleted
+	// within the batch never becomes live) are live, deletes are not.
+	minNew := s.NextID()
+	ins := []BatchInsert{
+		{ID: minNew, Values: []string{"x", "y"}},
+		{ID: minNew + 2, Values: []string{"0", "0"}},
+		{ID: minNew + pageSize, Values: []string{"1", "1"}},
+	}
+	last := want(0)[len(want(0))-1]
+	if err := s.StageBatch([]int64{last}, ins); err != nil {
+		t.Fatal(err)
+	}
+	got := s.AppendLiveFrom(nil, last)
+	if fmt.Sprint(got) != fmt.Sprint([]int64{minNew, minNew + 2, minNew + pageSize}) {
+		t.Fatalf("staged: AppendLiveFrom(%d) = %v, want the staged inserts only", last, got)
+	}
+	for a := 0; a < w; a++ {
+		s.RunAttr(a)
+	}
+	if err := s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("after finish")
+}

@@ -11,7 +11,9 @@ import (
 // TestFDZeroAllocs pins the zero-allocation contract of the validation
 // kernel (DESIGN.md §9): with a warm Scratch, Scratch.FD performs no
 // allocations per call, across all three rest-width kernels and both the
-// pruned and unpruned paths.
+// pruned and unpruned paths. The pruned bounds cover one and ~50 new
+// records, so the pruned path's new-id and cluster-id buffers are pinned
+// too.
 func TestFDZeroAllocs(t *testing.T) {
 	s := randomStore(t, 3, 500, 6, 4)
 	sc := NewScratch()
@@ -26,7 +28,7 @@ func TestFDZeroAllocs(t *testing.T) {
 		{"rest=4", attrset.Of(0, 1, 2, 3, 4), 5},
 	}
 	for _, tc := range cases {
-		for _, minNewID := range []int64{NoPruning, s.NextID() - 1} {
+		for _, minNewID := range []int64{NoPruning, s.NextID() - 1, s.NextID() - 50} {
 			sc.FD(s, tc.lhs, tc.rhs, minNewID) // warm up the buffers
 			allocs := testing.AllocsPerRun(50, func() {
 				sc.FD(s, tc.lhs, tc.rhs, minNewID)
@@ -38,17 +40,20 @@ func TestFDZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestUniqueZeroAllocs pins the same contract for Scratch.Unique.
+// TestUniqueZeroAllocs pins the same contract for Scratch.Unique, pruned
+// and unpruned.
 func TestUniqueZeroAllocs(t *testing.T) {
 	s := randomStore(t, 5, 500, 6, 4)
 	sc := NewScratch()
 	for _, cols := range []attrset.Set{attrset.Of(0), attrset.Of(0, 1), attrset.Of(0, 1, 2)} {
-		sc.Unique(s, cols, NoPruning)
-		allocs := testing.AllocsPerRun(50, func() {
-			sc.Unique(s, cols, NoPruning)
-		})
-		if allocs != 0 {
-			t.Errorf("Unique(%v): %v allocs/op, want 0", cols, allocs)
+		for _, minNewID := range []int64{NoPruning, s.NextID() - 50} {
+			sc.Unique(s, cols, minNewID)
+			allocs := testing.AllocsPerRun(50, func() {
+				sc.Unique(s, cols, minNewID)
+			})
+			if allocs != 0 {
+				t.Errorf("Unique(%v) minNewID=%d: %v allocs/op, want 0", cols, minNewID, allocs)
+			}
 		}
 	}
 }
@@ -89,8 +94,10 @@ func TestViolationsAllocs(t *testing.T) {
 
 // TestPickPivotDeterministicTieBreak asserts the pivot tie-break: among
 // Lhs attributes with equal cluster counts, the lowest attribute index
-// wins, making pivot choice — and therefore the grouping and witness
-// pairs — a pure function of the store.
+// wins, making the pivot choice a pure function of the store. The witness
+// pair is one too on the pruned path, which visits clusters in the order
+// of their first new record (TestPrunedWitnessDeterministic); unpruned
+// witnesses still follow the cluster map's iteration order.
 func TestPickPivotDeterministicTieBreak(t *testing.T) {
 	t.Parallel()
 	// attrs 0 and 1: two clusters each; attr 2: three clusters.

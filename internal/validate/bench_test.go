@@ -64,17 +64,33 @@ func BenchmarkValidateFD(b *testing.B) {
 }
 
 // BenchmarkFDValidationClusterPruned measures the insert-side validation
-// with cluster pruning when only the newest record is new — the common
-// steady-state case the paper's §4.2 targets. The pruned run should be
-// orders of magnitude cheaper than the full one above.
+// with cluster pruning — the steady-state case the paper's §4.2 targets.
+// batch=1 makes only the newest record of 5,000 new (50 values per
+// attribute); batch=100 makes the newest 100 of 10,000 new, with 2,000
+// pivot clusters of which the batch touches 100, the shape of a bulk
+// ingest batch. The candidate is valid, so every selected cluster is
+// grouped in full.
 func BenchmarkFDValidationClusterPruned(b *testing.B) {
-	s := benchStore(b, 5000, 8, 50)
-	minNew := s.NextID() - 1
-	lhs := attrset.Of(0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FD(s, lhs, 2, minNew)
+	for _, bc := range []struct {
+		name                 string
+		rows, domain, newRec int
+	}{
+		{"batch=1", 5000, 50, 1},
+		{"batch=100", 10000, 2000, 100},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := benchStore(b, bc.rows, 8, bc.domain)
+			minNew := s.NextID() - int64(bc.newRec)
+			lhs := attrset.Of(0, 1)
+			if ok, _ := FD(s, lhs, 2, NoPruning); !ok {
+				b.Fatal("benchmark candidate must be valid")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FD(s, lhs, 2, minNew)
+			}
+		})
 	}
 }
 

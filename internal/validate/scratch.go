@@ -41,6 +41,11 @@ import (
 type Scratch struct {
 	rest []int // rest attributes of the current candidate, ascending
 
+	// Cluster pruning state (see walkClusters): the live ids >= minNewID
+	// and their distinct pivot cluster ids.
+	newIDs []int64
+	cids   []int32
+
 	// Open-addressing table, shared by the grouping and counting passes.
 	// slots[i] holds a group/pair index + 1, 0 means empty. The table is
 	// sized per cluster to the next power of two >= 2*cluster size and
@@ -146,6 +151,60 @@ func (sc *Scratch) keyEqual(gi int32, rec pli.Record) bool {
 	return true
 }
 
+// walkClusters calls fn for every pivot cluster the validation must check,
+// stopping early when fn returns false. Size-1 clusters are skipped: a
+// single record cannot violate anything.
+//
+// With minNewID == NoPruning every cluster is visited, in the index's map
+// order. Otherwise only the clusters holding a live record with id >=
+// minNewID are visited (cluster pruning, paper §4.2). They are found from
+// the new records themselves: the live ids >= minNewID come from the
+// liveness bitmaps in ascending order, and each maps to its pivot cluster
+// id, deduplicated through the probe table. Clusters are visited in the
+// order of their first new record, so the walk (and the witness) is a
+// pure function of the store. The cost is O(new records + their pivot
+// clusters), independent of the pivot's total cluster count; the probe
+// table is free again before the first fn call.
+func (sc *Scratch) walkClusters(s *pli.Store, pivot int, minNewID int64, fn func(c *pli.Cluster) bool) {
+	ix := s.Index(pivot)
+	if minNewID < 0 {
+		ix.ForEachCluster(func(_ int32, c *pli.Cluster) bool {
+			return c.Size() < 2 || fn(c)
+		})
+		return
+	}
+	sc.newIDs = s.AppendLiveFrom(sc.newIDs[:0], minNewID)
+	sc.cids = sc.cids[:0]
+	all := ix.NumClusters()
+	slots := sc.table(tableSize(min(len(sc.newIDs), all)))
+	mask := uint32(len(slots) - 1)
+collect:
+	for _, id := range sc.newIDs {
+		cid := s.Rec(id)[pivot]
+		slot := hash1(cid) & mask
+		for {
+			g := slots[slot]
+			if g == 0 {
+				slots[slot] = int32(len(sc.cids)) + 1
+				sc.cids = append(sc.cids, cid)
+				if len(sc.cids) == all {
+					break collect // every cluster selected: large batches stop early
+				}
+				break
+			}
+			if sc.cids[g-1] == cid {
+				break
+			}
+			slot = (slot + 1) & mask
+		}
+	}
+	for _, cid := range sc.cids {
+		if c := ix.Cluster(cid); c.Size() >= 2 && !fn(c) {
+			return
+		}
+	}
+}
+
 // FD validates lhs → rhs against the store using the scratch's buffers;
 // it is the allocation-free form of the package-level FD function and
 // shares its semantics (including cluster pruning via minNewID).
@@ -159,13 +218,7 @@ func (sc *Scratch) FD(s *pli.Store, lhs attrset.Set, rhs int, minNewID int64) (v
 	pivot := pickPivot(s, lhs)
 	k := sc.setRest(lhs.Without(pivot))
 	valid = true
-	s.Index(pivot).ForEachCluster(func(_ int32, c *pli.Cluster) bool {
-		if c.Size() < 2 {
-			return true // a single record cannot violate anything
-		}
-		if minNewID >= 0 && c.MaxID() < minNewID {
-			return true // cluster pruning: no new record in this cluster
-		}
+	sc.walkClusters(s, pivot, minNewID, func(c *pli.Cluster) bool {
 		switch k {
 		case 0:
 			valid, w = fdCheckWholeCluster(s, c, rhs)
@@ -279,13 +332,7 @@ func (sc *Scratch) Unique(s *pli.Store, cols attrset.Set, minNewID int64) (uniqu
 	pivot := pickPivot(s, cols)
 	k := sc.setRest(cols.Without(pivot))
 	unique = true
-	s.Index(pivot).ForEachCluster(func(_ int32, c *pli.Cluster) bool {
-		if c.Size() < 2 {
-			return true
-		}
-		if minNewID >= 0 && c.MaxID() < minNewID {
-			return true // cluster pruning
-		}
+	sc.walkClusters(s, pivot, minNewID, func(c *pli.Cluster) bool {
 		if k == 0 {
 			// The whole cluster agrees on cols = {pivot}: any two members
 			// collide.
@@ -356,10 +403,7 @@ func (sc *Scratch) Violations(s *pli.Store, lhs attrset.Set, rhs int, max int) (
 	pivot := pickPivot(s, lhs)
 	sc.setRest(lhs.Without(pivot))
 	removals := 0
-	s.Index(pivot).ForEachCluster(func(_ int32, c *pli.Cluster) bool {
-		if c.Size() < 2 {
-			return true
-		}
+	sc.walkClusters(s, pivot, NoPruning, func(c *pli.Cluster) bool {
 		groups = sc.violationsCluster(s, c, rhs, groups, &removals)
 		return true
 	})

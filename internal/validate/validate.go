@@ -13,10 +13,13 @@
 //
 // The dynamic variant adds DynFD's cluster pruning: when only previously
 // valid FDs are re-validated after inserts, a violation must involve at
-// least one newly inserted record, so pivot clusters whose newest member
-// predates the batch can be skipped wholesale. Because cluster id slices
-// are sorted and surrogate ids grow monotonically, that test is a single
-// comparison against the cluster's last element.
+// least one newly inserted record, so only pivot clusters holding such a
+// record need checking. Surrogate ids grow monotonically, so the new
+// records are exactly the live ids >= minNewID. The kernel enumerates them
+// from the store's liveness bitmaps, maps each to its pivot cluster id,
+// and checks exactly those clusters, in the order of their first new
+// record. The cost follows the batch (new records plus their pivot
+// clusters), not the pivot's total cluster count.
 package validate
 
 import (
@@ -79,9 +82,12 @@ func constantColumn(s *pli.Store, rhs int) (bool, Witness) {
 // this implements the "fixed ordering of attributes by their respective Pli
 // sizes" of paper §4.2. Ties break to the lowest attribute index — the
 // ascending scan only replaces the best on a strictly larger cluster count
-// — so the pivot (and therefore the grouping and the reported witness
-// pair) is a pure function of the store, stable across runs
-// (TestPickPivotDeterministicTieBreak).
+// — so the pivot is a pure function of the store, stable across runs
+// (TestPickPivotDeterministicTieBreak). So is the reported witness pair on
+// the pruned path, which visits the selected clusters in the order of
+// their first new record (TestPrunedWitnessDeterministic). Unpruned validation
+// walks the pivot's cluster map, so its witness still follows Go's map
+// iteration order.
 func pickPivot(s *pli.Store, lhs attrset.Set) int {
 	best, bestClusters := -1, -1
 	for a := lhs.First(); a >= 0; a = lhs.Next(a) {
