@@ -131,12 +131,12 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyBatchParallel measures the same batch workload as
-// BenchmarkApplyBatch under increasing worker budgets of the parallel
-// validation engine (Config.Workers). The workers=1 variant isolates the
-// scan/merge restructuring overhead against the serial baseline above;
-// higher budgets show the fan-out headroom on multi-core machines.
-// Baseline numbers are recorded in BENCH_parallel.json.
+// BenchmarkApplyBatchParallel measures the disease workload of
+// BenchmarkApplyBatch under increasing scheduler worker budgets
+// (Config.Workers). workers=1 runs like the default configuration above,
+// inline on the calling goroutine; higher budgets show the parallel
+// headroom on multi-core machines. Baseline numbers are recorded in
+// BENCH_parallel.json.
 func BenchmarkApplyBatchParallel(b *testing.B) {
 	d := generated(b, "disease", 0.25)
 	batches := stream.FixedBatches(d.Changes, 50)
@@ -164,61 +164,40 @@ func BenchmarkApplyBatchParallel(b *testing.B) {
 }
 
 // BenchmarkScheduler measures the work-stealing pipelined scheduler on
-// the disease replay across worker counts, with stealing and delta
-// pruning toggled independently. workers=0 rows run the serial reference
-// path, isolating the pure pruning win; the reported validations/op
-// metric makes the candidate reduction visible next to the wall-clock
-// numbers. Baselines live in BENCH_parallel.json.
+// the disease replay across worker counts, with delta pruning on and off;
+// the reported validations/op metric makes the candidate reduction visible
+// next to the wall-clock numbers. Baselines live in BENCH_parallel.json.
 func BenchmarkScheduler(b *testing.B) {
 	d := generated(b, "disease", 0.25)
 	batches := stream.FixedBatches(d.Changes, 50)
-	run := func(b *testing.B, cfg core.Config) {
-		b.ReportAllocs()
-		var validations int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			eng, err := core.Bootstrap(d.Relation, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			for _, batch := range batches {
-				if _, err := eng.ApplyBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			validations += eng.Stats().Validations
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(validations)/float64(b.N), "validations/op")
-	}
-	onOff := func(v bool) string {
-		if v {
-			return "on"
-		}
-		return "off"
-	}
-	for _, delta := range []bool{false, true} {
-		b.Run(fmt.Sprintf("serial/delta=%s", onOff(delta)), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.DeltaPruning = delta
-			run(b, cfg)
-		})
-	}
 	for _, workers := range []int{1, 2, 4} {
-		for _, steal := range []bool{true, false} {
-			for _, delta := range []bool{false, true} {
-				name := fmt.Sprintf("workers=%d/steal=%s/delta=%s", workers, onOff(steal), onOff(delta))
-				b.Run(name, func(b *testing.B) {
-					cfg := core.DefaultConfig()
-					cfg.Workers = workers
-					cfg.DisableStealing = !steal
-					cfg.DeltaPruning = delta
-					run(b, cfg)
-				})
-			}
+		for _, delta := range []bool{false, true} {
+			onOff := map[bool]string{false: "off", true: "on"}[delta]
+			b.Run(fmt.Sprintf("workers=%d/delta=%s", workers, onOff), func(b *testing.B) {
+				cfg := core.DefaultConfig()
+				cfg.Workers = workers
+				cfg.DeltaPruning = delta
+				b.ReportAllocs()
+				var validations int
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					eng, err := core.Bootstrap(d.Relation, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					for _, batch := range batches {
+						if _, err := eng.ApplyBatch(batch); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					validations += eng.Stats().Validations
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(validations)/float64(b.N), "validations/op")
+			})
 		}
 	}
 }

@@ -116,7 +116,7 @@ func main() {
 	initial := flag.String("initial", "", "line protocol: CSV file with the initial relation (header = schema)")
 	columns := flag.String("columns", "", "line protocol: comma-separated schema when no -initial file is given")
 	batch := flag.Int("batch", 100, "line protocol: auto-commit batch size")
-	workersFlag := flag.String("workers", "auto", `default maintenance parallelism per engine: "auto" = one scheduler worker per CPU, 0 = serial reference, n >= 1 = scheduler with n workers (tenants may override at create time)`)
+	workersFlag := flag.String("workers", "auto", `default maintenance parallelism per engine: "auto" = one scheduler worker per CPU, 0 or 1 = inline on one goroutine, n > 1 = scheduler with n workers (tenants may override at create time)`)
 	dataDir := flag.String("data-dir", "", "line protocol: write-ahead log directory (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", durable.DefaultCheckpointEvery, "batches between checkpoints (negative disables)")
 	syncMaxDelay := flag.Duration("sync-max-delay", 0, "group-commit linger: how long a commit leader waits before the shared WAL fsync so concurrent batches coalesce (0 = sync immediately; try 1ms under heavy concurrent write load)")
@@ -336,7 +336,7 @@ func promoteNode(base string) error {
 
 // parseWorkers resolves the -workers flag: "auto" (the default) means one
 // scheduler worker per available CPU; any integer passes through with
-// dynfd.WithWorkers semantics (0 = serial reference path).
+// dynfd.WithWorkers semantics (0 or 1 = inline on one goroutine).
 func parseWorkers(s string) (int, error) {
 	if s == "auto" {
 		return goruntime.GOMAXPROCS(0), nil

@@ -105,8 +105,6 @@ type options struct {
 	keyColumns      []string
 	updatePruning   bool
 	workers         int
-	stealChunk      int
-	disableStealing bool
 	checkpointEvery int
 	syncMaxDelay    time.Duration
 	commitQueue     int
@@ -137,34 +135,16 @@ func WithUpdateColumnPruning() Option {
 	return func(o *options) { o.updatePruning = true }
 }
 
-// WithWorkers selects how batch maintenance is executed. 0 (the default)
-// runs the serial reference path; n >= 1 runs the work-stealing pipelined
-// scheduler with n workers (n == 1 keeps all work on the calling
-// goroutine), overlapping Pli maintenance, candidate validation, and
-// speculative validation of the next lattice level; n < 0 uses one worker
-// per available CPU. Worker count affects wall-clock time only: all
+// WithWorkers sets how many workers the work-stealing batch scheduler
+// uses. 0 (the default) and 1 keep all work on the calling goroutine;
+// n > 1 runs n workers, overlapping Pli maintenance, candidate validation,
+// and speculative validation of the next lattice level; n < 0 uses one
+// worker per available CPU. Worker count affects wall-clock time only: all
 // configurations are guaranteed to report identical FDs after every
 // batch. The Monitor itself remains single-caller — the parallelism never
 // escapes an Apply call.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithStealChunk overrides the number of candidate validations bundled
-// into one stealable task under the pipelined scheduler (default 0 =
-// automatic sizing from level width and worker count). Smaller chunks
-// increase stealing opportunities at the cost of scheduling overhead;
-// chunk size never affects results. Ignored when WithWorkers is 0.
-func WithStealChunk(n int) Option {
-	return func(o *options) { o.stealChunk = n }
-}
-
-// WithoutStealing pins every validation chunk to the worker it was
-// submitted to, disabling work stealing while keeping the pipelined
-// scheduler. Intended for benchmarking the stealing benefit; results are
-// identical either way.
-func WithoutStealing() Option {
-	return func(o *options) { o.disableStealing = true }
 }
 
 // WithCheckpointEvery sets how many applied batches a DurableMonitor
@@ -267,8 +247,6 @@ func coreConfig(o options, colIndex map[string]int) (core.Config, error) {
 	cfg.Seed = o.seed
 	cfg.UpdateColumnPruning = o.updatePruning
 	cfg.Workers = o.workers
-	cfg.StealChunk = o.stealChunk
-	cfg.DisableStealing = o.disableStealing
 	for _, c := range o.keyColumns {
 		i, ok := colIndex[c]
 		if !ok {
@@ -470,9 +448,10 @@ type Stats struct {
 	DeltaPruned    int
 	WitnessRepairs int
 
-	// Scheduler telemetry (Workers >= 1): validation chunks executed by a
-	// worker other than the submitter, speculative validations issued
-	// ahead of the merge, and how many of those were consumed.
+	// Scheduler telemetry, nonzero only with more than one worker (as
+	// is ParallelLevels): validation chunks executed by a worker other
+	// than the submitter, speculative validations issued ahead of the
+	// merge, and how many of those were consumed.
 	ChunksStolen           int
 	SpeculativeValidations int
 	SpeculativeHits        int

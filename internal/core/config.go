@@ -63,34 +63,21 @@ type Config struct {
 	// 3 of the paper's §8.
 	UpdateColumnPruning bool
 
-	// Workers selects the batch execution engine and its worker budget.
-	// 0 (the default) keeps the fully serial reference path — per-level
-	// scan/merge on one goroutine (DESIGN.md §8). n >= 1 runs batches on
-	// the work-stealing pipelined scheduler (DESIGN.md §13): candidate
-	// validations are chunked across n worker slots' deques (slot 0 is the
-	// engine goroutine itself; n == 1 therefore runs the scheduler path
-	// inline, with no extra goroutines), per-attribute store maintenance
-	// overlaps validation through readiness gating, and the next lattice
-	// level is validated speculatively while the current one merges.
-	// n < 0 uses one slot per available CPU (GOMAXPROCS). All settings
-	// produce identical FD and non-FD covers after every batch — the
-	// serial-equivalence guarantee, asserted by the equivalence property
-	// tests. (Work counters may drift between any two runs, serial or not,
-	// because validation witnesses follow Go's random map iteration order
-	// and witnesses steer the result-neutral validation pruning.) The knob
-	// changes wall-clock time only.
+	// Workers sets the scheduler's worker-slot budget (DESIGN.md §13).
+	// Every batch runs as one pipelined scheduler session. 0 (the
+	// default) and 1 mean one slot, the engine goroutine itself: Pli
+	// maintenance runs first and every validation runs inline, with no
+	// extra goroutines. n > 1 chunks candidate validations across n
+	// worker slots' deques, overlaps per-attribute store maintenance with
+	// validation through readiness gating, and validates the next lattice
+	// level speculatively while the current one merges. n < 0 uses one
+	// slot per available CPU (GOMAXPROCS). All settings produce identical
+	// FD and non-FD covers after every batch, asserted by the equivalence
+	// property tests. (Work counters may drift between any two runs,
+	// because unpruned validation witnesses follow Go's random map
+	// iteration order and witnesses steer the result-neutral validation
+	// pruning.) The knob changes wall-clock time only.
 	Workers int
-	// StealChunk is the number of candidate validations bundled into one
-	// stealable scheduler task. 0 picks a size automatically from the
-	// level width and worker count. Tiny values (1) maximize stealing and
-	// are used by the equivalence tests to force the stealing paths; they
-	// are not efficient. Ignored when Workers == 0.
-	StealChunk int
-	// DisableStealing keeps every scheduler worker on its own deque (the
-	// engine's merge loop still claims any chunk it waits on directly). A
-	// benchmark ablation knob for isolating the stealing win; not a
-	// production setting. Ignored when Workers == 0.
-	DisableStealing bool
 }
 
 // DefaultConfig returns the paper's configuration — all four pruning
@@ -130,7 +117,7 @@ type Stats struct {
 	Comparisons            int // record pairs compared by the violation search
 	ViolationSearchRuns    int // times the progressive search was triggered
 	DepthFirstSearchRuns   int // times the optimistic DFS was triggered
-	ParallelLevels         int // lattice levels whose validations fanned out across workers
+	ParallelLevels         int // lattice levels whose validations went to the worker pool (Workers > 1)
 	DeltaPruned            int // insert-side validations skipped by agree-mask delta pruning
 	WitnessRepairs         int // delete-side witnesses remapped to live update versions
 	ChunksStolen           int // scheduler chunks taken from another worker's deque

@@ -3,9 +3,9 @@ package core
 import (
 	"dynfd/internal/attrset"
 	"dynfd/internal/fd"
-	"dynfd/internal/validate"
-
 	"dynfd/internal/lattice"
+	"dynfd/internal/sched"
+	"dynfd/internal/validate"
 )
 
 // processDeletes implements the lattice-traversal non-FD validation for
@@ -19,39 +19,87 @@ import (
 // depth-first searches (§5.3) chase the generalizations ahead of the
 // level-wise sweep.
 //
-// Like the insert side, each level runs as a read-only scan phase followed
-// by a serial merge phase in candidate order. This is the Workers == 0
-// reference path; Workers >= 1 runs the same classification and merge on
-// the pipelined scheduler (pipeline.go).
-func (e *Engine) processDeletes(touched attrset.Set) error {
+// Like the insert side, each level is classified on the engine goroutine,
+// validated inline or in chunks across the scheduler's workers, and merged
+// in candidate order. Candidates are gated on the readiness of their own
+// shards, so with background workers the sweep starts while Pli
+// maintenance of other attributes is still running (pipeline.go).
+func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
+	clear(e.specCache)
 	for level := e.numAttrs; level >= 0; level-- {
-		candidates := e.nonFds.Level(level)
+		e.levelBuf = e.nonFds.AppendLevel(e.levelBuf[:0], level)
+		candidates := e.levelBuf
 		if len(candidates) == 0 {
 			continue
 		}
-		// Scan: classify and validate without mutating any engine state
-		// (the witness repair inside classifyDelete only refreshes
-		// annotations, which no validation reads).
-		outcomes, err := e.scanLevel(candidates, validate.NoPruning, func(nonFd fd.FD) scanKind {
-			return e.classifyDelete(nonFd, touched)
-		})
-		if err != nil {
-			return err
+		outcomes := e.outcomeBuf(len(candidates))
+		slots := e.chunkSlots(len(candidates))
+		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: validate.NoPruning}
+		eligible := 0
+		for i, cand := range candidates {
+			deps := cand.Lhs.With(cand.Rhs)
+			// Classification itself reads shard state (witness repair
+			// compares cluster ids), so it waits for the candidate's shards
+			// — helping with maintenance and chunks while it does.
+			if err := ses.AwaitReady(deps); err != nil {
+				return err
+			}
+			kind := e.classifyDelete(cand, touched)
+			outcomes[i] = scanOutcome{kind: kind}
+			if kind != scanEligible {
+				continue
+			}
+			eligible++
+			if e.pool.Background() == 0 {
+				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: validate.NoPruning})
+				if err != nil {
+					return err
+				}
+				foldOutcome(&outcomes[i], r)
+				continue
+			}
+			if sl, ok := e.specCache[cand]; ok {
+				slots[i] = sl
+				e.stats.SpeculativeHits++
+				continue
+			}
+			slots[i] = b.add(cand, deps)
+		}
+		b.flush()
+		if eligible > 0 && e.pool.Background() > 0 {
+			e.stats.ParallelLevels++
+		}
+		// Preview the next level's pre-existing non-FDs while this level's
+		// chunks run; candidates promoted by this merge are speculated as
+		// they appear below.
+		if e.pool.Background() > 0 && level > 0 {
+			e.speculateDeleteLevel(ses, level-1, touched)
 		}
 		// Merge: account the work, refresh the witnesses of still-invalid
 		// non-FDs, and collect the newly valid FDs in candidate order.
 		var validFds []fd.FD
-		for i, nonFd := range candidates {
-			if e.applyDeleteOutcome(nonFd, outcomes[i]) {
-				validFds = append(validFds, nonFd)
+		for i, cand := range candidates {
+			o := &outcomes[i]
+			if o.kind == scanEligible {
+				if err := e.resolveOutcome(ses, o, slots[i]); err != nil {
+					return err
+				}
+			}
+			if e.applyDeleteOutcome(cand, *o) {
+				validFds = append(validFds, cand)
 			}
 		}
+		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: validate.NoPruning}
 		for _, f := range validFds {
 			if !e.nonFds.Contains(f.Lhs, f.Rhs) {
 				continue
 			}
 			e.promoteNonFD(f)
+			if e.pool.Background() > 0 && level > 0 {
+				e.speculatePromoted(sb, f, touched)
+			}
 		}
+		sb.flush()
 		// Lines 15-16: optimistic depth-first searches when the level-wise
 		// sweep becomes inefficient.
 		if e.cfg.DepthFirstSearch &&
@@ -63,10 +111,9 @@ func (e *Engine) processDeletes(touched attrset.Set) error {
 }
 
 // classifyDelete decides one negative-cover candidate's fate for the
-// delete sweep. Shared by the serial scan and the pipelined scheduler.
-// Under the scheduler the caller must have awaited the candidate's
-// Lhs∪{Rhs} shards: the witness repair inside needsValidation reads their
-// cluster ids.
+// delete sweep; the speculative previews use it too. The caller must have
+// awaited the candidate's Lhs∪{Rhs} shards: the witness repair inside
+// needsValidation reads their cluster ids.
 func (e *Engine) classifyDelete(nonFd fd.FD, touched attrset.Set) scanKind {
 	if !e.nonFds.Contains(nonFd.Lhs, nonFd.Rhs) {
 		return scanStale // removed by a depth-first search in this level
@@ -150,6 +197,53 @@ func (e *Engine) promoteNonFD(f fd.FD) {
 		if !e.nonFds.ContainsSpecialization(gen, f.Rhs) {
 			e.nonFds.Add(gen, f.Rhs)
 		}
+		return true
+	})
+}
+
+// speculateDeleteLevel submits validations for the next level's existing
+// non-FDs ahead of their classification. Best-effort and strictly
+// non-blocking: only candidates whose shards are already published are
+// previewed, because delete-side classification reads shard state.
+func (e *Engine) speculateDeleteLevel(ses *sched.Session, level int, touched attrset.Set) {
+	e.specBuf = e.nonFds.AppendLevel(e.specBuf[:0], level)
+	if len(e.specBuf) == 0 {
+		return
+	}
+	ready := ses.Ready()
+	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf)), prune: validate.NoPruning}
+	for _, cand := range e.specBuf {
+		if _, ok := e.specCache[cand]; ok {
+			continue
+		}
+		deps := cand.Lhs.With(cand.Rhs)
+		if !deps.IsSubsetOf(ready) {
+			continue
+		}
+		if e.classifyDelete(cand, touched) != scanEligible {
+			continue
+		}
+		e.specCache[cand] = b.add(cand, deps)
+		e.stats.SpeculativeValidations++
+	}
+	b.flush()
+}
+
+// speculatePromoted submits validations for the generalizations a
+// promotion just added to the negative cover — the next level's freshest
+// candidates. Their shards are a subset of the promoted FD's, which the
+// classification already awaited.
+func (e *Engine) speculatePromoted(b *chunkBuilder, f fd.FD, touched attrset.Set) {
+	f.Lhs.ForEach(func(r int) bool {
+		gen := fd.FD{Lhs: f.Lhs.Without(r), Rhs: f.Rhs}
+		if _, ok := e.specCache[gen]; ok {
+			return true
+		}
+		if e.classifyDelete(gen, touched) != scanEligible {
+			return true
+		}
+		e.specCache[gen] = b.add(gen, gen.Lhs.With(gen.Rhs))
+		e.stats.SpeculativeValidations++
 		return true
 	})
 }

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -20,7 +19,6 @@ import (
 
 	"dynfd/internal/attrset"
 	"dynfd/internal/dataset"
-	"dynfd/internal/fanout"
 	"dynfd/internal/fd"
 	"dynfd/internal/hyfd"
 	"dynfd/internal/induct"
@@ -34,8 +32,8 @@ import (
 // Engine maintains the exact set of minimal, non-trivial FDs of a single
 // relation under batches of inserts, updates, and deletes. An Engine is not
 // safe for concurrent use: callers must serialize access. Internally,
-// ApplyBatch may fan candidate validations out across a bounded worker
-// pool (Config.Workers, see parallel.go); that parallelism never escapes a
+// ApplyBatch may spread candidate validations across a bounded worker
+// pool (Config.Workers, see pipeline.go); that parallelism never escapes a
 // call.
 type Engine struct {
 	cfg      Config
@@ -44,9 +42,8 @@ type Engine struct {
 	fds      *lattice.Cover      // positive cover: all minimal FDs
 	nonFds   lattice.View        // negative cover: all maximal non-FDs (complement-keyed)
 	keySet   attrset.Set         // declared unique columns (Config.KeyColumns)
-	workers  int                 // resolved worker-slot budget (0 = serial reference path)
-	pool     *sched.Pool         // work-stealing pipelined scheduler (nil when workers == 0)
-	scratch  *validate.Scratches // per-worker validation kernel buffers (slot 0 = serial path)
+	pool     *sched.Pool         // work-stealing pipelined scheduler
+	scratch  *validate.Scratches // per-worker validation kernel buffers (slot 0 = engine goroutine)
 	rng      *rand.Rand
 	stats    Stats
 
@@ -61,10 +58,7 @@ type Engine struct {
 	// goroutine and reset (not reallocated) at the start of each use, so
 	// steady-state batches stop paying per-level and per-search
 	// allocations. None of them carry state across uses.
-	scanOutcomes []scanOutcome        // scanLevel: per-candidate outcomes
-	scanReqs     []validate.Request   // scanLevel: eligible validation requests
-	scanSlots    []int                // scanLevel: request slot -> candidate index
-	fanOut       []validate.Outcome   // scanLevel: fan-out results
+	scanOutcomes []scanOutcome        // lattice sweeps: per-candidate outcomes
 	vsCompared   map[[2]int64]bool    // violationSearch: compared record pairs
 	vsSeenAgree  map[attrset.Set]bool // violationSearch: folded agree sets
 	dfsVisited   map[fd.FD]bool       // depthFirstSearches: visited candidates
@@ -73,10 +67,14 @@ type Engine struct {
 	planDeletes  []int64              // ApplyBatch planner: pre-existing ids to delete
 	planInserts  []pli.BatchInsert    // ApplyBatch planner: surviving inserts
 	planRemap    map[int64]int64      // ApplyBatch planner: updated id -> successor id (delta pruning)
-	levelBuf     []fd.FD              // pipelined phases: current-level candidates
-	specBuf      []fd.FD              // pipelined phases: next-level speculation preview
-	slotBuf      []chunkSlot          // pipelined phases: candidate -> chunk outcome slot
-	specCache    map[fd.FD]chunkSlot  // pipelined phases: speculative outcome slots by candidate
+	levelBuf     []fd.FD              // lattice sweeps: current-level candidates
+	specBuf      []fd.FD              // lattice sweeps: next-level speculation preview
+	slotBuf      []chunkSlot          // lattice sweeps: candidate -> chunk outcome slot
+	specCache    map[fd.FD]chunkSlot  // lattice sweeps: speculative outcome slots by candidate
+
+	// stealChunk fixes the scheduler's chunk size (0 = automatic, see
+	// chunkSize). A test seam: tests set it to 1 to force stealing.
+	stealChunk int
 
 	// Insert-phase delta pruning state (delta.go), rebuilt per batch.
 	deltaMasks    []attrset.Set // agree masks of the batch's new records (maximal, deduped)
@@ -85,20 +83,18 @@ type Engine struct {
 	deltaValid    bool          // masks computed for the current insert phase
 }
 
-// initExtras finishes construction: declared key columns, the resolved
-// validation worker budget, the engine-held validation scratches, and the
-// seeded random source for the depth-first-search sampling.
+// initExtras finishes construction: declared key columns, the scheduler
+// pool sized by the resolved worker budget, the engine-held validation
+// scratches, and the seeded random source for the depth-first-search
+// sampling.
 func (e *Engine) initExtras() {
 	for _, a := range e.cfg.KeyColumns {
 		if a >= 0 && a < e.numAttrs {
 			e.keySet = e.keySet.With(a)
 		}
 	}
-	e.workers = resolveWorkers(e.cfg.Workers)
-	if e.workers >= 1 {
-		e.pool = sched.NewPool(e.workers, e.cfg.DisableStealing)
-		e.specCache = make(map[fd.FD]chunkSlot)
-	}
+	e.pool = sched.NewPool(resolveWorkers(e.cfg.Workers))
+	e.specCache = make(map[fd.FD]chunkSlot)
 	e.scratch = &validate.Scratches{}
 	e.rng = rand.New(rand.NewSource(e.cfg.Seed))
 }
@@ -294,7 +290,7 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 	// reset per batch, so poisoning early is harmless) is converted into a
 	// poisoning error rather than unwinding through the caller with the
 	// covers half-merged. Worker-goroutine panics are captured separately
-	// by the fanout layer and arrive here as ordinary errors.
+	// by the scheduler and arrive here as ordinary errors.
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: ApplyBatch panicked: %v\n%s", r, debug.Stack())
@@ -306,9 +302,9 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 	// Step 1: structural updates. The batch is first reduced, in batch
 	// order, to its net effect — the set of pre-existing records it
 	// deletes and the surviving new tuples with their pre-assigned ids —
-	// and then applied in one pli.Store.ApplyBatch call, which compacts
-	// each touched cluster once and fans per-attribute index maintenance
-	// across the worker pool (DESIGN.md §10). Planning in batch order
+	// and then staged in one store batch, which compacts each touched
+	// cluster once and maintains each attribute's index as its own
+	// scheduler task (DESIGN.md §10, §13). Planning in batch order
 	// keeps the original semantics: changes may reference records born
 	// earlier in the same batch, and a tuple born and deleted within the
 	// batch consumes its surrogate id without ever entering the store. The
@@ -406,56 +402,11 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 		}
 	}
 	e.planInserts = ins
-	if e.pool != nil {
-		// Pipelined path (DESIGN.md §13): one scheduler session spans
-		// staging, per-attribute maintenance, and both sweeps, overlapping
-		// them through readiness gating. Covers after the batch are
-		// identical to the serial path below.
-		if err := e.applyPipelined(structStart, minNewID, nextID, deletes, ids, ins, touched); err != nil {
-			return Result{}, err
-		}
-	} else {
-		if err := e.store.ApplyBatch(e.planDeletes, ins, e.workers); err != nil {
-			// A captured worker panic means the store's per-attribute indexes
-			// are partially updated; plain validation errors leave the store
-			// unchanged (and should have been caught by the planner anyway).
-			var pe *fanout.PanicError
-			if errors.As(err, &pe) {
-				e.poisoned = err
-			}
-			return Result{}, fmt.Errorf("core: applying batch: %w", err)
-		}
-		if nextID > e.store.NextID() {
-			// The batch's last inserts died within the batch: their ids are
-			// consumed anyway, exactly as under one-by-one application.
-			if err := e.store.SetNextID(nextID); err != nil {
-				e.poisoned = err // structural changes already applied
-				return Result{}, fmt.Errorf("core: applying batch: %w", err)
-			}
-		}
-
-		e.stats.StructureTime += time.Since(structStart)
-
-		// Step 2: deletes may turn non-FDs into FDs (§5). The store already
-		// holds the batch, so a failed sweep leaves covers and store out of
-		// sync: poison.
-		if deletes > 0 {
-			start := time.Now()
-			if err := e.processDeletes(touched); err != nil {
-				e.poisoned = err
-				return Result{}, fmt.Errorf("core: delete phase: %w", err)
-			}
-			e.stats.DeletePhaseTime += time.Since(start)
-		}
-		// Step 3: inserts may turn FDs into non-FDs (§4).
-		if len(ids) > 0 {
-			start := time.Now()
-			if err := e.processInserts(minNewID, ids, touched); err != nil {
-				e.poisoned = err
-				return Result{}, fmt.Errorf("core: insert phase: %w", err)
-			}
-			e.stats.InsertPhaseTime += time.Since(start)
-		}
+	// Steps 1-3 run as one scheduler session (DESIGN.md §13): staging,
+	// per-attribute maintenance, and both sweeps, overlapped through
+	// readiness gating when the pool has background workers.
+	if err := e.applyPipelined(structStart, minNewID, nextID, deletes, ids, ins, touched); err != nil {
+		return Result{}, err
 	}
 
 	// Step 4: signal the changed FDs.

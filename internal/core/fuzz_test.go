@@ -14,9 +14,9 @@ import (
 // and delete operations, applies them in small batches, and after every
 // batch asserts the full correctness contract: the engine's internal
 // invariants hold and its covers equal a from-scratch rediscovery over a
-// shadow copy of the live rows. The same op stream is fed to a serial and
-// a parallel engine, so the fuzzer also hunts for serial-equivalence
-// violations in the scan/merge pipeline.
+// shadow copy of the live rows. The same op stream is fed to a Workers: 1
+// engine (every validation inline) and a Workers: 4 engine, so the fuzzer
+// also hunts for covers that depend on the worker count.
 //
 // Input encoding (one op per step, reading bytes left to right):
 //
@@ -46,6 +46,7 @@ func FuzzApplyBatch(f *testing.F) {
 			cols[i] = fmt.Sprintf("c%d", i)
 		}
 		serialCfg := DefaultConfig()
+		serialCfg.Workers = 1
 		parallelCfg := DefaultConfig()
 		parallelCfg.Workers = 4
 		serial, err := Bootstrap(dataset.New("t", cols), serialCfg)

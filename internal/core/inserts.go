@@ -5,6 +5,7 @@ import (
 	"dynfd/internal/fd"
 	"dynfd/internal/induct"
 	"dynfd/internal/lattice"
+	"dynfd/internal/sched"
 	"dynfd/internal/validate"
 )
 
@@ -17,41 +18,86 @@ import (
 // invalid candidates, the progressive violation search (§4.3) takes over
 // the hunt for further violations.
 //
-// Each level runs as a scan phase (read-only candidate validations)
-// followed by a serial merge phase that applies the cover updates in
-// candidate order. This is the Workers == 0 reference path; Workers >= 1
-// runs the same classification and merge on the pipelined scheduler
-// (pipeline.go), with identical covers after every batch.
+// Each level is classified on the engine goroutine, its eligible
+// candidates are validated (inline, or chunked across the scheduler's
+// workers), and the merge applies the cover updates in candidate order.
+// The sweep needs the whole store (delta masks and the violation search
+// read every attribute), so it waits for full maintenance once; with
+// background workers it then pipelines levels, validating the next level
+// speculatively while the current one merges (pipeline.go).
 //
 // minNewID is the smallest surrogate id assigned in this batch; newIDs are
 // all ids inserted by the batch; touched holds the columns the batch may
 // have changed (all columns unless update-column pruning narrowed it).
-func (e *Engine) processInserts(minNewID int64, newIDs []int64, touched attrset.Set) error {
+func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int64, touched attrset.Set) error {
+	if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
+		return err
+	}
 	e.computeDeltaMasks(newIDs)
+	clear(e.specCache)
 	prune := validate.NoPruning
 	if e.cfg.ClusterPruning {
 		prune = minNewID
 	}
 	for level := 0; level <= e.numAttrs; level++ {
-		candidates := e.fds.Level(level)
+		e.levelBuf = e.fds.AppendLevel(e.levelBuf[:0], level)
+		candidates := e.levelBuf
 		if len(candidates) == 0 {
 			continue
 		}
-		// Scan: classify and validate without mutating any engine state.
-		outcomes, err := e.scanLevel(candidates, prune, func(cand fd.FD) scanKind {
-			return e.classifyInsert(cand, touched)
-		})
-		if err != nil {
-			return err
+		outcomes := e.outcomeBuf(len(candidates))
+		slots := e.chunkSlots(len(candidates))
+		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: prune}
+		eligible := 0
+		for i, cand := range candidates {
+			kind := e.classifyInsert(cand, touched)
+			outcomes[i] = scanOutcome{kind: kind}
+			if kind != scanEligible {
+				continue
+			}
+			eligible++
+			if e.pool.Background() == 0 {
+				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: prune})
+				if err != nil {
+					return err
+				}
+				foldOutcome(&outcomes[i], r)
+				continue
+			}
+			if sl, ok := e.specCache[cand]; ok {
+				slots[i] = sl
+				e.stats.SpeculativeHits++
+				continue
+			}
+			slots[i] = b.add(cand, attrset.Set{})
+		}
+		b.flush()
+		if eligible > 0 && e.pool.Background() > 0 {
+			e.stats.ParallelLevels++
+		}
+		if e.pool.Background() > 0 && level < e.numAttrs {
+			e.speculateInsertLevel(ses, level+1, prune, touched)
 		}
 		// Merge: account the work, then fold every invalidated candidate
 		// into the covers in candidate order (Algorithm 2 lines 6-15).
+		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: prune}
 		invalid := 0
 		for i, cand := range candidates {
-			if inv, _ := e.applyInsertOutcome(cand, outcomes[i]); inv {
+			o := &outcomes[i]
+			if o.kind == scanEligible {
+				if err := e.resolveOutcome(ses, o, slots[i]); err != nil {
+					return err
+				}
+			}
+			inv, specialized := e.applyInsertOutcome(cand, *o)
+			if inv {
 				invalid++
 			}
+			if specialized && e.pool.Background() > 0 {
+				e.speculateSpecialized(sb, cand, touched)
+			}
 		}
+		sb.flush()
 		// Lines 16-17: switch to the violation search when the traversal
 		// becomes inefficient.
 		if float64(invalid) > e.cfg.EfficiencyThreshold*float64(len(candidates)) {
@@ -62,8 +108,8 @@ func (e *Engine) processInserts(minNewID int64, newIDs []int64, touched attrset.
 }
 
 // classifyInsert decides one positive-cover candidate's fate for the
-// insert sweep without mutating engine state. Shared by the serial scan
-// and the pipelined scheduler so both paths prune identically.
+// insert sweep without mutating engine state. The speculative previews use
+// it too, so speculation prunes exactly like the sweep.
 func (e *Engine) classifyInsert(cand fd.FD, touched attrset.Set) scanKind {
 	if !e.fds.Contains(cand.Lhs, cand.Rhs) {
 		return scanStale // removed by an earlier specialization or search
@@ -119,5 +165,47 @@ func (e *Engine) applyInsertOutcome(cand fd.FD, o scanOutcome) (invalid, special
 func (e *Engine) addNonFD(lhs attrset.Set, rhs int, v lattice.Violation) {
 	if induct.AddMaximalNonFD(e.nonFds, lhs, rhs) {
 		e.nonFds.SetViolation(lhs, rhs, v)
+	}
+}
+
+// speculateInsertLevel submits validations for the next level's existing
+// positive-cover members ahead of their classification. The store is fully
+// maintained during the insert sweep, so no readiness check is needed.
+func (e *Engine) speculateInsertLevel(ses *sched.Session, level int, prune int64, touched attrset.Set) {
+	e.specBuf = e.fds.AppendLevel(e.specBuf[:0], level)
+	if len(e.specBuf) == 0 {
+		return
+	}
+	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf)), prune: prune}
+	for _, cand := range e.specBuf {
+		if _, ok := e.specCache[cand]; ok {
+			continue
+		}
+		if e.classifyInsert(cand, touched) != scanEligible {
+			continue
+		}
+		e.specCache[cand] = b.add(cand, attrset.Set{})
+		e.stats.SpeculativeValidations++
+	}
+	b.flush()
+}
+
+// speculateSpecialized submits validations for the minimal specializations
+// an invalidation just added to the positive cover — the next level's
+// freshest candidates.
+func (e *Engine) speculateSpecialized(b *chunkBuilder, cand fd.FD, touched attrset.Set) {
+	for r := 0; r < e.numAttrs; r++ {
+		if cand.Lhs.Contains(r) || r == cand.Rhs {
+			continue
+		}
+		spec := fd.FD{Lhs: cand.Lhs.With(r), Rhs: cand.Rhs}
+		if _, ok := e.specCache[spec]; ok {
+			continue
+		}
+		if e.classifyInsert(spec, touched) != scanEligible {
+			continue
+		}
+		e.specCache[spec] = b.add(spec, attrset.Set{})
+		e.stats.SpeculativeValidations++
 	}
 }

@@ -3,36 +3,10 @@ package core
 import (
 	"runtime"
 
-	"dynfd/internal/fd"
 	"dynfd/internal/validate"
 )
 
-// Level-synchronized parallel validation (DESIGN.md §8).
-//
-// Both lattice sweeps — the insert-side top-down walk over the positive
-// cover (Algorithm 2) and the delete-side bottom-up walk over the negative
-// cover (Algorithm 4) — spend nearly all of their time in candidate
-// validations, which are pure reads of the Pli store. Each level is
-// therefore processed in two phases:
-//
-//   - scan: classify every candidate of the level (cover membership and
-//     pruning checks, cheap reads of the mutable covers, done on the
-//     engine goroutine) and validate the eligible ones against the store,
-//     fanned across the worker budget via validate.Fan. No engine state is
-//     mutated during the scan, and workers touch only the read-only store.
-//   - merge: on the engine goroutine, walk the outcomes in candidate order
-//     and apply all stats updates and cover mutations.
-//
-// Because outcomes land in per-candidate slots and the merge consumes them
-// in candidate order, dependency induction sees the exact same non-FD
-// order as a serial run: Workers: 4 and Workers: 0 produce byte-identical
-// covers (the serial-equivalence guarantee, asserted by the equivalence
-// property tests). The level boundary is a synchronization barrier, which
-// the level-wise algorithms require anyway — a level's candidates are
-// derived from the previous level's merge.
-
-// scanKind classifies one candidate of a lattice level during the scan
-// phase.
+// scanKind classifies one candidate of a lattice level before the merge.
 type scanKind uint8
 
 const (
@@ -55,70 +29,23 @@ const (
 	scanDeltaPruned
 )
 
-// scanOutcome is the per-candidate result of a level scan. For
-// scanInvalid, witness holds the violating record pair.
+// scanOutcome is the per-candidate result of a level's classification and
+// validation. For scanInvalid, witness holds the violating record pair.
 type scanOutcome struct {
 	kind    scanKind
 	witness validate.Witness
 }
 
-// resolveWorkers maps the Config.Workers knob to the effective per-level
-// worker budget: 0 keeps validation serial, n >= 1 allows n concurrent
-// validations, and n < 0 uses one worker per available CPU.
+// resolveWorkers maps the Config.Workers knob to the scheduler's worker-slot
+// count: 0 and 1 both mean one slot (every validation runs inline on the
+// engine goroutine), n > 1 allows n concurrent validations, and n < 0 uses
+// one slot per available CPU.
 func resolveWorkers(n int) int {
 	if n < 0 {
 		return runtime.GOMAXPROCS(0)
 	}
+	if n == 0 {
+		return 1
+	}
 	return n
-}
-
-// scanLevel runs the scan phase for one lattice level: classify every
-// candidate, then validate the eligible ones — in parallel when the engine
-// has a worker budget — and return the outcomes in candidate order.
-// classify must only read engine state; prune is the cluster-pruning bound
-// passed to the validations (validate.NoPruning to disable).
-// The returned slice aliases an engine-held buffer that the next scanLevel
-// call overwrites; callers consume it within their level's merge phase.
-// A non-nil error is a captured validation panic (*fanout.PanicError); the
-// outcomes are then unspecified and the caller must abort the sweep.
-func (e *Engine) scanLevel(candidates []fd.FD, prune int64, classify func(fd.FD) scanKind) ([]scanOutcome, error) {
-	if cap(e.scanOutcomes) < len(candidates) {
-		e.scanOutcomes = make([]scanOutcome, len(candidates))
-	}
-	outcomes := e.scanOutcomes[:len(candidates)]
-	reqs := e.scanReqs[:0]
-	slots := e.scanSlots[:0]
-	for i, cand := range candidates {
-		kind := classify(cand)
-		outcomes[i].kind = kind
-		if kind == scanEligible {
-			reqs = append(reqs, validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: prune})
-			slots = append(slots, i)
-		}
-	}
-	e.scanReqs, e.scanSlots = reqs, slots
-	if len(reqs) == 0 {
-		return outcomes, nil
-	}
-	if cap(e.fanOut) < len(reqs) {
-		e.fanOut = make([]validate.Outcome, len(reqs))
-	}
-	results := e.fanOut[:len(reqs)]
-	fanned, err := validate.FanInto(results, e.store, reqs, e.workers, e.scratch)
-	if err != nil {
-		return nil, err
-	}
-	if fanned {
-		e.stats.ParallelLevels++
-	}
-	for k, r := range results {
-		o := &outcomes[slots[k]]
-		if r.Valid {
-			o.kind = scanValid
-		} else {
-			o.kind = scanInvalid
-			o.witness = r.Witness
-		}
-	}
-	return outcomes, nil
 }

@@ -13,12 +13,14 @@ import (
 	"dynfd/internal/validate"
 )
 
-// Pipelined batch execution on the work-stealing scheduler (DESIGN.md §13).
+// Batch execution on the work-stealing scheduler (DESIGN.md §13).
 //
-// With Config.Workers >= 1 a batch no longer runs as strictly serialized
-// stages (store maintenance, then delete sweep, then insert sweep, each
-// level a scan/merge barrier). Instead one sched.Session spans the whole
-// batch:
+// Every batch runs as one sched.Session spanning Pli maintenance and both
+// lattice sweeps (inserts.go, deletes.go). With Config.Workers 0 or 1 the
+// pool has no background workers: maintenance runs first and every
+// validation runs inline on the engine goroutine, so each sweep is the
+// paper's plain level-wise loop. With more worker slots the stages
+// overlap:
 //
 //   - Per-attribute Pli maintenance is submitted as tasks that publish
 //     their attribute's readiness bit when done. Validations only ever read
@@ -28,8 +30,7 @@ import (
 //   - A level's eligible candidates are bundled into stealable chunks
 //     (chunkSize) spread across the worker deques; the coordinator resolves
 //     them in candidate order during the merge, claiming directly or
-//     helping with other chunks while it waits, so the merge stays
-//     byte-identical to a serial run.
+//     helping with other chunks while it waits.
 //   - While a level merges, the next level is validated speculatively: its
 //     pre-existing cover members are previewed before the merge, and fresh
 //     candidates created by the merge itself (specializations, promoted
@@ -38,10 +39,10 @@ import (
 //     so reusing them cannot change results; entries whose candidate turns
 //     stale are simply discarded, and leftovers die with the session.
 //
-// Serial equivalence: classification runs on the coordinator in candidate
-// order with the exact predicates of the serial path, and the merge
-// consumes outcomes in candidate order, so covers after every batch are
-// identical to Workers == 0 (asserted by the equivalence property tests).
+// Worker-count independence: classification runs on the coordinator in
+// candidate order and the merge consumes outcomes in candidate order, so
+// the covers after every batch are identical for every Workers setting
+// (asserted by the equivalence property tests).
 
 // maintTask maintains one Pli shard and publishes its readiness bit, which
 // un-gates every validation chunk waiting on the attribute.
@@ -120,11 +121,11 @@ func (b *chunkBuilder) flush() {
 }
 
 // chunkSize picks the stealable chunk granularity for a level of n
-// candidates: an explicit Config.StealChunk wins; otherwise aim for about
-// four chunks per worker so stealing has slack, clamped to [1, 32].
+// candidates: about four chunks per worker so stealing has slack, clamped
+// to [1, 32]. The stealChunk test seam overrides it.
 func (e *Engine) chunkSize(n int) int {
-	if e.cfg.StealChunk > 0 {
-		return e.cfg.StealChunk
+	if e.stealChunk > 0 {
+		return e.stealChunk
 	}
 	c := n / (4 * e.pool.Workers())
 	if c < 1 {
@@ -175,10 +176,10 @@ func (e *Engine) resolveOutcome(ses *sched.Session, o *scanOutcome, sl chunkSlot
 }
 
 // validateInline runs one validation directly on the coordinator — the
-// fast path when the pool has no background workers (Workers == 1), where
+// path when the pool has no background workers (Workers 0 or 1), where
 // chunking and deque traffic would be pure overhead. Panic containment
-// matches the fan-out contract so a panicking validator still poisons the
-// engine as a *fanout.PanicError instead of crashing the process.
+// matches the scheduler's contract so a panicking validator still poisons
+// the engine as a *fanout.PanicError instead of crashing the process.
 func (e *Engine) validateInline(r validate.Request) (o validate.Outcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -189,7 +190,8 @@ func (e *Engine) validateInline(r validate.Request) (o validate.Outcome, err err
 }
 
 // applyPipelined runs steps 1-3 of ApplyBatch on the scheduler: stage the
-// batch, overlap per-attribute maintenance with the two sweeps, and seal
+// batch, maintain the per-attribute indexes (overlapped with the two
+// sweeps when the pool has background workers), run the sweeps, and seal
 // the store. Called with the planner's outputs; on return either the batch
 // is fully applied or the engine is poisoned (except for StageBatch
 // validation failures, which leave the store and engine untouched).
@@ -211,11 +213,20 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 	for a := 0; a < e.numAttrs; a++ {
 		ses.Submit(&maintTask{store: e.store, ses: ses, attr: a})
 	}
+	if e.pool.Background() == 0 {
+		// One goroutine gains nothing from overlap: maintain every shard
+		// now, so the Figure 1 breakdown bills maintenance to the
+		// structure phase rather than to the first sweep that waits on it.
+		if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
+			e.poisoned = err
+			return fmt.Errorf("core: applying batch: %w", err)
+		}
+	}
 	e.stats.StructureTime += time.Since(structStart)
 
 	if deletes > 0 {
 		start := time.Now()
-		if err := e.processDeletesSched(ses, touched); err != nil {
+		if err := e.processDeletes(ses, touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: delete phase: %w", err)
 		}
@@ -223,7 +234,7 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 	}
 	if len(ids) > 0 {
 		start := time.Now()
-		if err := e.processInsertsSched(ses, minNewID, ids, touched); err != nil {
+		if err := e.processInserts(ses, minNewID, ids, touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: insert phase: %w", err)
 		}
@@ -253,256 +264,4 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 	}
 	e.stats.StructureTime += time.Since(finishStart)
 	return nil
-}
-
-// processDeletesSched is processDeletes on the scheduler: same levels, same
-// classification, same merge order; candidate validations gated on their
-// shards' readiness and chunked across the workers.
-func (e *Engine) processDeletesSched(ses *sched.Session, touched attrset.Set) error {
-	clear(e.specCache)
-	for level := e.numAttrs; level >= 0; level-- {
-		e.levelBuf = e.nonFds.AppendLevel(e.levelBuf[:0], level)
-		candidates := e.levelBuf
-		if len(candidates) == 0 {
-			continue
-		}
-		outcomes := e.outcomeBuf(len(candidates))
-		slots := e.chunkSlots(len(candidates))
-		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: validate.NoPruning}
-		eligible := 0
-		for i, cand := range candidates {
-			deps := cand.Lhs.With(cand.Rhs)
-			// Classification itself reads shard state (witness repair
-			// compares cluster ids), so it waits for the candidate's shards
-			// — helping with maintenance and chunks while it does.
-			if err := ses.AwaitReady(deps); err != nil {
-				return err
-			}
-			kind := e.classifyDelete(cand, touched)
-			outcomes[i] = scanOutcome{kind: kind}
-			if kind != scanEligible {
-				continue
-			}
-			eligible++
-			if e.pool.Background() == 0 {
-				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: validate.NoPruning})
-				if err != nil {
-					return err
-				}
-				foldOutcome(&outcomes[i], r)
-				continue
-			}
-			if sl, ok := e.specCache[cand]; ok {
-				slots[i] = sl
-				e.stats.SpeculativeHits++
-				continue
-			}
-			slots[i] = b.add(cand, deps)
-		}
-		b.flush()
-		if eligible > 0 && e.pool.Background() > 0 {
-			e.stats.ParallelLevels++
-		}
-		// Preview the next level's pre-existing non-FDs while this level's
-		// chunks run; candidates promoted by this merge are speculated as
-		// they appear below.
-		if e.pool.Background() > 0 && level > 0 {
-			e.speculateDeleteLevel(ses, level-1, touched)
-		}
-		var validFds []fd.FD
-		for i, cand := range candidates {
-			o := &outcomes[i]
-			if o.kind == scanEligible {
-				if err := e.resolveOutcome(ses, o, slots[i]); err != nil {
-					return err
-				}
-			}
-			if e.applyDeleteOutcome(cand, *o) {
-				validFds = append(validFds, cand)
-			}
-		}
-		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: validate.NoPruning}
-		for _, f := range validFds {
-			if !e.nonFds.Contains(f.Lhs, f.Rhs) {
-				continue
-			}
-			e.promoteNonFD(f)
-			if e.pool.Background() > 0 && level > 0 {
-				e.speculatePromoted(sb, f, touched)
-			}
-		}
-		sb.flush()
-		if e.cfg.DepthFirstSearch &&
-			float64(len(validFds)) > e.cfg.EfficiencyThreshold*float64(len(candidates)) {
-			e.depthFirstSearches(validFds)
-		}
-	}
-	return nil
-}
-
-// speculateDeleteLevel submits validations for the next level's existing
-// non-FDs ahead of their classification. Best-effort and strictly
-// non-blocking: only candidates whose shards are already published are
-// previewed, because delete-side classification reads shard state.
-func (e *Engine) speculateDeleteLevel(ses *sched.Session, level int, touched attrset.Set) {
-	e.specBuf = e.nonFds.AppendLevel(e.specBuf[:0], level)
-	if len(e.specBuf) == 0 {
-		return
-	}
-	ready := ses.Ready()
-	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf)), prune: validate.NoPruning}
-	for _, cand := range e.specBuf {
-		if _, ok := e.specCache[cand]; ok {
-			continue
-		}
-		deps := cand.Lhs.With(cand.Rhs)
-		if !deps.IsSubsetOf(ready) {
-			continue
-		}
-		if e.classifyDelete(cand, touched) != scanEligible {
-			continue
-		}
-		e.specCache[cand] = b.add(cand, deps)
-		e.stats.SpeculativeValidations++
-	}
-	b.flush()
-}
-
-// speculatePromoted submits validations for the generalizations a
-// promotion just added to the negative cover — the next level's freshest
-// candidates. Their shards are a subset of the promoted FD's, which the
-// classification already awaited.
-func (e *Engine) speculatePromoted(b *chunkBuilder, f fd.FD, touched attrset.Set) {
-	f.Lhs.ForEach(func(r int) bool {
-		gen := fd.FD{Lhs: f.Lhs.Without(r), Rhs: f.Rhs}
-		if _, ok := e.specCache[gen]; ok {
-			return true
-		}
-		if e.classifyDelete(gen, touched) != scanEligible {
-			return true
-		}
-		e.specCache[gen] = b.add(gen, gen.Lhs.With(gen.Rhs))
-		e.stats.SpeculativeValidations++
-		return true
-	})
-}
-
-// processInsertsSched is processInserts on the scheduler. The insert sweep
-// needs the whole store (delta masks and the violation search read every
-// attribute), so it waits for full maintenance once, then pipelines levels:
-// chunked validation, speculative next-level submission, serial merge.
-func (e *Engine) processInsertsSched(ses *sched.Session, minNewID int64, newIDs []int64, touched attrset.Set) error {
-	if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
-		return err
-	}
-	e.computeDeltaMasks(newIDs)
-	clear(e.specCache)
-	prune := validate.NoPruning
-	if e.cfg.ClusterPruning {
-		prune = minNewID
-	}
-	for level := 0; level <= e.numAttrs; level++ {
-		e.levelBuf = e.fds.AppendLevel(e.levelBuf[:0], level)
-		candidates := e.levelBuf
-		if len(candidates) == 0 {
-			continue
-		}
-		outcomes := e.outcomeBuf(len(candidates))
-		slots := e.chunkSlots(len(candidates))
-		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: prune}
-		eligible := 0
-		for i, cand := range candidates {
-			kind := e.classifyInsert(cand, touched)
-			outcomes[i] = scanOutcome{kind: kind}
-			if kind != scanEligible {
-				continue
-			}
-			eligible++
-			if e.pool.Background() == 0 {
-				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: prune})
-				if err != nil {
-					return err
-				}
-				foldOutcome(&outcomes[i], r)
-				continue
-			}
-			if sl, ok := e.specCache[cand]; ok {
-				slots[i] = sl
-				e.stats.SpeculativeHits++
-				continue
-			}
-			slots[i] = b.add(cand, attrset.Set{})
-		}
-		b.flush()
-		if eligible > 0 && e.pool.Background() > 0 {
-			e.stats.ParallelLevels++
-		}
-		if e.pool.Background() > 0 && level < e.numAttrs {
-			e.speculateInsertLevel(ses, level+1, prune, touched)
-		}
-		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: prune}
-		invalid := 0
-		for i, cand := range candidates {
-			o := &outcomes[i]
-			if o.kind == scanEligible {
-				if err := e.resolveOutcome(ses, o, slots[i]); err != nil {
-					return err
-				}
-			}
-			inv, specialized := e.applyInsertOutcome(cand, *o)
-			if inv {
-				invalid++
-			}
-			if specialized && e.pool.Background() > 0 {
-				e.speculateSpecialized(sb, cand, touched)
-			}
-		}
-		sb.flush()
-		if float64(invalid) > e.cfg.EfficiencyThreshold*float64(len(candidates)) {
-			e.violationSearch(newIDs)
-		}
-	}
-	return nil
-}
-
-// speculateInsertLevel submits validations for the next level's existing
-// positive-cover members ahead of their classification. The store is fully
-// maintained during the insert sweep, so no readiness check is needed.
-func (e *Engine) speculateInsertLevel(ses *sched.Session, level int, prune int64, touched attrset.Set) {
-	e.specBuf = e.fds.AppendLevel(e.specBuf[:0], level)
-	if len(e.specBuf) == 0 {
-		return
-	}
-	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf)), prune: prune}
-	for _, cand := range e.specBuf {
-		if _, ok := e.specCache[cand]; ok {
-			continue
-		}
-		if e.classifyInsert(cand, touched) != scanEligible {
-			continue
-		}
-		e.specCache[cand] = b.add(cand, attrset.Set{})
-		e.stats.SpeculativeValidations++
-	}
-	b.flush()
-}
-
-// speculateSpecialized submits validations for the minimal specializations
-// an invalidation just added to the positive cover — the next level's
-// freshest candidates.
-func (e *Engine) speculateSpecialized(b *chunkBuilder, cand fd.FD, touched attrset.Set) {
-	for r := 0; r < e.numAttrs; r++ {
-		if cand.Lhs.Contains(r) || r == cand.Rhs {
-			continue
-		}
-		spec := fd.FD{Lhs: cand.Lhs.With(r), Rhs: cand.Rhs}
-		if _, ok := e.specCache[spec]; ok {
-			continue
-		}
-		if e.classifyInsert(spec, touched) != scanEligible {
-			continue
-		}
-		e.specCache[spec] = b.add(spec, attrset.Set{})
-		e.stats.SpeculativeValidations++
-	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dynfd/internal/dataset"
@@ -213,26 +214,32 @@ func TestRandomWorkloadDeleteHeavy(t *testing.T) {
 	}
 }
 
-// runEquivalence drives one random batch sequence through a serial
-// (Workers: 0) engine and a parallel engine simultaneously and asserts
-// both produce identical FD and non-FD covers after every batch — the
-// serial-equivalence guarantee of the work-stealing scheduler
-// (DESIGN.md §8, §13). Both engines see byte-identical batches; surrogate
-// ids are assigned deterministically, so the id streams must agree too.
+// runEquivalence drives one random batch sequence through a reference
+// engine with one worker slot (Workers: 1, every validation inline on the
+// engine goroutine) and an engine with the given worker budget, and
+// asserts both produce identical FD and non-FD covers after every batch —
+// the worker-count independence of the scheduler (DESIGN.md §13).
 func runEquivalence(t *testing.T, seed int64, workers, attrs, initialRows, batches, batchSize, domain int) {
 	t.Helper()
-	parallelCfg := DefaultConfig()
-	parallelCfg.Workers = workers
-	runPairEquivalence(t, seed, attrs, initialRows, batches, batchSize, domain, DefaultConfig(), parallelCfg)
+	refCfg := DefaultConfig()
+	refCfg.Workers = 1
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	runPairEquivalence(t, seed, attrs, initialRows, batches, batchSize, domain, refCfg, cfg)
 }
 
 // runPairEquivalence is the general form: drive identical batches through
 // two engines with arbitrary configurations and assert identical covers
-// and diffs after every batch. Returns the second engine for stats
-// inspection.
-func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, batchSize, domain int, serialCfg, parallelCfg Config) *Engine {
+// and diffs after every batch. Both engines see byte-identical batches;
+// surrogate ids are assigned deterministically, so the id streams must
+// agree too. The reference engine's covers are also checked against the
+// brute-force oracle over a shadow copy of the live rows, so a bug shared
+// by both engines cannot hide. tune, if given, adjusts the second engine
+// after bootstrap (test seams such as stealChunk). Returns the second
+// engine for stats inspection.
+func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, batchSize, domain int, refCfg, cfg Config, tune ...func(*Engine)) *Engine {
 	t.Helper()
-	workers := parallelCfg.Workers
+	workers := cfg.Workers
 	r := rand.New(rand.NewSource(seed))
 	cols := make([]string, attrs)
 	for i := range cols {
@@ -251,21 +258,28 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 			t.Fatal(err)
 		}
 	}
-	serial, err := Bootstrap(rel, serialCfg)
+	ref, err := Bootstrap(rel, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Bootstrap(rel, parallelCfg)
+	other, err := Bootstrap(rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range tune {
+		f(other)
+	}
+	// Shadow model: id -> row; live lists its ids in ascending order.
+	model := make(map[int64][]string)
 	var live []int64
 	for i := 0; i < initialRows; i++ {
+		model[int64(i)] = rel.Rows[i]
 		live = append(live, int64(i))
 	}
 	for b := 0; b < batches; b++ {
 		var changes []stream.Change
 		pendingDeletes := map[int64]bool{}
+		var pendingRows [][]string
 		for c := 0; c < batchSize; c++ {
 			op := r.Intn(4)
 			if len(live) == 0 {
@@ -273,7 +287,9 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 			}
 			switch op {
 			case 0, 1:
-				changes = append(changes, stream.Change{Kind: stream.Insert, Values: randRow()})
+				row := randRow()
+				changes = append(changes, stream.Change{Kind: stream.Insert, Values: row})
+				pendingRows = append(pendingRows, row)
 			case 2:
 				id := live[r.Intn(len(live))]
 				if pendingDeletes[id] {
@@ -287,54 +303,70 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 					continue
 				}
 				pendingDeletes[id] = true
-				changes = append(changes, stream.Change{Kind: stream.Update, ID: id, Values: randRow()})
+				row := randRow()
+				changes = append(changes, stream.Change{Kind: stream.Update, ID: id, Values: row})
+				pendingRows = append(pendingRows, row)
 			}
 		}
 		batch := stream.Batch{Changes: changes}
-		resS, err := serial.ApplyBatch(batch)
+		resR, err := ref.ApplyBatch(batch)
 		if err != nil {
-			t.Fatalf("batch %d (serial): %v", b, err)
+			t.Fatalf("batch %d (reference): %v", b, err)
 		}
-		resP, err := parallel.ApplyBatch(batch)
+		resO, err := other.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d (workers=%d): %v", b, workers, err)
 		}
-		if fmt.Sprint(resS.InsertedIDs) != fmt.Sprint(resP.InsertedIDs) {
-			t.Fatalf("batch %d: id streams diverged: serial %v, parallel %v",
-				b, resS.InsertedIDs, resP.InsertedIDs)
+		if fmt.Sprint(resR.InsertedIDs) != fmt.Sprint(resO.InsertedIDs) {
+			t.Fatalf("batch %d: id streams diverged: reference %v, workers=%d %v",
+				b, resR.InsertedIDs, workers, resO.InsertedIDs)
 		}
-		if got, want := parallel.FDs(), serial.FDs(); !fd.Equal(got, want) {
-			t.Fatalf("batch %d (seed %d, workers %d): FD covers diverged\n serial   %v\n parallel %v",
+		if got, want := other.FDs(), ref.FDs(); !fd.Equal(got, want) {
+			t.Fatalf("batch %d (seed %d, workers %d): FD covers diverged\n reference %v\n got       %v",
 				b, seed, workers, want, got)
 		}
-		if got, want := parallel.NonFDs(), serial.NonFDs(); !fd.Equal(got, want) {
-			t.Fatalf("batch %d (seed %d, workers %d): non-FD covers diverged\n serial   %v\n parallel %v",
+		if got, want := other.NonFDs(), ref.NonFDs(); !fd.Equal(got, want) {
+			t.Fatalf("batch %d (seed %d, workers %d): non-FD covers diverged\n reference %v\n got       %v",
 				b, seed, workers, want, got)
 		}
-		if !fd.Equal(resS.Added, resP.Added) || !fd.Equal(resS.Removed, resP.Removed) {
-			t.Fatalf("batch %d: diffs diverged: serial +%v -%v, parallel +%v -%v",
-				b, resS.Added, resS.Removed, resP.Added, resP.Removed)
+		if !fd.Equal(resR.Added, resO.Added) || !fd.Equal(resR.Removed, resO.Removed) {
+			t.Fatalf("batch %d: diffs diverged: reference +%v -%v, workers=%d +%v -%v",
+				b, resR.Added, resR.Removed, workers, resO.Added, resO.Removed)
 		}
+
 		for id := range pendingDeletes {
-			for i, l := range live {
-				if l == id {
-					live = append(live[:i], live[i+1:]...)
-					break
-				}
-			}
+			delete(model, id)
 		}
-		live = append(live, resS.InsertedIDs...)
+		for i, id := range resR.InsertedIDs {
+			model[id] = pendingRows[i]
+		}
+		live = live[:0]
+		rows := make([][]string, 0, len(model))
+		for id, row := range model {
+			live = append(live, id)
+			rows = append(rows, row)
+		}
+		// Map order would make the victim choice above nondeterministic.
+		sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+		if got, want := ref.FDs(), oracle.MinimalFDs(rows, attrs); !fd.Equal(got, want) {
+			t.Fatalf("batch %d (seed %d): reference FDs diverged from the oracle\n got  %v\n want %v",
+				b, seed, got, want)
+		}
+		if got, want := ref.NonFDs(), oracle.MaximalNonFDs(rows, attrs); !fd.Equal(got, want) {
+			t.Fatalf("batch %d (seed %d): reference non-FDs diverged from the oracle\n got  %v\n want %v",
+				b, seed, got, want)
+		}
 	}
-	if err := parallel.CheckInvariants(); err != nil {
+	if err := other.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return parallel
+	return other
 }
 
 // TestSerialParallelEquivalence is the acceptance property of the
-// parallel validation engine: across at least 50 randomized batch
-// sequences, a Workers: 4 engine yields identical FD covers to a
-// Workers: 0 engine after every single batch.
+// scheduler: across 50 randomized batch sequences, a Workers: 4 engine
+// yields identical covers to the single-goroutine Workers: 1 engine after
+// every single batch, and the latter matches the oracle.
 func TestSerialParallelEquivalence(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -351,8 +383,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestSerialParallelEquivalenceShort is the -short variant of the sweep:
-// a handful of sequences so `go test -race -short` still exercises the
-// scan/merge pipeline cross-checked against the serial engine.
+// a handful of sequences so `go test -race -short` still cross-checks a
+// Workers: 4 engine against the Workers: 1 engine and the oracle.
 func TestSerialParallelEquivalenceShort(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 6; seed++ {
@@ -361,29 +393,31 @@ func TestSerialParallelEquivalenceShort(t *testing.T) {
 }
 
 // TestEquivalenceAcrossWorkerCounts pins the guarantee for other worker
-// budgets, including the GOMAXPROCS default (-1) and an oversubscribed
-// pool.
+// budgets: the Workers: 0 default, the GOMAXPROCS setting (-1), and an
+// oversubscribed pool.
 func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
-	for i, workers := range []int{1, 2, 8, -1} {
+	for i, workers := range []int{0, 2, 8, -1} {
 		runEquivalence(t, int64(3000+i), workers, 5, 12, 5, 8, 3)
 	}
 }
 
 // TestEquivalenceForcedStealing pins the scheduler's stealing paths:
-// StealChunk: 1 makes every candidate its own stealable task, so with
-// several workers the deques drain through steals constantly. Covers must
-// stay identical to the serial engine, and across the sweep stealing must
-// actually have happened — otherwise the test is not exercising what it
-// claims to.
+// one-candidate chunks (the stealChunk seam) make every candidate its own
+// stealable task, so with several workers the deques drain through steals
+// constantly. Covers must stay identical to the reference engine, and
+// across the sweep stealing must actually have happened — otherwise the
+// test is not exercising what it claims to.
 func TestEquivalenceForcedStealing(t *testing.T) {
 	t.Parallel()
+	refCfg := DefaultConfig()
+	refCfg.Workers = 1
 	stolen := 0
 	for seed := int64(0); seed < 6; seed++ {
 		cfg := DefaultConfig()
 		cfg.Workers = 4
-		cfg.StealChunk = 1
-		e := runPairEquivalence(t, 4000+seed, 4+int(seed%3), 12, 5, 8, 2+int(seed%3), DefaultConfig(), cfg)
+		e := runPairEquivalence(t, 4000+seed, 4+int(seed%3), 12, 5, 8, 2+int(seed%3), refCfg, cfg,
+			func(e *Engine) { e.stealChunk = 1 })
 		stolen += e.Stats().ChunksStolen
 	}
 	if stolen == 0 {
@@ -391,30 +425,14 @@ func TestEquivalenceForcedStealing(t *testing.T) {
 	}
 }
 
-// TestEquivalenceNoStealing pins the DisableStealing ablation knob: owners
-// drain their own deques, the coordinator claims what it awaits, and the
-// covers still match the serial engine exactly.
-func TestEquivalenceNoStealing(t *testing.T) {
-	t.Parallel()
-	for seed := int64(0); seed < 3; seed++ {
-		cfg := DefaultConfig()
-		cfg.Workers = 4
-		cfg.StealChunk = 1
-		cfg.DisableStealing = true
-		e := runPairEquivalence(t, 4100+seed, 5, 12, 5, 8, 3, DefaultConfig(), cfg)
-		if s := e.Stats().ChunksStolen; s != 0 {
-			t.Errorf("seed %d: DisableStealing engine stole %d chunks", seed, s)
-		}
-	}
-}
-
 // TestDeltaPruningSoundness is the pruning oracle: a delta-pruned engine
 // and an unpruned engine fed identical batches must report identical FD
 // and non-FD covers and identical per-batch diffs — delta pruning trades
-// work, never results. Run for the serial path and the scheduler path.
+// work, never results. Run inline (one worker) and with background
+// workers.
 func TestDeltaPruningSoundness(t *testing.T) {
 	t.Parallel()
-	for _, workers := range []int{0, 4} {
+	for _, workers := range []int{1, 4} {
 		pruned := 0
 		for seed := int64(0); seed < 6; seed++ {
 			unprunedCfg := DefaultConfig()

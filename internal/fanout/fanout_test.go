@@ -123,3 +123,17 @@ func TestForEachSerialOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestForEachEmptyAndTiny(t *testing.T) {
+	t.Parallel()
+	if fanned, err := ForEach(0, 8, func(int) { t.Error("called for n=0") }); fanned || err != nil {
+		t.Errorf("n=0: fanned=%v err=%v", fanned, err)
+	}
+	calls := 0
+	if fanned, err := ForEach(1, 8, func(i int) { calls++ }); fanned || err != nil {
+		t.Errorf("n=1: fanned=%v err=%v (workers clamp to n)", fanned, err)
+	}
+	if calls != 1 {
+		t.Errorf("n=1: %d calls", calls)
+	}
+}

@@ -315,8 +315,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 }
 
 // createRequest is the body of POST /v1/tenants. Workers optionally
-// overrides the daemon-wide -workers default for this tenant (0 serial,
-// n >= 1 scheduler workers, < 0 one per CPU); the override is persisted
+// overrides the daemon-wide -workers default for this tenant (0 or 1
+// inline, n > 1 scheduler workers, < 0 one per CPU); the override is persisted
 // with the tenant and survives restarts.
 type createRequest struct {
 	Name    string     `json:"name"`

@@ -51,8 +51,14 @@ func TestFollowerCheckpointCatchUp(t *testing.T) {
 	}
 	mon, fol, stop := runFollower(t, client, t.TempDir(), testCols)
 	waitSeq(t, mon, n)
-	if got := fol.Installs(); got == 0 {
-		t.Fatal("stale join converged without a checkpoint install")
+	// catchUp counts an install only after the install has published the
+	// new seq, so the counter may trail the seq waitSeq just observed.
+	deadline := time.Now().Add(20 * time.Second)
+	for fol.Installs() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stale join converged without a checkpoint install")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// Live tail after the install: the remaining batches arrive as frames.
 	for _, b := range batches[n:] {

@@ -93,8 +93,8 @@ type Config struct {
 	// Required; created if absent.
 	DataRoot string
 	// Workers is the default per-engine maintenance parallelism
-	// (dynfd.WithWorkers semantics: 0 serial, n >= 1 scheduler workers,
-	// < 0 one per CPU). Tenants created with a CreateOptions.Workers
+	// (dynfd.WithWorkers semantics: 0 or 1 inline on one goroutine,
+	// n > 1 scheduler workers, < 0 one per CPU). Tenants created with a CreateOptions.Workers
 	// override keep their own setting instead.
 	Workers int
 	// CheckpointEvery is the per-engine checkpoint interval in batches

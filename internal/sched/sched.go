@@ -86,18 +86,14 @@ const (
 // long as the Session, so the parallelism never escapes a batch.
 type Pool struct {
 	workers int
-	noSteal bool
 }
 
 // NewPool returns a pool with the given total worker-slot count (min 1).
-// noSteal disables stealing: every worker consumes only its own deque (the
-// coordinator's Await still claims tasks anywhere directly) — a benchmark
-// ablation knob, not a production setting.
-func NewPool(workers int, noSteal bool) *Pool {
+func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Pool{workers: workers, noSteal: noSteal}
+	return &Pool{workers: workers}
 }
 
 // Workers returns the pool's total slot count, including the coordinator.
@@ -317,8 +313,7 @@ func (s *Session) Submit(t Task) {
 }
 
 // grab returns a runnable task for the given slot: its own deque's front
-// first, then — unless stealing is disabled — the backs of the other
-// deques. Returns nil when no queued task is claimable right now.
+// first, then the backs of the other deques. Returns nil when no queued task is claimable right now.
 func (s *Session) grab(slot int) Task {
 	n := len(s.deques)
 	for {
@@ -329,9 +324,6 @@ func (s *Session) grab(slot int) Task {
 			continue // lost the claim race to a direct Await; drop it
 		}
 		break
-	}
-	if s.pool.noSteal {
-		return nil
 	}
 	for i := 1; i < n; i++ {
 		victim := &s.deques[(slot+i)%n]

@@ -31,7 +31,7 @@ func newTask(deps attrset.Set, fn func(worker int)) *testTask {
 func TestRunsEverySubmittedTaskOnce(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 2, 4, 8} {
-		s := NewPool(workers, false).Begin()
+		s := NewPool(workers).Begin()
 		const n = 200
 		var runs [n]atomic.Int32
 		tasks := make([]*testTask, n)
@@ -59,7 +59,7 @@ func TestRunsEverySubmittedTaskOnce(t *testing.T) {
 // Await on a task that was never submitted must run it inline.
 func TestAwaitRunsUnsubmittedTaskInline(t *testing.T) {
 	t.Parallel()
-	s := NewPool(1, false).Begin()
+	s := NewPool(1).Begin()
 	defer s.End()
 	var ran atomic.Bool
 	tk := newTask(attrset.Set{}, func(worker int) {
@@ -80,7 +80,7 @@ func TestAwaitRunsUnsubmittedTaskInline(t *testing.T) {
 // still complete inline through Await's help loop.
 func TestSingleSlotInlineExecution(t *testing.T) {
 	t.Parallel()
-	s := NewPool(1, false).Begin()
+	s := NewPool(1).Begin()
 	var order []int
 	tasks := make([]*testTask, 10)
 	for i := range tasks {
@@ -110,7 +110,7 @@ func TestSingleSlotInlineExecution(t *testing.T) {
 // task can run is a background worker stealing it from deque 0's back.
 func TestStealingHappens(t *testing.T) {
 	t.Parallel()
-	s := NewPool(2, false).Begin()
+	s := NewPool(2).Begin()
 	done := make(chan int, 1)
 	tk := newTask(attrset.Set{}, func(worker int) { done <- worker })
 	s.Submit(tk) // lands in deque 0, owned by the (idle) coordinator
@@ -133,39 +133,11 @@ func TestStealingHappens(t *testing.T) {
 	}
 }
 
-// DisableStealing: background workers only consume their own deques, so a
-// task in the coordinator's deque completes only via the coordinator.
-func TestNoStealMode(t *testing.T) {
-	t.Parallel()
-	const workers = 4
-	s := NewPool(workers, true).Begin()
-	var n atomic.Int32
-	tasks := make([]*testTask, 20)
-	for i := range tasks {
-		tasks[i] = newTask(attrset.Set{}, func(int) { n.Add(1) })
-		s.Submit(tasks[i])
-	}
-	for _, tk := range tasks {
-		if err := s.Await(tk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.End(); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 20 {
-		t.Fatalf("ran %d of 20", n.Load())
-	}
-	if s.Stolen() != 0 {
-		t.Fatalf("stole %d tasks with stealing disabled", s.Stolen())
-	}
-}
-
 // Dependency gating: a task must not run before MarkReady publishes its
 // attributes, and the publishing side's writes must be visible to it.
 func TestDependencyGating(t *testing.T) {
 	t.Parallel()
-	s := NewPool(4, false).Begin()
+	s := NewPool(4).Begin()
 	defer s.End()
 
 	var published [8]int // written before MarkReady, read by gated tasks
@@ -202,7 +174,7 @@ func TestDependencyGating(t *testing.T) {
 // directly even though it is still parked (never dispatched).
 func TestAwaitClaimsParkedTask(t *testing.T) {
 	t.Parallel()
-	s := NewPool(1, false).Begin()
+	s := NewPool(1).Begin()
 	defer s.End()
 	var ran atomic.Bool
 	tk := newTask(attrset.Of(3), func(int) { ran.Store(true) })
@@ -219,7 +191,7 @@ func TestAwaitClaimsParkedTask(t *testing.T) {
 // AwaitReady helps until the bits are published by a running task.
 func TestAwaitReadyHelps(t *testing.T) {
 	t.Parallel()
-	s := NewPool(1, false).Begin()
+	s := NewPool(1).Begin()
 	defer s.End()
 	for a := 0; a < 5; a++ {
 		a := a
@@ -234,7 +206,7 @@ func TestAwaitReadyHelps(t *testing.T) {
 // process does not crash.
 func TestPanicPoisonsSession(t *testing.T) {
 	t.Parallel()
-	s := NewPool(2, false).Begin()
+	s := NewPool(2).Begin()
 	bad := newTask(attrset.Set{}, func(int) { panic("kaboom") })
 	s.Submit(bad)
 	err := s.Await(bad)
@@ -253,7 +225,7 @@ func TestPanicPoisonsSession(t *testing.T) {
 
 func TestFailPoisonsSession(t *testing.T) {
 	t.Parallel()
-	s := NewPool(2, false).Begin()
+	s := NewPool(2).Begin()
 	sentinel := errors.New("boom")
 	s.Fail(sentinel)
 	tk := newTask(attrset.Set{}, nil)
@@ -269,7 +241,7 @@ func TestFailPoisonsSession(t *testing.T) {
 // End discards leftover queued tasks without running them.
 func TestEndDiscardsUnawaitedTasks(t *testing.T) {
 	t.Parallel()
-	s := NewPool(1, false).Begin() // no background workers: nothing drains the deque
+	s := NewPool(1).Begin() // no background workers: nothing drains the deque
 	var ran atomic.Int32
 	for i := 0; i < 50; i++ {
 		s.Submit(newTask(attrset.Set{}, func(int) { ran.Add(1) }))
@@ -286,7 +258,7 @@ func TestEndDiscardsUnawaitedTasks(t *testing.T) {
 // hang) when there are no background workers.
 func TestAwaitDeadlockGuard(t *testing.T) {
 	t.Parallel()
-	s := NewPool(1, false).Begin()
+	s := NewPool(1).Begin()
 	defer s.End()
 	tk := newTask(attrset.Of(7), nil)
 	s.Submit(tk)
@@ -301,7 +273,7 @@ func TestHandleReset(t *testing.T) {
 	t.Parallel()
 	tk := newTask(attrset.Set{}, nil)
 	for i := 0; i < 3; i++ {
-		s := NewPool(2, false).Begin()
+		s := NewPool(2).Begin()
 		s.Submit(tk)
 		if err := s.Await(tk); err != nil {
 			t.Fatal(err)
@@ -321,7 +293,7 @@ func TestHandleReset(t *testing.T) {
 func TestSchedulerStress(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 2, 4} {
-		s := NewPool(workers, false).Begin()
+		s := NewPool(workers).Begin()
 		const attrs = 16
 		var sum atomic.Int64
 		tasks := make([]*testTask, 300)

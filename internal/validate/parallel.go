@@ -1,31 +1,19 @@
-// Parallel batch validation: the fan-out primitive behind DynFD's
-// level-synchronized parallel validation engine (DESIGN.md §8).
+// Candidate validation requests: the unit of work the engine's scheduler
+// hands to its workers (DESIGN.md §13).
 //
 // Validating a candidate FD against the Pli store is a pure read — FD
 // walks clusters and compressed records and mutates nothing — so any
-// number of candidate validations may run concurrently as long as no
-// goroutine mutates the store. DynFD's batch pipeline guarantees that:
-// structural changes (inserts/deletes) happen in step 1, validation scans
-// in steps 2 and 3, with no overlap. Fan exploits this window by spreading
-// a level's candidate validations across a bounded set of workers.
-//
-// Determinism: every request writes its outcome into its own slot of the
-// result slice, indexed like the input. Workers never share a slot, so no
-// locks are needed, and the caller reads outcomes in request order — the
-// merged result is byte-identical to a serial run regardless of worker
-// count or scheduling.
-//
-// Failure: a panic inside any validation is captured by the fan-out layer
-// and surfaced as a *fanout.PanicError from Fan/FanInto instead of
-// crashing the process; on a non-nil error the outcome slots are
-// unspecified and the engine poisons itself (see core.Engine).
+// number of candidate validations may run concurrently, each on its own
+// Scratch, as long as no goroutine mutates the shards they read. The
+// engine guarantees that through the scheduler's attribute-readiness
+// gating. Outcomes land in per-request slots that the engine merges in
+// candidate order, so results never depend on which worker ran a request.
 package validate
 
 import (
 	"sync/atomic"
 
 	"dynfd/internal/attrset"
-	"dynfd/internal/fanout"
 	"dynfd/internal/pli"
 )
 
@@ -44,9 +32,9 @@ type Outcome struct {
 	Witness Witness
 }
 
-// testHook, when set, runs before every request validation inside Fan and
-// FanInto — a test-only injection point that lets failure-path tests drive
-// a panicking validator through the real worker pool (see SetTestHook).
+// testHook, when set, runs before every request validation inside One — a
+// test-only injection point that lets failure-path tests drive a panicking
+// validator through the engine's real worker pool (see SetTestHook).
 var testHook atomic.Pointer[func(Request)]
 
 // SetTestHook installs h (nil clears) as the test-only validation hook.
@@ -60,73 +48,13 @@ func SetTestHook(h func(Request)) {
 	testHook.Store(&h)
 }
 
-// Fan validates every request against the store, spreading the work across
-// at most workers goroutines (workers <= 1 validates serially, in order).
-// Outcomes are indexed like the requests. fanned reports whether the call
-// actually fanned out to multiple workers; a non-nil err is a captured
-// validation panic (*fanout.PanicError) and leaves the outcomes
-// unspecified.
-//
-// sc provides the per-worker validation scratches: worker slot w uses
-// sc.At(w) exclusively for the duration of the call, so validations reuse
-// warm kernel buffers with zero allocations (DESIGN.md §9). Passing nil
-// uses a fresh throwaway set. Scratch contents never influence outcomes —
-// they are pure working memory — so the serial-equivalence guarantee is
-// untouched. The missing scratches are grown before the fan-out, on the
-// caller's goroutine.
-//
-// The store must not be mutated while Fan runs; see the package comment.
-func Fan(s *pli.Store, reqs []Request, workers int, sc *Scratches) ([]Outcome, bool, error) {
-	out := make([]Outcome, len(reqs))
-	fanned, err := FanInto(out, s, reqs, workers, sc)
-	return out, fanned, err
-}
-
-// FanInto is Fan writing the outcomes into the caller's slice, for hot
-// callers that reuse a per-level buffer. len(out) must equal len(reqs).
-func FanInto(out []Outcome, s *pli.Store, reqs []Request, workers int, sc *Scratches) (bool, error) {
-	if len(out) != len(reqs) {
-		panic("validate: FanInto outcome slice does not match requests")
-	}
-	if sc == nil {
-		sc = &Scratches{}
-	}
-	slots := workers
-	if slots > len(reqs) {
-		slots = len(reqs)
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	sc.grow(slots)
-	return fanout.Run(len(reqs), workers, func(w, i int) {
-		out[i] = One(sc.At(w), s, reqs[i])
-	})
-}
-
-// One validates a single request on the given scratch, honoring the
-// test-only hook exactly like Fan. The work-stealing scheduler's chunk
-// tasks validate through One so failure injection reaches every validation
-// path, serial, fanned, or pipelined.
+// One validates a single request on the given scratch, after running the
+// test-only hook. Every engine validation — inline or in a scheduler
+// chunk — goes through One, so failure injection reaches all of them.
 func One(sc *Scratch, s *pli.Store, r Request) Outcome {
 	if h := testHook.Load(); h != nil {
 		(*h)(r)
 	}
 	valid, wit := sc.FD(s, r.Lhs, r.Rhs, r.MinNewID)
 	return Outcome{Valid: valid, Witness: wit}
-}
-
-// ForEach runs fn(i) for every i in [0, n), fanning the calls across at
-// most workers goroutines. It is a thin alias of fanout.ForEach, kept so
-// validation call sites need not import the lower-level package; see
-// fanout.Run for the full contract.
-func ForEach(n, workers int, fn func(i int)) (bool, error) {
-	return fanout.ForEach(n, workers, fn)
-}
-
-// Run is an alias of fanout.Run: it runs fn(w, i) for every i in [0, n)
-// across at most workers goroutines, where w is the exclusive worker slot
-// executing the call, and surfaces captured panics as errors.
-func Run(n, workers int, fn func(worker, i int)) (bool, error) {
-	return fanout.Run(n, workers, fn)
 }

@@ -1,14 +1,12 @@
 package validate
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"dynfd/internal/attrset"
-	"dynfd/internal/fanout"
 	"dynfd/internal/pli"
 )
 
@@ -53,46 +51,6 @@ func allRequests(attrs int) []Request {
 	return reqs
 }
 
-// TestFanMatchesSerialFD asserts the determinism property the engine
-// depends on: for any worker count, Fan reports exactly the validity bits
-// of serial FD calls, in request order, and every reported witness
-// actually violates its candidate. (The concrete witness pair is not
-// deterministic — FD walks the cluster map in Go's random iteration order
-// and stops at the first violation, so even two serial calls may return
-// different pairs. Witnesses only feed result-neutral pruning
-// annotations.)
-func TestFanMatchesSerialFD(t *testing.T) {
-	t.Parallel()
-	s := randomStore(t, 1, 200, 5, 3)
-	reqs := allRequests(5)
-	want := make([]bool, len(reqs))
-	for i, r := range reqs {
-		want[i], _ = FD(s, r.Lhs, r.Rhs, r.MinNewID)
-	}
-	for _, workers := range []int{0, 1, 2, 3, 4, 8, 64} {
-		got, fanned, err := Fan(s, reqs, workers, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		if wantFan := workers >= 2; fanned != wantFan {
-			t.Errorf("workers=%d: fanned = %v, want %v", workers, fanned, wantFan)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d outcomes for %d requests", workers, len(got), len(want))
-		}
-		for i, r := range reqs {
-			if got[i].Valid != want[i] {
-				t.Errorf("workers=%d: request %d (%v -> %d): Valid = %v, want %v",
-					workers, i, r.Lhs.Slice(), r.Rhs, got[i].Valid, want[i])
-				continue
-			}
-			if !got[i].Valid {
-				checkWitness(t, s, r, got[i].Witness)
-			}
-		}
-	}
-}
-
 // checkWitness verifies that w is a live record pair violating the request.
 func checkWitness(t *testing.T, s *pli.Store, r Request, w Witness) {
 	t.Helper()
@@ -107,137 +65,40 @@ func checkWitness(t *testing.T, s *pli.Store, r Request, w Witness) {
 	}
 }
 
-// TestFanClusterPruning checks that the MinNewID bound is honoured per
-// request when fanned out.
-func TestFanClusterPruning(t *testing.T) {
-	t.Parallel()
-	s := pli.NewStore(2)
-	for _, row := range [][]string{{"a", "1"}, {"b", "2"}, {"c", "3"}} {
-		if _, err := s.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Insert a violating pair, then prune it away: with MinNewID above all
-	// ids, every cluster is skipped and the candidate looks valid (the
-	// pruning's soundness precondition is the caller's business).
-	if _, err := s.Insert([]string{"a", "9"}); err != nil {
-		t.Fatal(err)
-	}
-	reqs := []Request{
-		{Lhs: attrset.Of(0), Rhs: 1, MinNewID: NoPruning},
-		{Lhs: attrset.Of(0), Rhs: 1, MinNewID: s.NextID()},
-	}
-	out, _, err := Fan(s, reqs, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Valid {
-		t.Error("unpruned validation missed the violation")
-	}
-	if !out[1].Valid {
-		t.Error("fully pruned validation still reported a violation")
-	}
-}
-
-func TestForEachCoversAllIndexesOnce(t *testing.T) {
-	t.Parallel()
-	for _, workers := range []int{0, 1, 2, 7, 16} {
-		const n = 1000
-		var hits [n]atomic.Int32
-		ForEach(n, workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachEmptyAndTiny(t *testing.T) {
-	t.Parallel()
-	if fanned, err := ForEach(0, 8, func(int) { t.Error("called for n=0") }); fanned || err != nil {
-		t.Errorf("n=0: fanned=%v err=%v", fanned, err)
-	}
-	calls := 0
-	if fanned, err := ForEach(1, 8, func(i int) { calls++ }); fanned || err != nil {
-		t.Errorf("n=1: fanned=%v err=%v (workers clamp to n)", fanned, err)
-	}
-	if calls != 1 {
-		t.Errorf("n=1: %d calls", calls)
-	}
-}
-
-func TestForEachSerialOrder(t *testing.T) {
-	t.Parallel()
-	var order []int
-	if _, err := ForEach(5, 1, func(i int) { order = append(order, i) }); err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("serial ForEach out of order: %v", order)
-		}
-	}
-}
-
-func TestForEachPanicSurfacesAsError(t *testing.T) {
-	t.Parallel()
-	_, err := ForEach(100, 4, func(i int) {
-		if i == 42 {
-			panic("boom")
-		}
-	})
-	var pe *fanout.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *fanout.PanicError", err)
-	}
-	if pe.Value != "boom" {
-		t.Errorf("Value = %v, want boom", pe.Value)
-	}
-}
-
-// TestFanHookPanicSurfacesAsError drives a panicking validator through the
-// real Fan worker pool and asserts the panic comes back as an error, for
-// every worker setting.
-func TestFanHookPanicSurfacesAsError(t *testing.T) {
-	s := pli.NewStore(2)
-	for _, row := range [][]string{{"a", "1"}, {"a", "2"}} {
-		if _, err := s.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	SetTestHook(func(r Request) {
-		if r.Rhs == 1 {
-			panic("validator boom")
-		}
-	})
-	defer SetTestHook(nil)
-	reqs := []Request{
-		{Lhs: attrset.Of(0), Rhs: 1, MinNewID: NoPruning},
-		{Lhs: attrset.Of(1), Rhs: 0, MinNewID: NoPruning},
-	}
-	for _, workers := range []int{0, 1, 4} {
-		_, _, err := Fan(s, reqs, workers, nil)
-		var pe *fanout.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *fanout.PanicError", workers, err)
-		}
-	}
-}
-
-// TestFanConcurrentStress hammers one shared store from many fanned
-// validations at once; run with -race it proves the reader-only contract
-// of pli.Store holds through the full validation code path.
+// TestFanConcurrentStress fans every candidate validation of one shared
+// store across several goroutines, each calling One with its own Scratch,
+// and checks each outcome against a serial validation; run with -race it
+// proves the reader-only contract of pli.Store holds through the full
+// validation code path the engine's scheduler workers take.
 func TestFanConcurrentStress(t *testing.T) {
 	t.Parallel()
 	s := randomStore(t, 7, 400, 6, 4)
 	reqs := allRequests(6)
+	want := make([]bool, len(reqs))
+	for i, r := range reqs {
+		want[i], _ = FD(s, r.Lhs, r.Rhs, r.MinNewID)
+	}
+	const goroutines = 8
 	for round := 0; round < 4; round++ {
-		out, _, err := Fan(s, reqs, 8, nil)
-		if err != nil {
-			t.Fatal(err)
+		out := make([]Outcome, len(reqs))
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				sc := NewScratch()
+				for i := g; i < len(reqs); i += goroutines {
+					out[i] = One(sc, s, reqs[i])
+				}
+			}(g)
 		}
+		wg.Wait()
 		for i, r := range reqs {
+			if out[i].Valid != want[i] {
+				t.Errorf("request %d (%v -> %d): Valid = %v, want %v",
+					i, r.Lhs.Slice(), r.Rhs, out[i].Valid, want[i])
+				continue
+			}
 			if !out[i].Valid {
 				checkWitness(t, s, r, out[i].Witness)
 			}

@@ -35,7 +35,7 @@ import (
 
 // Scratch holds the reusable working memory of the validation kernels.
 // A Scratch may be used by one goroutine at a time; see Scratches for the
-// per-worker ownership used by Fan. The zero value is ready to use and
+// per-worker ownership used by the engine's scheduler. The zero value is ready to use and
 // warms up (grows its buffers to the workload's cluster sizes) over the
 // first few calls.
 type Scratch struct {
@@ -568,32 +568,28 @@ func violationsEmptyLhs(s *pli.Store, rhs, max int) ([]ViolationGroup, float64) 
 }
 
 // Scratches is a fixed set of per-worker scratches owned by one
-// coordinator (the engine). Slot 0 serves the serial path; Fan hands slot
-// w to worker w, so scratches are never shared between goroutines. Grow
-// happens before any fan-out, on the coordinator's goroutine.
+// coordinator (the engine). Slot 0 serves the engine goroutine; the
+// scheduler hands slot w to worker w, so scratches are never shared
+// between goroutines.
 type Scratches struct {
 	per []*Scratch
 }
 
-// grow ensures at least n scratches exist. Not safe for concurrent use;
-// Fan calls it before spawning workers.
-func (p *Scratches) grow(n int) {
+// Ensure grows the set to at least n scratches. It must run on the
+// coordinator's goroutine before any concurrent At calls — the engine
+// calls it once per session begin with the pool's worker count, so chunk
+// tasks can call At(worker) from any slot without synchronization.
+func (p *Scratches) Ensure(n int) {
 	for len(p.per) < n {
 		p.per = append(p.per, NewScratch())
 	}
 }
-
-// Ensure grows the set to at least n scratches. It must run on the
-// coordinator's goroutine before any concurrent At calls — the pipelined
-// engine calls it once per session begin with the pool's worker count, so
-// chunk tasks can call At(worker) from any slot without synchronization.
-func (p *Scratches) Ensure(n int) { p.grow(n) }
 
 // At returns the scratch of worker slot i.
 func (p *Scratches) At(i int) *Scratch { return p.per[i] }
 
 // Serial returns the slot-0 scratch used by serial validation call sites.
 func (p *Scratches) Serial() *Scratch {
-	p.grow(1)
+	p.Ensure(1)
 	return p.per[0]
 }

@@ -8,7 +8,7 @@
 //
 // The grouping runs on an allocation-free kernel over the int32 cluster-id
 // tuples (scratch.go): hot callers hold a reusable Scratch (per validation
-// worker, see Fan) and hit zero allocations per call; the package-level
+// worker, see Scratches) and hit zero allocations per call; the package-level
 // functions below borrow a pooled Scratch for cold call sites.
 //
 // The dynamic variant adds DynFD's cluster pruning: when only previously

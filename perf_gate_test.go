@@ -1,11 +1,6 @@
-// Perf gate for the pipelined scheduler: the workers=1 path runs the
-// whole dependency-ordered machinery (deques, readiness bits, chunk
-// submission) inline on the calling goroutine, so its cost over the
-// serial reference path is pure scheduler overhead. CI runs this gate
-// (DYNFD_PERF_GATE=1) and fails when that overhead exceeds 5% on the
-// disease replay. Best-of-N wall clocks are compared — the minimum is the
-// least noisy location statistic on shared runners, and a real regression
-// moves the minimum too.
+// Perf gates, run by CI with DYNFD_PERF_GATE=1. Best-of-N measurements
+// are compared — the best run is the least noisy location statistic on
+// shared runners, and a real regression moves it too.
 package dynfd_test
 
 import (
@@ -17,67 +12,14 @@ import (
 	"time"
 
 	"dynfd"
-	"dynfd/internal/core"
-	"dynfd/internal/datagen"
-	"dynfd/internal/stream"
 )
-
-func TestSchedulerOverheadGate(t *testing.T) {
-	if os.Getenv("DYNFD_PERF_GATE") == "" {
-		t.Skip("set DYNFD_PERF_GATE=1 to run the scheduler overhead gate")
-	}
-	p, err := datagen.ByName("disease")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := datagen.Generate(p.Scaled(0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := stream.FixedBatches(d.Changes, 50)
-
-	replay := func(workers int) time.Duration {
-		cfg := core.DefaultConfig()
-		cfg.Workers = workers
-		eng, err := core.Bootstrap(d.Relation, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		for _, batch := range batches {
-			if _, err := eng.ApplyBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-
-	const rounds = 7
-	best := map[int]time.Duration{}
-	// Interleave the two configurations so machine-wide noise (a neighbor
-	// waking up mid-run) hits both rather than biasing one.
-	for i := 0; i < rounds; i++ {
-		for _, workers := range []int{0, 1} {
-			d := replay(workers)
-			if cur, ok := best[workers]; !ok || d < cur {
-				best[workers] = d
-			}
-		}
-	}
-	serial, sched := best[0], best[1]
-	t.Logf("serial best-of-%d: %v, workers=1 scheduler: %v (%.1f%%)",
-		rounds, serial, sched, 100*float64(sched-serial)/float64(serial))
-	if float64(sched) > float64(serial)*1.05 {
-		t.Errorf("workers=1 scheduler replay %v exceeds serial %v by more than 5%%", sched, serial)
-	}
-}
 
 // TestReadThroughputGate guards the snapshot read path (DESIGN.md §14):
 // read throughput while one writer streams durable batches must stay
 // within 20% of idle read throughput. Since readers only Load an atomic
 // pointer and query the immutable snapshot, a concurrent writer costs
 // them nothing structural — a bigger drop means a lock crept back into
-// the read path. Best-of-N interleaved, like the scheduler gate.
+// the read path. Best-of-N, interleaved.
 func TestReadThroughputGate(t *testing.T) {
 	if os.Getenv("DYNFD_PERF_GATE") == "" {
 		t.Skip("set DYNFD_PERF_GATE=1 to run the read throughput gate")

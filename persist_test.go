@@ -2,6 +2,9 @@ package dynfd
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,4 +144,98 @@ func TestSaveLoadPreservesWitnesses(t *testing.T) {
 	if m2.Stats().SkippedValidations == 0 {
 		t.Error("restored monitor skipped no validations; witnesses lost")
 	}
+}
+
+// withRetiredConfigKeys re-encodes a JSON snapshot or checkpoint blob with
+// the engine-config keys that older releases wrote ("DisableStealing",
+// "StealChunk") put back in, as a file from such a release would carry.
+func withRetiredConfigKeys(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	engine, ok := doc["engine"].(map[string]any)
+	if !ok {
+		t.Fatalf("blob has no engine object: %.200s", blob)
+	}
+	cfg, ok := engine["config"].(map[string]any)
+	if !ok {
+		t.Fatalf("blob has no engine config: %.200s", blob)
+	}
+	cfg["DisableStealing"] = true
+	cfg["StealChunk"] = 1
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRestoreIgnoresRetiredConfigKeys pins that monitor snapshots and
+// durable checkpoints written while the engine config still had the
+// stealing knobs keep loading, with identical covers: the decoders ignore
+// unknown fields.
+func TestRestoreIgnoresRetiredConfigKeys(t *testing.T) {
+	t.Parallel()
+	t.Run("snapshot", func(t *testing.T) {
+		t.Parallel()
+		m := newPaperMonitor(t)
+		if _, err := m.Apply(Delete(2), Insert("Marie", "Scott", "14467", "Potsdam")); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := LoadMonitor(bytes.NewReader(withRetiredConfigKeys(t, buf.Bytes())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.FDs(), m2.FDs()) || !reflect.DeepEqual(m.NonFDs(), m2.NonFDs()) {
+			t.Errorf("covers differ after load:\n%v / %v\n%v / %v", m.FDs(), m.NonFDs(), m2.FDs(), m2.NonFDs())
+		}
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		t.Parallel()
+		dir := t.TempDir()
+		mon, err := OpenDurable(dir, []string{"zip", "city", "state"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Bootstrap(durableRows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mon.Apply(Insert("10117", "Berlin", "BE"), Delete(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		wantFDs, wantNonFDs := mon.FDs(), mon.NonFDs()
+		if err := mon.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "checkpoint.json")
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, withRetiredConfigKeys(t, blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenDurable(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if !reflect.DeepEqual(wantFDs, re.FDs()) || !reflect.DeepEqual(wantNonFDs, re.NonFDs()) {
+			t.Errorf("covers differ after reopen:\n%v / %v\n%v / %v", wantFDs, wantNonFDs, re.FDs(), re.NonFDs())
+		}
+		if err := re.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
