@@ -73,10 +73,11 @@ type Config struct {
 	// level speculatively while the current one merges. n < 0 uses one
 	// slot per available CPU (GOMAXPROCS). All settings produce identical
 	// FD and non-FD covers after every batch, asserted by the equivalence
-	// property tests. (Work counters may drift between any two runs,
-	// because unpruned validation witnesses follow Go's random map
-	// iteration order and witnesses steer the result-neutral validation
-	// pruning.) The knob changes wall-clock time only.
+	// property tests. The knob changes wall-clock time only. (At one slot
+	// the work counters repeat exactly from run to run, since validation
+	// witnesses are a pure function of the store; with more slots the
+	// counters that follow scheduling, such as stolen chunks and
+	// speculation, may differ between runs.)
 	Workers int
 }
 

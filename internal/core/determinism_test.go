@@ -1,0 +1,60 @@
+package core
+
+import (
+	"testing"
+
+	"dynfd/internal/datagen"
+	"dynfd/internal/stream"
+)
+
+// replayStats bootstraps an engine on ds at Workers 1, replays its change
+// history in batches of batchSize, and returns the final Stats with the
+// wall-clock fields zeroed, leaving only the work counters.
+func replayStats(t *testing.T, ds *datagen.Dataset, batchSize int) Stats {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	e, err := Bootstrap(ds.Relation, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(ds.Changes); i += batchSize {
+		end := min(i+batchSize, len(ds.Changes))
+		if _, err := e.ApplyBatch(stream.Batch{Changes: ds.Changes[i:end]}); err != nil {
+			t.Fatalf("batch at change %d: %v", i, err)
+		}
+	}
+	st := e.Stats()
+	st.StructureTime, st.DeletePhaseTime, st.InsertPhaseTime = 0, 0, 0
+	return st
+}
+
+// TestReplayWorkCountersDeterministic replays one history three times at
+// Workers 1 and requires identical work counters. Validations walk pivot
+// clusters in ascending cluster-id order, so every witness, and with it
+// every annotation-driven skip and depth-first search, is a pure function
+// of the history.
+func TestReplayWorkCountersDeterministic(t *testing.T) {
+	for _, name := range []string{"artist", "disease"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p, err := datagen.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := datagen.Generate(p.Scaled(0.05))
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := replayStats(t, ds, 100)
+			if first.Validations == 0 {
+				t.Fatal("replay ran no validations")
+			}
+			for run := 2; run <= 3; run++ {
+				if got := replayStats(t, ds, 100); got != first {
+					t.Fatalf("replay %d work counters differ:\n first %+v\n got   %+v", run, first, got)
+				}
+			}
+		})
+	}
+}

@@ -78,7 +78,7 @@ func TestDetectsEmptyCluster(t *testing.T) {
 	s := corruptibleStore(t)
 	ix := s.Index(0)
 	cid, _ := ix.ClusterOf("b")
-	ix.clusters[cid].IDs = nil
+	ix.Cluster(cid).IDs = nil
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Errorf("CheckConsistency = %v", err)
@@ -135,7 +135,7 @@ func TestDetectsUnfreedEmptyPage(t *testing.T) {
 	s.numRecs -= n
 	for a := range s.shards {
 		ix := s.shards[a].ix
-		ix.clusters = map[int32]*Cluster{}
+		ix.dir, ix.dirN, ix.dirShared = nil, nil, nil
 		ix.inverted = map[string]int32{}
 	}
 	err := s.CheckConsistency()
@@ -155,6 +155,75 @@ func TestDetectsDeadClusterMember(t *testing.T) {
 	s.numRecs--
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "dangling") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+// The cluster directory invariants: one corruption per invariant.
+
+func TestDetectsDirectoryLiveCountDrift(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	s.Index(0).dirN[0]++
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "directory page 0 live count") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsUnfreedEmptyDirectoryPage(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	// An allocated page with no live cluster must have been freed when its
+	// last cluster died.
+	ix := s.Index(0)
+	ix.dir = append(ix.dir, make([]*Cluster, dirPageSize))
+	ix.dirN = append(ix.dirN, 0)
+	ix.dirShared = append(ix.dirShared, false)
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "empty directory page 1 not freed") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsDirectoryTotalDrift(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	// A value the inverted index knows but no directory slot holds: every
+	// slot still checks out, only the total gives it away.
+	s.Index(0).inverted["ghost"] = 0
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "live clusters") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsClusterInWrongSlot(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	// Swap two clusters' slots: counts and the total still match, but each
+	// slot now holds a cluster the inverted index places elsewhere.
+	ix := s.Index(0)
+	page := ix.dir[0]
+	page[0], page[1] = page[1], page[0]
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "slot 0 holds value") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsClusterBeyondCidHorizon(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	// Move a cluster to a slot no cid was minted for, keeping the inverted
+	// index and counts in step.
+	ix := s.Index(0)
+	cid, _ := ix.ClusterOf("b")
+	c := ix.Cluster(cid)
+	ix.dir[0][cid], ix.dir[0][ix.next] = nil, c
+	ix.inverted["b"] = ix.next
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "beyond cid horizon") {
 		t.Errorf("CheckConsistency = %v", err)
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"math/bits"
 )
 
-// Frozen is an immutable point-in-time view of a Store's record arena: the
-// compressed (cluster-id) tuples and liveness of every record that was live
-// when Freeze was called. It is safe for unlimited concurrent readers and
-// stays valid forever — later Store mutations never touch the memory a
-// Frozen view references.
+// Frozen is an immutable point-in-time view of a Store: the compressed
+// (cluster-id) tuples and liveness of every record that was live when
+// Freeze was called, and each attribute's cluster directory, from which the
+// distinct values live at freeze time are read. It is safe for unlimited
+// concurrent readers and stays valid forever — later Store mutations never
+// touch the memory a Frozen view reads.
 //
 // Sharing works without copying the arena because of two Store invariants:
 // record slots are written exactly once (surrogate ids are never reused and
@@ -19,22 +20,32 @@ import (
 // flip and allocates fresh slabs for new pages, leaving the frozen memory
 // untouched.
 //
-// Note that a Frozen view captures structure, not strings: records are
-// int32 cluster-id tuples. Within one attribute, equal cluster ids mean
-// equal values among the records live at freeze time, which is exactly
-// what FD/UCC/violation queries need.
+// The cluster directories are shared the same way, with one difference:
+// the Store writes fresh cluster ids into a shared directory page in place
+// (it clones a shared page only before clearing a slot). A fresh cid is at
+// or above the horizon the view recorded (Index.next at freeze time), so a
+// frozen reader checks the horizon before it loads a slot and never loads
+// one the Store may still write. Of a frozen cluster only the immutable
+// Value may be read: its IDs keep changing with the live store.
+//
+// Within one attribute, equal cluster ids mean equal values among the
+// records live at freeze time, which is exactly what FD/UCC/violation
+// queries need; value-set queries (INDs) read the directory.
 type Frozen struct {
 	numAttrs int
 	pages    [][]int32
 	live     [][]uint64
 	numRecs  int
 	nextID   int64
+
+	dirs     [][][]*Cluster // per attribute: directory page headers
+	horizons []int32        // per attribute: cid horizon at freeze time
 }
 
-// Freeze captures an immutable view of the store's current records. It
-// requires the same access as a read (no staged batch open, no concurrent
-// mutator) and costs O(pages): slice-header copies plus marking every
-// liveness bitmap shared.
+// Freeze captures an immutable view of the store's current records and
+// cluster directories. It requires the same access as a read (no staged
+// batch open, no concurrent mutator) and costs O(pages): slice-header
+// copies plus marking every record-arena bitmap and directory page shared.
 func (s *Store) Freeze() *Frozen {
 	if s.staged != nil {
 		panic("pli: Freeze with a staged batch open")
@@ -44,13 +55,26 @@ func (s *Store) Freeze() *Frozen {
 			s.liveShared[pg] = true
 		}
 	}
-	return &Frozen{
+	f := &Frozen{
 		numAttrs: s.numAttrs,
 		pages:    append([][]int32(nil), s.pages...),
 		live:     append([][]uint64(nil), s.live...),
 		numRecs:  s.numRecs,
 		nextID:   s.nextID,
+		dirs:     make([][][]*Cluster, s.numAttrs),
+		horizons: make([]int32, s.numAttrs),
 	}
+	for a := range s.shards {
+		ix := s.shards[a].ix
+		for p, page := range ix.dir {
+			if page != nil {
+				ix.dirShared[p] = true
+			}
+		}
+		f.dirs[a] = append([][]*Cluster(nil), ix.dir...)
+		f.horizons[a] = ix.next
+	}
+	return f
 }
 
 // NumAttrs returns the schema width.
@@ -97,6 +121,29 @@ func (f *Frozen) ForEachRecord(fn func(id int64, rec Record) bool) {
 				if !fn(id, f.Rec(id)) {
 					return
 				}
+			}
+		}
+	}
+}
+
+// ForEachValue calls fn for every distinct value attribute a held at freeze
+// time, in ascending cluster-id order. It costs O(directory pages below the
+// horizon) and allocates nothing.
+func (f *Frozen) ForEachValue(a int, fn func(v string) bool) {
+	h := int(f.horizons[a])
+	for p, page := range f.dirs[a] {
+		base := p << dirBits
+		if base >= h {
+			return
+		}
+		if page == nil {
+			continue
+		}
+		// Bound the slots by the horizon before loading any: slots at or
+		// above it may be written concurrently by the live store.
+		for _, c := range page[:min(dirPageSize, h-base)] {
+			if c != nil && !fn(c.Value) {
+				return
 			}
 		}
 	}

@@ -3,6 +3,7 @@
 // partition) per attribute, an inverted value index per attribute that maps
 // values to their Pli clusters, dictionary-encoded ("compressed") records,
 // and a paged record arena from surrogate record ids to compressed records.
+// Each Pli is a paged cluster directory indexed by cluster id (see Index).
 //
 // Unlike the static setting, records are identified by a monotonically
 // increasing surrogate key instead of a row number, so the structures stay
@@ -109,18 +110,37 @@ func (c *Cluster) remove(id int64) bool {
 	return true
 }
 
-// Index is the Pli of a single attribute plus its inverted value index.
-type Index struct {
-	clusters map[int32]*Cluster
-	inverted map[string]int32
-	next     int32
+// Cluster directory page geometry: dirPageSize cluster slots per page.
+// 256 slots keep a page at 2 KiB, so a copy-on-write clone (see
+// Index.dirShared) stays cheap and a page empties, and is freed, at a useful
+// granularity under value churn.
+const (
+	dirBits     = 8
+	dirPageSize = 1 << dirBits
+	dirMask     = dirPageSize - 1
+)
 
-	// gen counts changes to the attribute's distinct-value set: it is
-	// bumped whenever a cluster is created (a value appears) or deleted
-	// (a value vanishes), never when an existing cluster only gains or
-	// loses members. Snapshot builders use it to share captured value
-	// dictionaries across batches that did not change the value set.
-	gen uint64
+// Index is the Pli of a single attribute plus its inverted value index.
+//
+// Cluster ids are dense and never reused, so the Pli is a cid-indexed
+// paged directory: cluster cid sits at
+// dir[cid>>dirBits][cid&dirMask]. A nil slot is a dead cluster; a nil page
+// holds no live cluster (never allocated, or freed when its last cluster
+// died, as the record arena frees pages). Lookups are two array loads and
+// ForEachCluster walks the clusters in ascending cid order.
+type Index struct {
+	dir      [][]*Cluster
+	dirN     []int32 // live clusters per directory page
+	inverted map[string]int32
+	next     int32 // cid horizon: every cid ever minted is below it
+
+	// dirShared[p] marks directory page p as shared with one or more Frozen
+	// views (Store.Freeze). Clearing a slot of a shared page clones the page
+	// first (copy-on-write), so frozen readers keep the clusters they
+	// captured. Fresh cids are written in place even on a shared page: a
+	// fresh cid is at or above every frozen view's horizon, and frozen
+	// readers never load a slot at or above their horizon.
+	dirShared []bool
 
 	// batchCids is the reusable touched-cluster scratch of ApplyBatch.
 	// During a batch the owning maintenance worker uses it exclusively.
@@ -128,17 +148,20 @@ type Index struct {
 }
 
 func newIndex() *Index {
-	return &Index{
-		clusters: make(map[int32]*Cluster),
-		inverted: make(map[string]int32),
-	}
+	return &Index{inverted: make(map[string]int32)}
 }
 
 // NumClusters returns the number of distinct values currently present.
-func (ix *Index) NumClusters() int { return len(ix.clusters) }
+func (ix *Index) NumClusters() int { return len(ix.inverted) }
 
 // Cluster returns the cluster with the given id, or nil if it was deleted.
-func (ix *Index) Cluster(cid int32) *Cluster { return ix.clusters[cid] }
+func (ix *Index) Cluster(cid int32) *Cluster {
+	p := int(cid >> dirBits)
+	if cid < 0 || p >= len(ix.dir) || ix.dir[p] == nil {
+		return nil
+	}
+	return ix.dir[p][cid&dirMask]
+}
 
 // ClusterOf returns the cluster id for a value via the inverted index.
 func (ix *Index) ClusterOf(value string) (int32, bool) {
@@ -146,55 +169,83 @@ func (ix *Index) ClusterOf(value string) (int32, bool) {
 	return cid, ok
 }
 
-// ForEachCluster calls fn for every cluster. Iteration order is unspecified.
+// ForEachCluster calls fn for every cluster in ascending cluster-id order.
 func (ix *Index) ForEachCluster(fn func(cid int32, c *Cluster) bool) {
-	for cid, c := range ix.clusters {
-		if !fn(cid, c) {
-			return
+	for p, page := range ix.dir {
+		for i, c := range page {
+			if c != nil && !fn(int32(p<<dirBits|i), c) {
+				return
+			}
 		}
 	}
-}
-
-// Gen returns the distinct-value generation counter (see the field comment).
-func (ix *Index) Gen() uint64 { return ix.gen }
-
-// AppendValues appends the attribute's distinct values to dst in
-// unspecified order and returns the extended slice.
-func (ix *Index) AppendValues(dst []string) []string {
-	for v := range ix.inverted {
-		dst = append(dst, v)
-	}
-	return dst
 }
 
 // add registers id under value and returns the cluster id used.
 func (ix *Index) add(value string, id int64) int32 {
 	cid, ok := ix.inverted[value]
-	if !ok {
+	var c *Cluster
+	if ok {
+		c = ix.dir[cid>>dirBits][cid&dirMask]
+	} else {
 		cid = ix.next
 		ix.next++
 		ix.inverted[value] = cid
-		ix.clusters[cid] = &Cluster{Value: value}
-		ix.gen++
+		c = &Cluster{Value: value}
+		ix.setSlot(cid, c)
 	}
-	c := ix.clusters[cid]
 	c.IDs = append(c.IDs, id) // ids are monotonic, order preserved
 	return cid
 }
 
+// setSlot stores the new cluster c at the fresh cid, allocating its
+// directory page when needed. The write goes in place even when the page is
+// shared: cid is at or above every frozen view's horizon.
+func (ix *Index) setSlot(cid int32, c *Cluster) {
+	p := int(cid >> dirBits)
+	for len(ix.dir) <= p {
+		ix.dir = append(ix.dir, nil)
+		ix.dirN = append(ix.dirN, 0)
+		ix.dirShared = append(ix.dirShared, false)
+	}
+	if ix.dir[p] == nil {
+		ix.dir[p] = make([]*Cluster, dirPageSize)
+		ix.dirShared[p] = false
+	}
+	ix.dir[p][cid&dirMask] = c
+	ix.dirN[p]++
+}
+
+// kill deletes the emptied cluster c at cid: its inverted-index entry and
+// its directory slot. A page whose last cluster died is freed (a frozen
+// view sharing it keeps its own reference); otherwise a shared page is
+// cloned before the slot is cleared.
+func (ix *Index) kill(cid int32, c *Cluster) {
+	delete(ix.inverted, c.Value)
+	p := int(cid >> dirBits)
+	ix.dirN[p]--
+	if ix.dirN[p] == 0 {
+		ix.dir[p] = nil
+		ix.dirShared[p] = false
+		return
+	}
+	if ix.dirShared[p] {
+		ix.dir[p] = slices.Clone(ix.dir[p])
+		ix.dirShared[p] = false
+	}
+	ix.dir[p][cid&dirMask] = nil
+}
+
 // drop removes id from cluster cid, deleting the cluster when it empties.
 func (ix *Index) drop(cid int32, id int64) error {
-	c, ok := ix.clusters[cid]
-	if !ok {
+	c := ix.Cluster(cid)
+	if c == nil {
 		return fmt.Errorf("pli: cluster %d not found", cid)
 	}
 	if !c.remove(id) {
 		return fmt.Errorf("pli: record %d not in cluster %d", id, cid)
 	}
 	if c.Size() == 0 {
-		delete(ix.clusters, cid)
-		delete(ix.inverted, c.Value)
-		ix.gen++
+		ix.kill(cid, c)
 	}
 	return nil
 }
@@ -615,7 +666,7 @@ func (s *Store) applyAttr(a int, deletes []int64, inserts []BatchInsert) {
 // empties. Survivor order is preserved, so the strictly-ascending IDs
 // invariant holds.
 func (s *Store) compactCluster(ix *Index, cid int32) {
-	c := ix.clusters[cid]
+	c := ix.dir[cid>>dirBits][cid&dirMask]
 	kept := c.IDs[:0]
 	for _, id := range c.IDs {
 		if s.alive(id) {
@@ -623,16 +674,14 @@ func (s *Store) compactCluster(ix *Index, cid int32) {
 		}
 	}
 	if len(kept) == 0 {
-		delete(ix.clusters, cid)
-		delete(ix.inverted, c.Value)
-		ix.gen++
+		ix.kill(cid, c)
 		return
 	}
 	c.IDs = kept
 }
 
-// Values reconstructs the original string tuple of a record from the
-// cluster value dictionary.
+// Values reconstructs the original string tuple of a record from its
+// clusters' values.
 func (s *Store) Values(id int64) ([]string, bool) {
 	rec, ok := s.Record(id)
 	if !ok {
@@ -714,9 +763,10 @@ func mustCid(ix *Index, value string) int32 {
 // liveness bookkeeping (page counts, record total, id horizon, freed empty
 // pages), the sharded layout (one shard per attribute, all shard epochs
 // caught up to the finished-batch count — skew means a staged batch reached
-// only some shards), every cluster is sorted, non-empty, inversely indexed,
-// and contains exactly live records that point back at it, and every live
-// record appears in exactly the clusters its compressed record names. It is
+// only some shards), each cluster directory's bookkeeping (see checkIndex),
+// every cluster is sorted, non-empty, inversely indexed, and contains
+// exactly live records that point back at it, and every live record appears
+// in exactly the clusters its compressed record names. It is
 // used by tests and failure-injection suites; it runs in O(data) time.
 // A store with an open staged batch is mid-mutation by definition and is
 // reported as inconsistent.
@@ -772,28 +822,8 @@ func (s *Store) CheckConsistency() error {
 		return fmt.Errorf("pli: record count %d, pages hold %d", s.numRecs, total)
 	}
 	for a := range s.shards {
-		ix := s.shards[a].ix
-		for cid, c := range ix.clusters {
-			if c.Size() == 0 {
-				return fmt.Errorf("pli: attr %d cluster %d is empty", a, cid)
-			}
-			if got, ok := ix.inverted[c.Value]; !ok || got != cid {
-				return fmt.Errorf("pli: attr %d cluster %d value %q missing from inverted index", a, cid, c.Value)
-			}
-			for i, id := range c.IDs {
-				if i > 0 && c.IDs[i-1] >= id {
-					return fmt.Errorf("pli: attr %d cluster %d ids not strictly ascending", a, cid)
-				}
-				if !s.alive(id) {
-					return fmt.Errorf("pli: attr %d cluster %d contains dangling record %d", a, cid, id)
-				}
-				if s.Rec(id)[a] != cid {
-					return fmt.Errorf("pli: record %d attr %d points to cluster %d, found in %d", id, a, s.Rec(id)[a], cid)
-				}
-			}
-		}
-		if len(ix.inverted) != len(ix.clusters) {
-			return fmt.Errorf("pli: attr %d inverted index size %d != clusters %d", a, len(ix.inverted), len(ix.clusters))
+		if err := s.checkIndex(a); err != nil {
+			return err
 		}
 	}
 	var err error
@@ -808,4 +838,72 @@ func (s *Store) CheckConsistency() error {
 		return true
 	})
 	return err
+}
+
+// checkIndex verifies attribute a's cluster directory and clusters: the
+// directory slices have equal length, every page has dirPageSize slots and
+// its live count matches its non-nil slots, no empty page stays allocated,
+// the live clusters total len(inverted), every slot's cluster sits at its
+// own cid below the cid horizon (the inverted index maps its value back to
+// the slot), and every cluster is non-empty, strictly ascending, and holds
+// only live records whose compressed record points back at it.
+func (s *Store) checkIndex(a int) error {
+	ix := s.shards[a].ix
+	if len(ix.dir) != len(ix.dirN) || len(ix.dir) != len(ix.dirShared) {
+		return fmt.Errorf("pli: attr %d cluster directory skewed: %d pages, %d counts, %d share flags",
+			a, len(ix.dir), len(ix.dirN), len(ix.dirShared))
+	}
+	total := 0
+	for p, page := range ix.dir {
+		if page == nil {
+			if ix.dirN[p] != 0 {
+				return fmt.Errorf("pli: attr %d freed directory page %d has live count %d", a, p, ix.dirN[p])
+			}
+			continue
+		}
+		if len(page) != dirPageSize {
+			return fmt.Errorf("pli: attr %d directory page %d has %d slots", a, p, len(page))
+		}
+		n := 0
+		for i, c := range page {
+			if c == nil {
+				continue
+			}
+			n++
+			cid := int32(p<<dirBits | i)
+			if cid >= ix.next {
+				return fmt.Errorf("pli: attr %d cluster %d beyond cid horizon %d", a, cid, ix.next)
+			}
+			if got, ok := ix.inverted[c.Value]; !ok || got != cid {
+				return fmt.Errorf("pli: attr %d slot %d holds value %q, inverted index has %d (present %v)",
+					a, cid, c.Value, got, ok)
+			}
+			if c.Size() == 0 {
+				return fmt.Errorf("pli: attr %d cluster %d is empty", a, cid)
+			}
+			for j, id := range c.IDs {
+				if j > 0 && c.IDs[j-1] >= id {
+					return fmt.Errorf("pli: attr %d cluster %d ids not strictly ascending", a, cid)
+				}
+				if !s.alive(id) {
+					return fmt.Errorf("pli: attr %d cluster %d contains dangling record %d", a, cid, id)
+				}
+				if s.Rec(id)[a] != cid {
+					return fmt.Errorf("pli: record %d attr %d points to cluster %d, found in %d", id, a, s.Rec(id)[a], cid)
+				}
+			}
+		}
+		if n != int(ix.dirN[p]) {
+			return fmt.Errorf("pli: attr %d directory page %d live count %d, slots hold %d", a, p, ix.dirN[p], n)
+		}
+		if n == 0 {
+			return fmt.Errorf("pli: attr %d empty directory page %d not freed", a, p)
+		}
+		total += n
+	}
+	if total != len(ix.inverted) {
+		return fmt.Errorf("pli: attr %d directory holds %d live clusters, inverted index %d values",
+			a, total, len(ix.inverted))
+	}
+	return nil
 }

@@ -1,16 +1,17 @@
 // Package results implements the immutable result snapshots behind DynFD's
 // lock-free read path (DESIGN.md §14). After every committed batch the
 // engine publishes a Snapshot — the discovered minimal FDs, maximal
-// non-FDs, a frozen view of the record arena, and the per-attribute value
-// dictionaries — through an atomic pointer. Readers Load() the pointer and
+// non-FDs, and a frozen view of the record arena and cluster directories —
+// through an atomic pointer. Readers Load() the pointer and
 // answer every query (covers, key checks, INDs, violations) from the
 // snapshot alone, never touching the engine or its mutation lock.
 //
 // Snapshots are built copy-on-write from their predecessor: per-RHS cover
 // slices are re-collected only for the right-hand sides named in the
-// batch's FD diff, value dictionaries are re-captured only for attributes
-// whose distinct-value generation moved, and the frozen arena shares page
-// slabs and liveness bitmaps with the live store (pli.Frozen). A batch
+// batch's FD diff, and the frozen view shares arena page slabs, liveness
+// bitmaps and cluster-directory pages with the live store (pli.Frozen), so
+// no distinct value is copied at build time: the IND listing reads each
+// attribute's value set from the frozen directory on first use. A batch
 // that changes nothing shares everything.
 package results
 
@@ -37,27 +38,6 @@ type ViolationGroup struct {
 	RhsValues int
 }
 
-// attrDict is one attribute's captured distinct-value set. It is shared
-// across snapshots while the attribute's dictionary generation
-// (pli.Index.Gen) is unchanged; the membership set for IND checks is built
-// lazily, once, on first use.
-type attrDict struct {
-	gen    uint64
-	values []string
-	once   sync.Once
-	set    map[string]struct{}
-}
-
-func (d *attrDict) member() map[string]struct{} {
-	d.once.Do(func() {
-		d.set = make(map[string]struct{}, len(d.values))
-		for _, v := range d.values {
-			d.set[v] = struct{}{}
-		}
-	})
-	return d.set
-}
-
 // Snapshot is one published, immutable result state. All methods are safe
 // for unlimited concurrent callers; slices returned by accessor methods
 // alias the snapshot and must not be modified.
@@ -75,7 +55,6 @@ type Snapshot struct {
 	fds    []fd.FD   // all minimal FDs, fd.Sort order
 	byRhs  [][]fd.FD // per-RHS slices of fds (fd.Sort is Rhs-major)
 	nonFDs []fd.FD   // all maximal non-FDs, fd.Sort order
-	dicts  []*attrDict
 
 	// Memoized query caches, per snapshot: repeated HTTP queries for the
 	// same column set or the IND listing hit the memo instead of
@@ -131,16 +110,6 @@ func Build(prev *Snapshot, seq uint64, columns []string, store *pli.Store,
 			s.fds = append(s.fds, s.byRhs[rhs]...)
 		}
 		s.nonFDs = nonFDs()
-	}
-
-	s.dicts = make([]*attrDict, numAttrs)
-	for a := 0; a < numAttrs; a++ {
-		ix := store.Index(a)
-		if cow && prev.dicts[a].gen == ix.Gen() {
-			s.dicts[a] = prev.dicts[a]
-		} else {
-			s.dicts[a] = &attrDict{gen: ix.Gen(), values: ix.AppendValues(nil)}
-		}
 	}
 	return s
 }
@@ -283,7 +252,8 @@ func (s *Snapshot) uniqueScan(cols attrset.Set) bool {
 // INDs returns all unary inclusion dependencies between distinct
 // attributes at the snapshot's sequence, in (Lhs, Rhs) column order —
 // identical to a value-set scan over the live relation. The listing is
-// computed once per snapshot and memoized.
+// computed once per snapshot, from the value sets of the frozen cluster
+// directories, and memoized.
 func (s *Snapshot) INDs() []UnaryIND {
 	s.mu.Lock()
 	if s.indsSet {
@@ -293,17 +263,29 @@ func (s *Snapshot) INDs() []UnaryIND {
 	}
 	s.mu.Unlock()
 
+	values := make([][]string, s.numAttrs)
+	for a := range values {
+		s.frozen.ForEachValue(a, func(v string) bool {
+			values[a] = append(values[a], v)
+			return true
+		})
+	}
+	members := make([]map[string]struct{}, s.numAttrs)
 	var out []UnaryIND
 	for i := 0; i < s.numAttrs; i++ {
-		di := s.dicts[i]
 		for j := 0; j < s.numAttrs; j++ {
-			if i == j || len(di.values) > len(s.dicts[j].values) {
+			if i == j || len(values[i]) > len(values[j]) {
 				continue
 			}
-			member := s.dicts[j].member()
+			if members[j] == nil {
+				members[j] = make(map[string]struct{}, len(values[j]))
+				for _, v := range values[j] {
+					members[j][v] = struct{}{}
+				}
+			}
 			included := true
-			for _, v := range di.values {
-				if _, ok := member[v]; !ok {
+			for _, v := range values[i] {
+				if _, ok := members[j][v]; !ok {
 					included = false
 					break
 				}

@@ -116,8 +116,8 @@ type UnaryIND struct {
 
 // INDs returns the tenant's unary inclusion dependencies as of its
 // published snapshot, in deterministic column order, omitting trivial
-// self-inclusions. The value sets come from the snapshot's per-column
-// dictionaries (shared copy-on-write across snapshots) and the result is
+// self-inclusions. The value sets come from the snapshot's frozen cluster
+// directories (shared copy-on-write with the live store) and the result is
 // memoized in the snapshot, so repeated queries between batches are
 // free; the call never blocks behind an in-flight batch.
 func (rt *Runtime) INDs(name string) ([]UnaryIND, error) {

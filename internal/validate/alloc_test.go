@@ -95,9 +95,9 @@ func TestViolationsAllocs(t *testing.T) {
 // TestPickPivotDeterministicTieBreak asserts the pivot tie-break: among
 // Lhs attributes with equal cluster counts, the lowest attribute index
 // wins, making the pivot choice a pure function of the store. The witness
-// pair is one too on the pruned path, which visits clusters in the order
-// of their first new record (TestPrunedWitnessDeterministic); unpruned
-// witnesses still follow the cluster map's iteration order.
+// pair is one too: the pruned path visits clusters in the order of their
+// first new record (TestPrunedWitnessDeterministic), the unpruned path in
+// ascending cluster-id order.
 func TestPickPivotDeterministicTieBreak(t *testing.T) {
 	t.Parallel()
 	// attrs 0 and 1: two clusters each; attr 2: three clusters.

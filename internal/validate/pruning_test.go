@@ -173,9 +173,9 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 
 // TestPrunedWitnessDeterministic pins that the pruned path reports a
 // witness that is a pure function of the store: pivot clusters are
-// visited in the order of their first new record, not in map order, so
-// repeated calls and identically built stores agree. The batch below breaks the
-// candidates in many pivot clusters at once, so a map-order walk would
+// visited in the order of their first new record, so repeated calls and
+// identically built stores agree. The batch below breaks the candidates in
+// many pivot clusters at once, so a walk in any unstable order would
 // report different pairs from call to call.
 func TestPrunedWitnessDeterministic(t *testing.T) {
 	t.Parallel()

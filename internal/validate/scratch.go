@@ -155,8 +155,8 @@ func (sc *Scratch) keyEqual(gi int32, rec pli.Record) bool {
 // stopping early when fn returns false. Size-1 clusters are skipped: a
 // single record cannot violate anything.
 //
-// With minNewID == NoPruning every cluster is visited, in the index's map
-// order. Otherwise only the clusters holding a live record with id >=
+// With minNewID == NoPruning every cluster is visited, in ascending
+// cluster-id order. Otherwise only the clusters holding a live record with id >=
 // minNewID are visited (cluster pruning, paper §4.2). They are found from
 // the new records themselves: the live ids >= minNewID come from the
 // liveness bitmaps in ascending order, and each maps to its pivot cluster

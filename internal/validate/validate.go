@@ -19,7 +19,9 @@
 // from the store's liveness bitmaps, maps each to its pivot cluster id,
 // and checks exactly those clusters, in the order of their first new
 // record. The cost follows the batch (new records plus their pivot
-// clusters), not the pivot's total cluster count.
+// clusters), not the pivot's total cluster count. Unpruned validation walks
+// every pivot cluster in ascending cluster-id order, so every witness the
+// package reports is a pure function of the store.
 package validate
 
 import (
@@ -83,11 +85,10 @@ func constantColumn(s *pli.Store, rhs int) (bool, Witness) {
 // sizes" of paper §4.2. Ties break to the lowest attribute index — the
 // ascending scan only replaces the best on a strictly larger cluster count
 // — so the pivot is a pure function of the store, stable across runs
-// (TestPickPivotDeterministicTieBreak). So is the reported witness pair on
-// the pruned path, which visits the selected clusters in the order of
-// their first new record (TestPrunedWitnessDeterministic). Unpruned validation
-// walks the pivot's cluster map, so its witness still follows Go's map
-// iteration order.
+// (TestPickPivotDeterministicTieBreak). So is the reported witness pair:
+// the pruned path visits the selected clusters in the order of their first
+// new record (TestPrunedWitnessDeterministic), unpruned validation walks the
+// pivot's clusters in ascending cluster-id order.
 func pickPivot(s *pli.Store, lhs attrset.Set) int {
 	best, bestClusters := -1, -1
 	for a := lhs.First(); a >= 0; a = lhs.Next(a) {
