@@ -172,7 +172,9 @@ type ChangeFeed = durable.ChangeFeed
 
 // ApplyReplicated durably applies one frame shipped from a replication
 // primary: seq must be exactly Seq()+1 and payload the batch encoding as
-// the primary logged it. Like Apply, calls must be externally serialized;
+// the primary logged it, normally followed by the batch's cover delta,
+// which lets the replica patch its covers instead of re-running DynFD
+// (DESIGN.md §15). Like Apply, calls must be externally serialized;
 // a nil return means the frame survives any subsequent crash of this
 // replica.
 func (m *DurableMonitor) ApplyReplicated(seq uint64, payload []byte) error {

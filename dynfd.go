@@ -459,6 +459,11 @@ type Stats struct {
 	FDsAdded   int
 	FDsRemoved int
 
+	// CoverPatches counts batches a replication follower applied by
+	// patching its covers from the primary's cover delta instead of
+	// running the delete and insert phases (DESIGN.md §15).
+	CoverPatches int
+
 	// Cumulative wall-clock breakdown of batch processing, following the
 	// paper's Figure 1: structural updates, delete phase, insert phase.
 	StructureTime   time.Duration
@@ -486,6 +491,7 @@ func (m *Monitor) Stats() Stats {
 
 		FDsAdded:        s.FDsAdded,
 		FDsRemoved:      s.FDsRemoved,
+		CoverPatches:    s.CoverPatches,
 		StructureTime:   s.StructureTime,
 		DeletePhaseTime: s.DeletePhaseTime,
 		InsertPhaseTime: s.InsertPhaseTime,

@@ -126,8 +126,12 @@ type Stats struct {
 	SpeculativeHits        int // speculative validations whose result was consumed
 	FDsAdded               int // cumulative minimal FDs added
 	FDsRemoved             int // cumulative minimal FDs removed
+	CoverPatches           int // batches applied by patching a cover delta (ApplyPatched) instead of the sweeps
 
-	// Wall-clock breakdown of ApplyBatch, cumulative across batches.
+	// Wall-clock breakdown of ApplyBatch, cumulative across batches. A
+	// patched batch (ApplyPatched) bills its store maintenance to
+	// StructureTime and its negative and positive cover patches to the
+	// delete and insert phase.
 	StructureTime   time.Duration // Pli/record updates (Figure 1 step 1)
 	DeletePhaseTime time.Duration // negative-cover processing (step 2)
 	InsertPhaseTime time.Duration // positive-cover processing (step 3)

@@ -9,6 +9,10 @@
 //  2. process deletes against the negative cover (§5),
 //  3. process inserts against the positive cover (§4),
 //  4. report the FD changes.
+//
+// Steps 2 and 3 leave a cover delta behind (coverdelta.go); a replication
+// follower given that delta runs step 1 and patches its covers instead of
+// repeating the sweeps (ApplyPatched).
 package core
 
 import (
@@ -72,6 +76,10 @@ type Engine struct {
 	slotBuf      []chunkSlot          // lattice sweeps: candidate -> chunk outcome slot
 	specCache    map[fd.FD]chunkSlot  // lattice sweeps: speculative outcome slots by candidate
 
+	// delta is the cover delta of the last applied batch (coverdelta.go),
+	// built from the covers' mutation journals.
+	delta CoverDelta
+
 	// stealChunk fixes the scheduler's chunk size (0 = automatic, see
 	// chunkSize). A test seam: tests set it to 1 to force stealing.
 	stealChunk int
@@ -83,7 +91,8 @@ type Engine struct {
 	deltaValid    bool          // masks computed for the current insert phase
 }
 
-// initExtras finishes construction: declared key columns, the scheduler
+// initExtras finishes construction: the cover journals that record each
+// batch's cover delta, declared key columns, the scheduler
 // pool sized by the resolved worker budget, the engine-held validation
 // scratches, and the seeded random source for the depth-first-search
 // sampling.
@@ -93,6 +102,8 @@ func (e *Engine) initExtras() {
 			e.keySet = e.keySet.With(a)
 		}
 	}
+	e.fds.StartJournal()
+	e.nonFds.StartJournal()
 	e.pool = sched.NewPool(resolveWorkers(e.cfg.Workers))
 	e.specCache = make(map[fd.FD]chunkSlot)
 	e.scratch = &validate.Scratches{}
@@ -297,22 +308,48 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 			e.poisoned = err
 		}
 	}()
-	before := e.fds.All()
-
-	// Step 1: structural updates. The batch is first reduced, in batch
-	// order, to its net effect — the set of pre-existing records it
-	// deletes and the surviving new tuples with their pre-assigned ids —
-	// and then staged in one store batch, which compacts each touched
-	// cluster once and maintains each attribute's index as its own
-	// scheduler task (DESIGN.md §10, §13). Planning in batch order
-	// keeps the original semantics: changes may reference records born
-	// earlier in the same batch, and a tuple born and deleted within the
-	// batch consumes its surrogate id without ever entering the store. The
-	// FD reasoning in steps 2 and 3 only sees the batch's final state, so
-	// the paper's deletes-before-inserts rule (§2) is preserved where it
-	// matters: an updated tuple's old and new version never coexist for
-	// validation.
 	structStart := time.Now()
+	p, err := e.planBatch(batch)
+	if err != nil {
+		return Result{}, err
+	}
+	e.fds.ResetJournal()
+	e.nonFds.ResetJournal()
+	// Steps 1-3 run as one scheduler session (DESIGN.md §13): staging,
+	// per-attribute maintenance, and both sweeps, overlapped through
+	// readiness gating when the pool has background workers.
+	if err := e.applyPipelined(structStart, p.minNewID, p.nextID, p.deletes, p.ids, p.ins, p.touched); err != nil {
+		return Result{}, err
+	}
+	// Step 4: signal the changed FDs.
+	return e.finishBatch(p), nil
+}
+
+// batchPlan is a batch reduced to its net structural effect (see
+// planBatch). Its slices alias engine-held planner buffers and are valid
+// until the next plan.
+type batchPlan struct {
+	minNewID, nextID int64             // first id the batch assigns; NextID after it
+	deletes          int               // deletes and updates in the batch
+	ids              []int64           // ids assigned to inserts and updates, in batch order
+	ins              []pli.BatchInsert // surviving inserts (born and not deleted in the batch)
+	touched          attrset.Set       // columns whose projection the batch may change
+}
+
+// planBatch runs step 1's planning: the batch is reduced, in batch order,
+// to its net effect — the set of pre-existing records it deletes (left in
+// e.planDeletes) and the surviving new tuples with their pre-assigned ids —
+// which the caller then stages in one store batch, compacting each
+// touched cluster once and maintaining each attribute's index as its own
+// task (DESIGN.md §10, §13). Planning in batch order keeps the original
+// semantics: changes may reference records born earlier in the same
+// batch, and a tuple born and deleted within the batch consumes its
+// surrogate id without ever entering the store. The FD reasoning in steps
+// 2 and 3 only sees the batch's final state, so the paper's
+// deletes-before-inserts rule (§2) is preserved where it matters: an
+// updated tuple's old and new version never coexist for validation.
+// Planning reads but never changes engine state.
+func (e *Engine) planBatch(batch stream.Batch) (batchPlan, error) {
 	minNewID := e.store.NextID()
 	nextID := minNewID
 	deletes := 0
@@ -358,7 +395,7 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 		switch c.Kind {
 		case stream.Delete:
 			if err := planDelete(c.ID); err != nil {
-				return Result{}, fmt.Errorf("core: batch change %d: %w", i, err)
+				return batchPlan{}, fmt.Errorf("core: batch change %d: %w", i, err)
 			}
 			deletes++
 			touched = full
@@ -375,7 +412,7 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 				}
 			}
 			if err := planDelete(c.ID); err != nil {
-				return Result{}, fmt.Errorf("core: batch change %d: %w", i, err)
+				return batchPlan{}, fmt.Errorf("core: batch change %d: %w", i, err)
 			}
 			deletes++
 			id := nextID
@@ -402,19 +439,26 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 		}
 	}
 	e.planInserts = ins
-	// Steps 1-3 run as one scheduler session (DESIGN.md §13): staging,
-	// per-attribute maintenance, and both sweeps, overlapped through
-	// readiness gating when the pool has background workers.
-	if err := e.applyPipelined(structStart, minNewID, nextID, deletes, ids, ins, touched); err != nil {
-		return Result{}, err
-	}
+	return batchPlan{minNewID: minNewID, nextID: nextID, deletes: deletes, ids: ids, ins: ins, touched: touched}, nil
+}
 
-	// Step 4: signal the changed FDs.
+// finishBatch closes a successfully applied batch: it derives the batch's
+// cover delta from the lattice journals (recorded for AppendCoverDelta)
+// and reports the positive-cover part as the FD diff.
+func (e *Engine) finishBatch(p batchPlan) Result {
 	e.stats.Batches++
-	added, removed := fd.Diff(before, e.fds.All())
+	e.recordDelta(p.nextID)
+	var added, removed []fd.FD
+	for _, c := range e.delta.FDs {
+		if c.Now.Present {
+			added = append(added, c.FD)
+		} else {
+			removed = append(removed, c.FD)
+		}
+	}
 	e.stats.FDsAdded += len(added)
 	e.stats.FDsRemoved += len(removed)
-	return Result{InsertedIDs: ids, Added: added, Removed: removed}, nil
+	return Result{InsertedIDs: p.ids, Added: added, Removed: removed}
 }
 
 // CheckInvariants verifies the engine's cross-structure invariants: Pli

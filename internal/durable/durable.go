@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -422,25 +423,40 @@ type Pending struct {
 // queue full, poisoned engine) or the engine poisoned itself mid-commit;
 // either way there is nothing to Wait on.
 func (e *Engine) Stage(batch stream.Batch) (core.Result, *Pending, error) {
-	if err := e.Poisoned(); err != nil {
-		return core.Result{}, nil, fmt.Errorf("durable: engine poisoned by earlier failure, refusing batch: %w", err)
-	}
-	// Precheck so a bad batch is rejected before it reaches the log: the
-	// WAL must only ever contain batches that apply cleanly on replay.
-	if err := e.eng.CheckBatch(batch); err != nil {
+	if err := e.precheck(batch); err != nil {
 		return core.Result{}, nil, err
 	}
 	var buf bytes.Buffer
 	if err := stream.WriteChanges(&buf, batch.Changes); err != nil {
 		return core.Result{}, nil, fmt.Errorf("durable: encoding batch: %w", err)
 	}
+	return e.stage(batch, buf.Bytes(), nil, nil)
+}
+
+// precheck rejects a batch before it reaches the log: the WAL must only
+// ever contain batches that apply cleanly on replay.
+func (e *Engine) precheck(batch stream.Batch) error {
+	if err := e.Poisoned(); err != nil {
+		return fmt.Errorf("durable: engine poisoned by earlier failure, refusing batch: %w", err)
+	}
+	return e.eng.CheckBatch(batch)
+}
+
+// stage is Stage after the precheck: it logs record (the batch's
+// stream-codec encoding) under the next sequence, applies the batch, and
+// builds its result snapshot. Given a cover delta (ApplyReplicated) the
+// engine patches its covers from it and frame, the received frame with
+// its trailer, goes to the feed unchanged. Without a delta, or when the
+// delta does not fit, the engine runs the full sweeps and the feed gets
+// record framed with this engine's own delta.
+func (e *Engine) stage(batch stream.Batch, record, frame []byte, delta *core.CoverDelta) (core.Result, *Pending, error) {
 	// Claim a commit-queue slot before touching the log: a full queue is
 	// a clean, side-effect-free rejection. The slot is released by Wait.
 	if err := e.committer.Reserve(); err != nil {
 		return core.Result{}, nil, fmt.Errorf("durable: %w", err)
 	}
 	seq := e.seq.Load() + 1
-	if err := e.log.Append(seq, buf.Bytes()); err != nil {
+	if err := e.log.Append(seq, record); err != nil {
 		// The log may now end in a torn record; appending more would bury
 		// it and lose everything after it on recovery.
 		e.committer.Release()
@@ -448,7 +464,17 @@ func (e *Engine) Stage(batch stream.Batch) (core.Result, *Pending, error) {
 		return core.Result{}, nil, err
 	}
 	e.committer.Appended(seq)
-	res, err := e.eng.ApplyBatch(batch)
+	var res core.Result
+	var err error
+	if delta != nil {
+		res, err = e.eng.ApplyPatched(batch, delta)
+	}
+	if delta == nil || errors.Is(err, core.ErrDeltaMismatch) {
+		// No delta, or one that does not fit (it left the engine
+		// untouched): recompute, and ship this node's own delta onward.
+		frame = nil
+		res, err = e.eng.ApplyBatch(batch)
+	}
 	if err != nil {
 		// The batch is in the log (possibly about to become durable via a
 		// concurrent group sync) but not in memory: the two states have
@@ -462,9 +488,13 @@ func (e *Engine) Stage(batch stream.Batch) (core.Result, *Pending, error) {
 	e.seq.Store(seq)
 	e.lastStaged = e.eng.BuildResults(e.lastStaged, seq, e.columns, res.Added, res.Removed)
 	if e.feed != nil {
-		// buf is local to this Stage, so the feed takes ownership of the
-		// payload without a copy. Not shippable until durable.
-		e.feed.Append(seq, buf.Bytes())
+		if frame == nil {
+			// A fresh slice: the feed owns its frames, and record may alias
+			// a caller's buffer. Not shippable until durable.
+			frame = append(make([]byte, 0, len(record)+512), record...)
+			frame = e.eng.AppendCoverDelta(wal.AppendTrailer(frame, nil))
+		}
+		e.feed.Append(seq, frame)
 	}
 	p := &Pending{e: e, seq: seq, snap: e.lastStaged}
 	e.sinceCheckpoint++

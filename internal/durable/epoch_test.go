@@ -311,7 +311,8 @@ func TestEpochForcedInstallRewindsFeed(t *testing.T) {
 		t.Fatalf("Next(4) after rejoin write: frames=%v err=%v, want the single replacement frame 5", frames, err)
 	}
 	var changes []stream.Change
-	if changes, err = stream.ReadChanges(bytes.NewReader(frames[0].Payload)); err != nil {
+	record, _, _ := wal.SplitTrailer(frames[0].Payload)
+	if changes, err = stream.ReadChanges(bytes.NewReader(record)); err != nil {
 		t.Fatal(err)
 	}
 	if len(changes) != 1 || changes[0].Values[0] != "after" {

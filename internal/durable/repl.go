@@ -10,9 +10,10 @@ import (
 )
 
 // ChangeFeed receives every change the engine commits, for WAL-shipping
-// replication (DESIGN.md §15). Append delivers each staged batch's encoded
-// payload in sequence order (called under the engine's external staging
-// serialization; the payload is handed over and never modified again);
+// replication (DESIGN.md §15). Append delivers each staged batch's frame
+// — the logged payload plus its cover-delta trailer — in sequence order
+// (called under the engine's external staging serialization; the frame is
+// handed over and never modified again);
 // Durable advances the durability watermark — only frames at or below it
 // may be shipped to followers, so a follower can never hold a batch a
 // crashed primary would lose. Durable is called from arbitrary goroutines
@@ -31,13 +32,20 @@ type ChangeFeed interface {
 	Rewind(seq uint64)
 }
 
-// ApplyReplicated applies one frame shipped from a replication primary:
-// the payload is the stream-codec batch encoding exactly as the primary
-// logged it, and seq must be exactly Seq()+1 — the follower's replay is a
-// gapless prefix of the primary's history. The batch runs through the
-// normal Apply path, so the replica assigns the same sequence, logs to its
-// own WAL, and group-commits like any local write; a nil return means the
-// frame survives any subsequent crash of the replica.
+// ApplyReplicated applies one frame shipped from a replication primary
+// (DESIGN.md §15): the stream-codec batch exactly as the primary logged
+// it, normally followed by the batch's cover delta as a frame trailer
+// (wal.SplitTrailer). seq must be exactly Seq()+1 — the follower's replay
+// is a gapless prefix of the primary's history. The batch bytes are
+// logged verbatim, so the replica's WAL records equal the primary's, and
+// the batch runs through the normal planner and Pli maintenance, so record
+// ids match the primary's; the covers are then patched from the delta
+// instead of re-running the delete and insert sweeps (core.ApplyPatched),
+// and the whole frame goes on to this engine's own feed for chained
+// followers. A frame without a trailer, or with one this engine cannot
+// use, is applied with the full sweeps. Sequencing and group commit are
+// those of any local write; a nil return means the frame survives any
+// subsequent crash of the replica (whose WAL replay recomputes).
 //
 // Like Stage, calls must be externally serialized.
 func (e *Engine) ApplyReplicated(seq uint64, payload []byte) error {
@@ -60,12 +68,26 @@ func (e *Engine) ApplyReplicated(seq uint64, payload []byte) error {
 		}
 		return e.stagePromotion(seq, epoch, payload)
 	}
-	changes, err := stream.ReadChanges(bytes.NewReader(payload))
+	record, trailer, framed := wal.SplitTrailer(payload)
+	changes, err := stream.ReadChanges(bytes.NewReader(record))
 	if err != nil {
 		return fmt.Errorf("durable: decoding replicated frame %d: %w", seq, err)
 	}
-	_, err = e.Apply(stream.Batch{Changes: changes})
-	return err
+	batch := stream.Batch{Changes: changes}
+	if err := e.precheck(batch); err != nil {
+		return err
+	}
+	var delta *core.CoverDelta
+	if framed {
+		// An undecodable delta (say, from a newer primary) costs only the
+		// shortcut: stage recomputes as for a trailer-less frame.
+		delta, _ = core.DecodeCoverDelta(trailer)
+	}
+	_, p, err := e.stage(batch, record, payload, delta)
+	if err != nil {
+		return err
+	}
+	return p.Wait()
 }
 
 // CheckpointBlob returns a checkpoint blob covering at least minSeq,

@@ -28,6 +28,9 @@ type View interface {
 	Violation(lhs attrset.Set, rhs int) (Violation, bool)
 	ClearViolation(lhs attrset.Set, rhs int)
 	CheckMinimal() error
+	StartJournal()
+	ResetJournal()
+	AppendChanges(dst []Change) []Change
 }
 
 var (

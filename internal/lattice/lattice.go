@@ -59,16 +59,17 @@ func (n *node) setViolation(rhs int, v Violation) {
 // readers (Contains, ContainsGeneralization/-Specialization, the
 // collection methods, Level, All, Violation) as long as no goroutine
 // mutates it; Add, Remove, the Remove* sweeps, SetViolation,
-// ClearViolation, and CheckMinimal (which temporarily mutates) require
-// exclusive access. DynFD's parallel validation engine keeps all cover
-// access on the engine goroutine — workers only read the Pli store — but
-// the read-only guarantee is part of the package's API surface and is
+// ClearViolation, CheckMinimal (which temporarily mutates), and the
+// journal methods (journal.go) require exclusive access. DynFD's parallel
+// validation engine keeps all cover access on the engine goroutine —
+// workers only read the Pli store — but the read-only guarantee is part of the package's API surface and is
 // exercised under the race detector by TestCoverConcurrentReaders.
 type Cover struct {
 	numAttrs int
 	root     *node
 	size     int
-	levels   []int // number of cover members per lhs cardinality
+	levels   []int    // number of cover members per lhs cardinality
+	journal  *journal // touched slots since the last reset (journal.go); nil = off
 }
 
 // New returns an empty cover for a schema with numAttrs attributes.
@@ -110,6 +111,7 @@ func (c *Cover) MaxLevel() int {
 
 // Add inserts the member (lhs → rhs) and reports whether it was new.
 func (c *Cover) Add(lhs attrset.Set, rhs int) bool {
+	c.note(lhs, rhs)
 	n := c.root
 	n.subtree = n.subtree.With(rhs)
 	for a := lhs.First(); a >= 0; a = lhs.Next(a) {
@@ -134,6 +136,7 @@ func (c *Cover) Add(lhs attrset.Set, rhs int) bool {
 
 // Remove deletes the member (lhs → rhs) and reports whether it existed.
 func (c *Cover) Remove(lhs attrset.Set, rhs int) bool {
+	c.note(lhs, rhs)
 	// Collect the path so subtree bits can be rebuilt bottom-up.
 	path := make([]*node, 0, lhs.Count()+1)
 	attrs := make([]int, 0, lhs.Count())
@@ -396,6 +399,7 @@ func collectAll(n *node, path attrset.Set, out *[]fd.FD) {
 // SetViolation attaches a violating record pair to the member (lhs → rhs).
 // It reports false when the member is not present.
 func (c *Cover) SetViolation(lhs attrset.Set, rhs int, v Violation) bool {
+	c.note(lhs, rhs)
 	n := c.root
 	for a := lhs.First(); a >= 0; a = lhs.Next(a) {
 		n = n.child(a)
@@ -427,6 +431,7 @@ func (c *Cover) Violation(lhs attrset.Set, rhs int) (Violation, bool) {
 
 // ClearViolation drops the annotation of (lhs → rhs), if present.
 func (c *Cover) ClearViolation(lhs attrset.Set, rhs int) {
+	c.note(lhs, rhs)
 	n := c.root
 	for a := lhs.First(); a >= 0; a = lhs.Next(a) {
 		n = n.child(a)

@@ -111,6 +111,7 @@ type chaosPrimary struct {
 	st      *faultio.MemStorage
 	eng     *durable.Engine
 	feed    *repl.Feed
+	wit     *witnessLog // when set, open and apply record the witnesses
 }
 
 func (p *chaosPrimary) ReplTenants() []repl.TenantStatus {
@@ -169,7 +170,23 @@ func (p *chaosPrimary) open() error {
 		p.feed.Close()
 	}
 	p.eng, p.feed = eng, feed
+	if p.wit != nil {
+		p.wit.record(eng.Seq(), eng.Core().Snapshot())
+	}
 	p.mu.Unlock()
+	return nil
+}
+
+// apply commits one batch on the current incarnation.
+func (p *chaosPrimary) apply(b stream.Batch) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, err := p.eng.Apply(b); err != nil {
+		return err
+	}
+	if p.wit != nil {
+		p.wit.record(p.eng.Seq(), p.eng.Core().Snapshot())
+	}
 	return nil
 }
 
@@ -181,9 +198,10 @@ func (p *chaosPrimary) open() error {
 // followers report the final sequence, the full query surface of every
 // node — FDs, non-FDs, record count — must be bit-identical to the
 // no-crash direct-replay oracle, and every engine's cross-structure
-// invariants must hold. Run under -race in CI, so the follower replay
-// path, the streaming handlers, and the crash-restart swaps are also
-// exercised for data races.
+// invariants must hold. Every follower runs the shadow check
+// (shadow_test.go) on every frame. Run under -race in CI, so the follower
+// replay path, the streaming handlers, and the crash-restart swaps are
+// also exercised for data races.
 func TestChaosClusterEquivalence(t *testing.T) {
 	const numBatches = 24
 	cfg := core.DefaultConfig()
@@ -223,7 +241,7 @@ func TestChaosClusterEquivalence(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			p := &chaosPrimary{opts: baseOpts, feedCap: 6}
+			p := &chaosPrimary{opts: baseOpts, feedCap: 6, wit: newWitnessLog()}
 			p.st = faultio.NewMemCrashAt(int64(float64(total) * sc.primaryFrac))
 			for p.open() != nil {
 				p.st = p.st.Reopen(sc.keep) // crashed during open: restart
@@ -244,6 +262,8 @@ func TestChaosClusterEquivalence(t *testing.T) {
 				done chan struct{}
 			}
 			fols := make([]*follower, 3)
+			counts := &shadowCounts{}
+			rows := recordHistory(batches)
 			for i := range fols {
 				fol := &follower{done: make(chan struct{})}
 				fols[i] = fol
@@ -257,7 +277,8 @@ func TestChaosClusterEquivalence(t *testing.T) {
 							continue
 						}
 						fol.engp.Store(eng)
-						r := repl.NewFollower(client, "t", engReplica{eng}, repl.FollowerOptions{
+						rep := &shadowReplica{t: t, rep: engReplica{eng}, state: engineState(eng), rows: rows, primary: p.wit, counts: counts}
+						r := repl.NewFollower(client, "t", rep, repl.FollowerOptions{
 							MinBackoff: time.Millisecond,
 							MaxBackoff: 20 * time.Millisecond,
 						})
@@ -277,11 +298,12 @@ func TestChaosClusterEquivalence(t *testing.T) {
 			acked := 0
 			recoveries := 0
 			for acked < len(batches) {
-				p.mu.Lock()
-				_, err := p.eng.Apply(batches[acked])
-				p.mu.Unlock()
+				err := p.apply(batches[acked])
 				if err == nil {
 					acked++
+					// Pace the writer so followers tail frames (and their
+					// cover deltas) instead of only installing checkpoints.
+					time.Sleep(time.Millisecond)
 					continue
 				}
 				if recoveries++; recoveries > 5 {
@@ -335,6 +357,7 @@ func TestChaosClusterEquivalence(t *testing.T) {
 					t.Fatalf("follower %d invariants: %v", i, err)
 				}
 			}
+			checkShadow(t, counts, false) // a follower may catch up by installs only
 		})
 	}
 }

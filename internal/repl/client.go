@@ -124,9 +124,12 @@ func (t *TailStream) Next() (Frame, error) {
 	return Frame{Seq: rec.Seq, Payload: rec.Payload}, nil
 }
 
-// Close releases the underlying connection.
+// Close releases the underlying connection. The body is not drained: a
+// tail stream never ends on its own (heartbeats keep it open), so a drain
+// would block until its byte limit filled, stalling the reconnect after a
+// replica failure for as long as the primary takes to send that many
+// heartbeats.
 func (t *TailStream) Close() error {
-	io.Copy(io.Discard, io.LimitReader(t.resp.Body, 1<<16))
 	return t.resp.Body.Close()
 }
 

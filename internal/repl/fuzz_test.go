@@ -6,6 +6,11 @@ import (
 	"io"
 	"testing"
 
+	"dynfd/internal/core"
+	"dynfd/internal/durable"
+	"dynfd/internal/faultio"
+	"dynfd/internal/repl"
+	"dynfd/internal/stream"
 	"dynfd/internal/wal"
 )
 
@@ -111,5 +116,86 @@ func sameErrClass(a, b error) bool {
 		return errors.Is(b, io.EOF)
 	default:
 		return false
+	}
+}
+
+// FuzzCoverDelta fuzzes the follower's frame split and cover-delta
+// decoder with arbitrary frame payloads. For ANY input:
+//
+//   - neither SplitTrailer nor DecodeCoverDelta panics;
+//   - a frame without a trailer is its own batch payload, and a frame
+//     with one is exactly payload + trailer (AppendTrailer round-trips);
+//   - a rejected delta fails with ErrBadCoverDelta;
+//   - an accepted delta re-encodes to the same bytes, and every truncation
+//     of it, and it with one byte appended, is rejected.
+func FuzzCoverDelta(f *testing.F) {
+	// Seed corpus: real frames as a primary ships them, a trailer-less
+	// frame (an older primary's), and the interesting mutilations.
+	cfg := core.DefaultConfig()
+	feed := repl.NewFeed(0, 64)
+	p, err := durable.Open(faultio.NewMem(), durable.Options{Columns: chaosCols, Config: cfg, CheckpointEvery: -1, Feed: feed})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range seedBatches() {
+		if _, err := p.Apply(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	frames, _, err := feed.Next(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, fr := range frames {
+		f.Add(fr.Payload)
+		record, body, _ := wal.SplitTrailer(fr.Payload)
+		f.Add(record) // trailer-less frame
+		f.Add(wal.AppendTrailer(append([]byte(nil), record...), body[:len(body)/2]))
+	}
+	f.Add(wal.AppendTrailer(nil, nil))
+	f.Add(wal.AppendTrailer([]byte("{}\n"), []byte{1, 3, 0, 0, 0, 0, 0}))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		record, body, ok := wal.SplitTrailer(data)
+		if !ok {
+			if !bytes.Equal(record, data) || body != nil {
+				t.Fatal("a frame without a trailer must be its own payload")
+			}
+			return
+		}
+		if got := wal.AppendTrailer(append([]byte(nil), record...), body); !bytes.Equal(got, data) {
+			t.Fatal("payload + trailer does not rebuild the frame")
+		}
+		d, err := core.DecodeCoverDelta(body)
+		if err != nil {
+			if !errors.Is(err, core.ErrBadCoverDelta) {
+				t.Fatalf("undocumented error class: %v", err)
+			}
+			return
+		}
+		if enc := d.AppendBinary(nil); !bytes.Equal(enc, body) {
+			t.Fatalf("accepted delta re-encodes differently:\n in  %x\n out %x", body, enc)
+		}
+		for n := 0; n < len(body); n++ {
+			if _, err := core.DecodeCoverDelta(body[:n]); err == nil {
+				t.Fatalf("truncation to %d of %d bytes accepted", n, len(body))
+			}
+		}
+		if _, err := core.DecodeCoverDelta(append(append([]byte(nil), body...), 0)); err == nil {
+			t.Fatal("delta with a trailing byte accepted")
+		}
+	})
+}
+
+// seedBatches is a short history that moves both covers: inserts that
+// break FDs, an update, and deletes that restore some.
+func seedBatches() []stream.Batch {
+	ins := func(v ...string) stream.Change { return stream.Change{Kind: stream.Insert, Values: v} }
+	return []stream.Batch{
+		{Changes: []stream.Change{ins("a", "x", "1"), ins("b", "x", "2")}},
+		{Changes: []stream.Change{ins("a", "y", "1"), ins("c", "x", "1")}},
+		{Changes: []stream.Change{{Kind: stream.Update, ID: 0, Values: []string{"a", "z", "3"}}}},
+		{Changes: []stream.Change{{Kind: stream.Delete, ID: 2}, {Kind: stream.Delete, ID: 4}}},
 	}
 }

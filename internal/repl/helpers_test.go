@@ -98,6 +98,7 @@ type primarySource struct {
 	name string
 	mon  *dynfd.DurableMonitor
 	feed *repl.Feed
+	wit  *witnessLog // when set, apply records the witnesses of every batch
 }
 
 func (s *primarySource) ReplTenants() []repl.TenantStatus {
@@ -142,6 +143,19 @@ func (s *primarySource) apply(t testing.TB, batch []dynfd.Change) {
 	if _, err := s.mon.Apply(batch...); err != nil {
 		t.Fatalf("primary apply: %v", err)
 	}
+	if s.wit != nil {
+		s.wit.record(s.mon.Seq(), monitorSnapshot(t, s.mon))
+	}
+}
+
+// trackWitnesses makes apply record the primary's witnesses after every
+// batch, starting with the current state, for shadow-checked followers.
+func (s *primarySource) trackWitnesses(t testing.TB) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.wit = newWitnessLog()
+	s.wit.record(s.mon.Seq(), monitorSnapshot(t, s.mon))
 }
 
 // startPrimary opens a feed-attached primary monitor and serves the
@@ -173,12 +187,34 @@ func startPrimary(t testing.TB, feedCap, checkpointEvery int) (*primarySource, *
 // goroutine so the monitor can be inspected without races.
 func runFollower(t testing.TB, client *repl.Client, dir string, columns []string) (*dynfd.DurableMonitor, *repl.Follower, func()) {
 	t.Helper()
+	return startFollower(t, client, dir, columns, nil)
+}
+
+// runCheckedFollower is runFollower with the shadow check (shadow_test.go)
+// on every frame: src must record its witnesses, and batches is the
+// replicated history from sequence 1.
+func runCheckedFollower(t testing.TB, client *repl.Client, dir string, columns []string, src *primarySource, batches [][]dynfd.Change) (*dynfd.DurableMonitor, *repl.Follower, func(), *shadowCounts) {
+	t.Helper()
+	counts := &shadowCounts{}
+	rows := recordHistory(streamBatches(batches))
+	mon, fol, stop := startFollower(t, client, dir, columns, func(mon *dynfd.DurableMonitor) repl.Replica {
+		return &shadowReplica{t: t, rep: mon, state: monitorState(t, mon), rows: rows, primary: src.wit, counts: counts}
+	})
+	return mon, fol, stop, counts
+}
+
+func startFollower(t testing.TB, client *repl.Client, dir string, columns []string, wrap func(*dynfd.DurableMonitor) repl.Replica) (*dynfd.DurableMonitor, *repl.Follower, func()) {
+	t.Helper()
 	mon, err := dynfd.OpenDurable(dir, columns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mon.Close() })
-	fol := repl.NewFollower(client, "t", mon, repl.FollowerOptions{
+	var rep repl.Replica = mon
+	if wrap != nil {
+		rep = wrap(mon)
+	}
+	fol := repl.NewFollower(client, "t", rep, repl.FollowerOptions{
 		MinBackoff: time.Millisecond,
 		MaxBackoff: 20 * time.Millisecond,
 	})

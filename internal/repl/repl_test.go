@@ -80,21 +80,24 @@ func TestCatchUpEquivalence(t *testing.T) {
 		t.Parallel()
 		batches, states := genWorkload(t, n)
 		src, client := startPrimary(t, 6, 3)
+		src.trackWitnesses(t)
 		for _, b := range batches[:n/2] {
 			src.apply(t, b)
 		}
-		mon, _, stop := runFollower(t, client, t.TempDir(), testCols)
+		mon, _, stop, counts := runCheckedFollower(t, client, t.TempDir(), testCols, src, batches)
 		for _, b := range batches[n/2:] {
 			src.apply(t, b)
 		}
 		waitSeq(t, mon, n)
 		checkConverged(t, mon, stop, states[n])
+		checkShadow(t, counts, false) // the join may install at the end
 	})
 
 	t.Run("seeded-checkpoint", func(t *testing.T) {
 		t.Parallel()
 		batches, states := genWorkload(t, n)
 		src, client := startPrimary(t, 1024, 0)
+		src.trackWitnesses(t)
 		for _, b := range batches[:5] {
 			src.apply(t, b)
 		}
@@ -119,7 +122,7 @@ func TestCatchUpEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The seeded store recovers its schema from the checkpoint.
-		mon, fol, stop := runFollower(t, client, dir, nil)
+		mon, fol, stop, counts := runCheckedFollower(t, client, dir, nil, src, batches)
 		if got := mon.Seq(); got != 5 {
 			t.Fatalf("seeded store opened at seq %d, want 5", got)
 		}
@@ -135,12 +138,14 @@ func TestCatchUpEquivalence(t *testing.T) {
 			t.Fatalf("seed join applied %d frames, want %d", got, n-5)
 		}
 		checkConverged(t, mon, stop, states[n])
+		checkShadow(t, counts, true)
 	})
 
 	t.Run("stale-seed-reinstalls", func(t *testing.T) {
 		t.Parallel()
 		batches, states := genWorkload(t, n)
 		src, client := startPrimary(t, 4, 0)
+		src.trackWitnesses(t)
 		for _, b := range batches[:5] {
 			src.apply(t, b)
 		}
@@ -157,12 +162,13 @@ func TestCatchUpEquivalence(t *testing.T) {
 		for _, b := range batches[5:] {
 			src.apply(t, b)
 		}
-		mon, fol, stop := runFollower(t, client, dir, nil)
+		mon, fol, stop, counts := runCheckedFollower(t, client, dir, nil, src, batches)
 		waitSeq(t, mon, n)
 		if got := fol.Installs(); got == 0 {
 			t.Fatal("stale seed converged without re-installing a checkpoint")
 		}
 		checkConverged(t, mon, stop, states[n])
+		checkShadow(t, counts, false)
 	})
 
 	t.Run("mid-compaction-stream", func(t *testing.T) {
@@ -171,13 +177,15 @@ func TestCatchUpEquivalence(t *testing.T) {
 		// CheckpointEvery 3: the primary folds its WAL while frames are in
 		// flight, proving streaming does not depend on WAL file history.
 		src, client := startPrimary(t, 4, 3)
-		mon, _, stop := runFollower(t, client, t.TempDir(), testCols)
+		src.trackWitnesses(t)
+		mon, _, stop, counts := runCheckedFollower(t, client, t.TempDir(), testCols, src, batches)
 		for _, b := range batches {
 			src.apply(t, b)
 			time.Sleep(time.Millisecond)
 		}
 		waitSeq(t, mon, n)
 		checkConverged(t, mon, stop, states[n])
+		checkShadow(t, counts, false) // a slow follower may install instead
 	})
 }
 

@@ -1,0 +1,43 @@
+package wal
+
+import "bytes"
+
+// A replication frame (DESIGN.md §15) is a WAL record payload as logged,
+// optionally followed by a trailer that only the frame stream carries —
+// today the batch's cover delta (core.CoverDelta). The WAL itself never
+// holds a trailer: the primary logs the bare batch and appends the
+// trailer to the copy it hands its feed, and a follower strips it before
+// logging, so WAL records stay byte-identical on every node.
+//
+// The trailer starts with its own magic, a sibling of the control-record
+// magic. Batch payloads are stream-codec JSON lines, which are valid
+// UTF-8 and therefore never contain the byte 0xfd, so the first
+// occurrence of the magic is always where the trailer starts. A decoder
+// that predates trailers reads the magic as a malformed JSON line and
+// fails the frame instead of applying part of it.
+//
+// Frame layout:
+//
+//	payload (the WAL record payload, a stream-codec batch)
+//	magic "\xfddynfdt\x00"
+//	trailer body
+const trailerMagic = "\xfddynfdt\x00"
+
+// AppendTrailer appends the trailer magic and body to dst, which must
+// already hold the frame's batch payload; with a nil body the caller
+// appends the body itself.
+func AppendTrailer(dst, body []byte) []byte {
+	dst = append(dst, trailerMagic...)
+	return append(dst, body...)
+}
+
+// SplitTrailer splits a replication frame into the batch payload to log
+// and the trailer body. ok is false for a frame without a trailer, whose
+// payload is then the whole frame. The results alias frame.
+func SplitTrailer(frame []byte) (payload, body []byte, ok bool) {
+	i := bytes.Index(frame, []byte(trailerMagic))
+	if i < 0 {
+		return frame, nil, false
+	}
+	return frame[:i], frame[i+len(trailerMagic):], true
+}

@@ -39,6 +39,11 @@ func (m *Monitor) Save(w io.Writer) error {
 	return nil
 }
 
+// Save serializes the durable monitor's current state in the same format
+// as Monitor.Save, so LoadMonitor can resume it as an in-memory Monitor.
+// Like Apply, it must not run concurrently with mutations.
+func (m *DurableMonitor) Save(w io.Writer) error { return m.ro.Save(w) }
+
 // LoadMonitor resumes a monitor previously written with Save. The restored
 // monitor continues exactly where the saved one stopped: record ids,
 // covers, pruning witnesses, and configuration are preserved, and the
