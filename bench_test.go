@@ -202,6 +202,46 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertPhase replays the artist history (scale 0.2, 100-change
+// batches, one scheduler worker per CPU) and reports the insert phase
+// (paper Fig. 1 step 3), where the agree-mask index answers the pruned
+// validations: insert-ms/op is its wall-clock time per replay,
+// agree-pairs/op the record pairs compared to build the indexes, and
+// validations/op the candidate validations. Numbers live in
+// BENCH_insert.json.
+func BenchmarkInsertPhase(b *testing.B) {
+	d := generated(b, "artist", 0.2)
+	batches := stream.FixedBatches(d.Changes, 100)
+	cfg := core.DefaultConfig()
+	cfg.Workers = -1
+	b.ReportAllocs()
+	var st core.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, err := core.Bootstrap(d.Relation, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, batch := range batches {
+			if _, err := eng.ApplyBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		s := eng.Stats()
+		st.InsertPhaseTime += s.InsertPhaseTime
+		st.AgreePairs += s.AgreePairs
+		st.Validations += s.Validations
+		b.StartTimer()
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(st.InsertPhaseTime.Microseconds())/1e3/n, "insert-ms/op")
+	b.ReportMetric(float64(st.AgreePairs)/n, "agree-pairs/op")
+	b.ReportMetric(float64(st.Validations)/n, "validations/op")
+}
+
 // BenchmarkStaticDiscovery compares the three static algorithms on the
 // same snapshot.
 func BenchmarkStaticDiscovery(b *testing.B) {

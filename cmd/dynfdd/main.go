@@ -159,6 +159,11 @@ func main() {
 		shutdowns []func() error
 		failed    = make(chan error, 2)
 	)
+	// Register for shutdown signals before the first listener opens: a
+	// SIGTERM that arrives once an address is announced must take the
+	// graceful path, not the default kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	// Profiling endpoint on its own listener and mux, so the debug surface
 	// is never exposed on the service addresses by accident.
@@ -267,8 +272,6 @@ func main() {
 		shutdowns = append(shutdowns, shutdown)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		log.Printf("dynfdd: received %v, shutting down", s)

@@ -138,8 +138,16 @@ type daemon struct {
 	addr string
 }
 
-// startDaemon launches bin and parses the listen address from its log.
+// startDaemon launches bin and parses the line-protocol listen address
+// from its log.
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
+	t.Helper()
+	return startAnnounced(t, bin, "serving on ", args...)
+}
+
+// startAnnounced launches bin and returns as soon as its log announces an
+// address after marker.
+func startAnnounced(t *testing.T, bin, marker string, args ...string) *daemon {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
@@ -154,9 +162,9 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
-			if i := strings.Index(line, "serving on "); i >= 0 {
+			if i := strings.Index(line, marker); i >= 0 {
 				select {
-				case addrCh <- line[i+len("serving on "):]:
+				case addrCh <- line[i+len(marker):]:
 				default:
 				}
 			}
@@ -285,5 +293,42 @@ func TestDaemonKillAndRestart(t *testing.T) {
 	resps3 := d3.roundTrip(t, `{"op":"fds"}`)
 	if got := fmt.Sprint(resps3[0].FDs); got != wantFDs {
 		t.Fatalf("FDs lost across graceful restart:\n got %s\nwant %s", got, wantFDs)
+	}
+}
+
+// TestDaemonSIGTERMAtAnnounce sends SIGTERM the moment the daemon
+// announces its first address, 20 times over, and requires a graceful
+// exit 0 every time: the shutdown handler must be registered before any
+// listener opens, not after every server is up. The daemon runs both
+// front ends, so the HTTP announcement comes while the line protocol is
+// still being set up.
+func TestDaemonSIGTERMAtAnnounce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "dynfdd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Skipf("cannot build dynfdd: %v\n%s", err, out)
+	}
+	for i := 0; i < 20; i++ {
+		root := filepath.Join(t.TempDir(), "root")
+		d := startAnnounced(t, bin, "http on ",
+			"-http", "127.0.0.1:0", "-data-root", root,
+			"-listen", "127.0.0.1:0", "-columns", "zip,city")
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		exited := make(chan error, 1)
+		go func() { exited <- d.cmd.Wait() }()
+		select {
+		case err := <-exited:
+			if err != nil {
+				t.Fatalf("start %d: SIGTERM at announce: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			d.cmd.Process.Kill()
+			t.Fatalf("start %d: daemon did not exit on SIGTERM", i)
+		}
 	}
 }

@@ -448,6 +448,11 @@ type Stats struct {
 	DeltaPruned    int
 	WitnessRepairs int
 
+	// AgreePairs counts the record pairs compared to build the insert
+	// phase's agree-mask indexes, which answer the cluster-pruned
+	// validations (DESIGN.md §9).
+	AgreePairs int
+
 	// Scheduler telemetry, nonzero only with more than one worker (as
 	// is ParallelLevels): validation chunks executed by a worker other
 	// than the submitter, speculative validations issued ahead of the
@@ -485,6 +490,7 @@ func (m *Monitor) Stats() Stats {
 
 		DeltaPruned:            s.DeltaPruned,
 		WitnessRepairs:         s.WitnessRepairs,
+		AgreePairs:             s.AgreePairs,
 		ChunksStolen:           s.ChunksStolen,
 		SpeculativeValidations: s.SpeculativeValidations,
 		SpeculativeHits:        s.SpeculativeHits,

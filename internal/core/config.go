@@ -116,6 +116,7 @@ type Stats struct {
 	Validations            int // full candidate validations executed
 	SkippedValidations     int // delete-side validations skipped via annotations
 	Comparisons            int // record pairs compared by the violation search
+	AgreePairs             int // record pairs compared to build the insert phase's agree-mask index
 	ViolationSearchRuns    int // times the progressive search was triggered
 	DepthFirstSearchRuns   int // times the optimistic DFS was triggered
 	ParallelLevels         int // lattice levels whose validations went to the worker pool (Workers > 1)

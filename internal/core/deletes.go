@@ -34,7 +34,7 @@ func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 		}
 		outcomes := e.outcomeBuf(len(candidates))
 		slots := e.chunkSlots(len(candidates))
-		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: validate.NoPruning}
+		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates))}
 		eligible := 0
 		for i, cand := range candidates {
 			deps := cand.Lhs.With(cand.Rhs)
@@ -51,7 +51,7 @@ func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 			}
 			eligible++
 			if e.pool.Background() == 0 {
-				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: validate.NoPruning})
+				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs}, nil)
 				if err != nil {
 					return err
 				}
@@ -89,7 +89,7 @@ func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 				validFds = append(validFds, cand)
 			}
 		}
-		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: validate.NoPruning}
+		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates))}
 		for _, f := range validFds {
 			if !e.nonFds.Contains(f.Lhs, f.Rhs) {
 				continue
@@ -211,7 +211,7 @@ func (e *Engine) speculateDeleteLevel(ses *sched.Session, level int, touched att
 		return
 	}
 	ready := ses.Ready()
-	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf)), prune: validate.NoPruning}
+	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf))}
 	for _, cand := range e.specBuf {
 		if _, ok := e.specCache[cand]; ok {
 			continue

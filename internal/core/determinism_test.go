@@ -30,10 +30,12 @@ func replayStats(t *testing.T, ds *datagen.Dataset, batchSize int) Stats {
 }
 
 // TestReplayWorkCountersDeterministic replays one history three times at
-// Workers 1 and requires identical work counters. Validations walk pivot
-// clusters in ascending cluster-id order, so every witness, and with it
-// every annotation-driven skip and depth-first search, is a pure function
-// of the history.
+// Workers 1 and requires identical work counters. Full validations walk
+// pivot clusters in ascending cluster-id order and pruned ones report the
+// canonical witness, so every witness, and with it every annotation-driven
+// skip and depth-first search, is a pure function of the history. The
+// agree-mask index's build decisions are too, so AgreePairs repeats
+// exactly; the artist replay must build indexes for the pin to count.
 func TestReplayWorkCountersDeterministic(t *testing.T) {
 	for _, name := range []string{"artist", "disease"} {
 		t.Run(name, func(t *testing.T) {
@@ -49,6 +51,9 @@ func TestReplayWorkCountersDeterministic(t *testing.T) {
 			first := replayStats(t, ds, 100)
 			if first.Validations == 0 {
 				t.Fatal("replay ran no validations")
+			}
+			if name == "artist" && first.AgreePairs == 0 {
+				t.Fatal("artist replay built no agree-mask index")
 			}
 			for run := 2; run <= 3; run++ {
 				if got := replayStats(t, ds, 100); got != first {

@@ -43,11 +43,12 @@ type Engine struct {
 	cfg      Config
 	numAttrs int
 	store    *pli.Store
-	fds      *lattice.Cover      // positive cover: all minimal FDs
-	nonFds   lattice.View        // negative cover: all maximal non-FDs (complement-keyed)
-	keySet   attrset.Set         // declared unique columns (Config.KeyColumns)
-	pool     *sched.Pool         // work-stealing pipelined scheduler
-	scratch  *validate.Scratches // per-worker validation kernel buffers (slot 0 = engine goroutine)
+	fds      *lattice.Cover       // positive cover: all minimal FDs
+	nonFds   lattice.View         // negative cover: all maximal non-FDs (complement-keyed)
+	keySet   attrset.Set          // declared unique columns (Config.KeyColumns)
+	pool     *sched.Pool          // work-stealing pipelined scheduler
+	scratch  *validate.Scratches  // per-worker validation kernel buffers (slot 0 = engine goroutine)
+	agree    *validate.AgreeIndex // insert phase: the batch's agree-mask index (cluster pruning)
 	rng      *rand.Rand
 	stats    Stats
 
@@ -107,6 +108,7 @@ func (e *Engine) initExtras() {
 	e.pool = sched.NewPool(resolveWorkers(e.cfg.Workers))
 	e.specCache = make(map[fd.FD]chunkSlot)
 	e.scratch = &validate.Scratches{}
+	e.agree = &validate.AgreeIndex{}
 	e.rng = rand.New(rand.NewSource(e.cfg.Seed))
 }
 

@@ -35,9 +35,13 @@ func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int
 	}
 	e.computeDeltaMasks(newIDs)
 	clear(e.specCache)
-	prune := validate.NoPruning
+	// Cluster pruning (paper §4.2) answers every validation of the sweep
+	// from the batch's agree-mask index (validate/agree.go); without it
+	// each candidate is validated in full.
+	var agree *validate.AgreeIndex
 	if e.cfg.ClusterPruning {
-		prune = minNewID
+		e.agree.Open(e.store, minNewID)
+		agree = e.agree
 	}
 	for level := 0; level <= e.numAttrs; level++ {
 		e.levelBuf = e.fds.AppendLevel(e.levelBuf[:0], level)
@@ -47,7 +51,7 @@ func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int
 		}
 		outcomes := e.outcomeBuf(len(candidates))
 		slots := e.chunkSlots(len(candidates))
-		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: prune}
+		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), agree: agree}
 		eligible := 0
 		for i, cand := range candidates {
 			kind := e.classifyInsert(cand, touched)
@@ -57,7 +61,7 @@ func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int
 			}
 			eligible++
 			if e.pool.Background() == 0 {
-				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: prune})
+				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs}, agree)
 				if err != nil {
 					return err
 				}
@@ -76,11 +80,11 @@ func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int
 			e.stats.ParallelLevels++
 		}
 		if e.pool.Background() > 0 && level < e.numAttrs {
-			e.speculateInsertLevel(ses, level+1, prune, touched)
+			e.speculateInsertLevel(ses, level+1, agree, touched)
 		}
 		// Merge: account the work, then fold every invalidated candidate
 		// into the covers in candidate order (Algorithm 2 lines 6-15).
-		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: prune}
+		sb := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), agree: agree}
 		invalid := 0
 		for i, cand := range candidates {
 			o := &outcomes[i]
@@ -171,12 +175,12 @@ func (e *Engine) addNonFD(lhs attrset.Set, rhs int, v lattice.Violation) {
 // speculateInsertLevel submits validations for the next level's existing
 // positive-cover members ahead of their classification. The store is fully
 // maintained during the insert sweep, so no readiness check is needed.
-func (e *Engine) speculateInsertLevel(ses *sched.Session, level int, prune int64, touched attrset.Set) {
+func (e *Engine) speculateInsertLevel(ses *sched.Session, level int, agree *validate.AgreeIndex, touched attrset.Set) {
 	e.specBuf = e.fds.AppendLevel(e.specBuf[:0], level)
 	if len(e.specBuf) == 0 {
 		return
 	}
-	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf)), prune: prune}
+	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf)), agree: agree}
 	for _, cand := range e.specBuf {
 		if _, ok := e.specCache[cand]; ok {
 			continue

@@ -69,6 +69,7 @@ type valChunk struct {
 	deps    attrset.Set
 	store   *pli.Store
 	scratch *validate.Scratches
+	agree   *validate.AgreeIndex // pruned insert-phase chunk; nil validates in full
 	reqs    []validate.Request
 	outs    []validate.Outcome
 }
@@ -78,7 +79,7 @@ func (c *valChunk) Deps() attrset.Set { return c.deps }
 func (c *valChunk) Run(worker int) {
 	sc := c.scratch.At(worker)
 	for i, r := range c.reqs {
-		c.outs[i] = validate.One(sc, c.store, r)
+		c.outs[i] = validate.One(sc, c.store, c.agree, r)
 	}
 }
 
@@ -94,15 +95,15 @@ type chunkBuilder struct {
 	e     *Engine
 	ses   *sched.Session
 	size  int
-	prune int64
+	agree *validate.AgreeIndex // the insert phase's index under cluster pruning
 	cur   *valChunk
 }
 
 func (b *chunkBuilder) add(cand fd.FD, deps attrset.Set) chunkSlot {
 	if b.cur == nil {
-		b.cur = &valChunk{store: b.e.store, scratch: b.e.scratch}
+		b.cur = &valChunk{store: b.e.store, scratch: b.e.scratch, agree: b.agree}
 	}
-	b.cur.reqs = append(b.cur.reqs, validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: b.prune})
+	b.cur.reqs = append(b.cur.reqs, validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs})
 	b.cur.outs = append(b.cur.outs, validate.Outcome{})
 	b.cur.deps = b.cur.deps.Union(deps)
 	sl := chunkSlot{ch: b.cur, idx: len(b.cur.reqs) - 1}
@@ -177,16 +178,17 @@ func (e *Engine) resolveOutcome(ses *sched.Session, o *scanOutcome, sl chunkSlot
 
 // validateInline runs one validation directly on the coordinator — the
 // path when the pool has no background workers (Workers 0 or 1), where
-// chunking and deque traffic would be pure overhead. Panic containment
+// chunking and deque traffic would be pure overhead. A non-nil agree
+// answers it as a pruned insert-phase validation. Panic containment
 // matches the scheduler's contract so a panicking validator still poisons
 // the engine as a *fanout.PanicError instead of crashing the process.
-func (e *Engine) validateInline(r validate.Request) (o validate.Outcome, err error) {
+func (e *Engine) validateInline(r validate.Request, agree *validate.AgreeIndex) (o validate.Outcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &fanout.PanicError{Worker: 0, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return validate.One(e.scratch.At(0), e.store, r), nil
+	return validate.One(e.scratch.At(0), e.store, agree, r), nil
 }
 
 // applyPipelined runs steps 1-3 of ApplyBatch on the scheduler: stage the
@@ -251,6 +253,11 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 	if err := ses.End(); err != nil {
 		e.poisoned = err
 		return fmt.Errorf("core: applying batch: %w", err)
+	}
+	if len(ids) > 0 {
+		// Read after End: leftover speculative chunks may still have
+		// queried the index until the workers were joined.
+		e.stats.AgreePairs += e.agree.Counters().Pairs
 	}
 	if err := e.store.Finish(); err != nil {
 		e.poisoned = err

@@ -154,8 +154,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	s := randomStore(t, 17, 250, 5, 3)
 	warm := NewScratch()
 	for _, r := range allRequests(5) {
-		gotValid, gotW := warm.FD(s, r.Lhs, r.Rhs, r.MinNewID)
-		wantValid, _ := NewScratch().FD(s, r.Lhs, r.Rhs, r.MinNewID)
+		gotValid, gotW := warm.FD(s, r.Lhs, r.Rhs, NoPruning)
+		wantValid, _ := NewScratch().FD(s, r.Lhs, r.Rhs, NoPruning)
 		if gotValid != wantValid {
 			t.Fatalf("FD(%v -> %d): reused scratch = %v, fresh = %v",
 				r.Lhs.Slice(), r.Rhs, gotValid, wantValid)

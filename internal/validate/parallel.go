@@ -18,11 +18,9 @@ import (
 )
 
 // Request is one candidate validation: does Lhs → Rhs hold on the store?
-// MinNewID carries the cluster-pruning bound (paper §4.2) or NoPruning.
 type Request struct {
-	Lhs      attrset.Set
-	Rhs      int
-	MinNewID int64
+	Lhs attrset.Set
+	Rhs int
 }
 
 // Outcome is the result of one Request. For an invalid candidate, Witness
@@ -49,12 +47,19 @@ func SetTestHook(h func(Request)) {
 }
 
 // One validates a single request on the given scratch, after running the
-// test-only hook. Every engine validation — inline or in a scheduler
+// test-only hook. With a nil ix the request is validated in full; with
+// the batch's agree-mask index it is a pruned insert-phase validation and
+// ix answers it. Every engine validation — inline or in a scheduler
 // chunk — goes through One, so failure injection reaches all of them.
-func One(sc *Scratch, s *pli.Store, r Request) Outcome {
+func One(sc *Scratch, s *pli.Store, ix *AgreeIndex, r Request) Outcome {
 	if h := testHook.Load(); h != nil {
 		(*h)(r)
 	}
-	valid, wit := sc.FD(s, r.Lhs, r.Rhs, r.MinNewID)
-	return Outcome{Valid: valid, Witness: wit}
+	var o Outcome
+	if ix != nil {
+		o.Valid, o.Witness = ix.FD(sc, r.Lhs, r.Rhs)
+	} else {
+		o.Valid, o.Witness = sc.FD(s, r.Lhs, r.Rhs, NoPruning)
+	}
+	return o
 }

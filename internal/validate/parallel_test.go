@@ -34,17 +34,17 @@ func randomStore(t testing.TB, seed int64, n, attrs, domain int) *pli.Store {
 func allRequests(attrs int) []Request {
 	var reqs []Request
 	for rhs := 0; rhs < attrs; rhs++ {
-		reqs = append(reqs, Request{Lhs: attrset.Set{}, Rhs: rhs, MinNewID: NoPruning})
+		reqs = append(reqs, Request{Lhs: attrset.Set{}, Rhs: rhs})
 		for a := 0; a < attrs; a++ {
 			if a == rhs {
 				continue
 			}
-			reqs = append(reqs, Request{Lhs: attrset.Of(a), Rhs: rhs, MinNewID: NoPruning})
+			reqs = append(reqs, Request{Lhs: attrset.Of(a), Rhs: rhs})
 			for b := a + 1; b < attrs; b++ {
 				if b == rhs {
 					continue
 				}
-				reqs = append(reqs, Request{Lhs: attrset.Of(a, b), Rhs: rhs, MinNewID: NoPruning})
+				reqs = append(reqs, Request{Lhs: attrset.Of(a, b), Rhs: rhs})
 			}
 		}
 	}
@@ -76,7 +76,7 @@ func TestFanConcurrentStress(t *testing.T) {
 	reqs := allRequests(6)
 	want := make([]bool, len(reqs))
 	for i, r := range reqs {
-		want[i], _ = FD(s, r.Lhs, r.Rhs, r.MinNewID)
+		want[i], _ = FD(s, r.Lhs, r.Rhs, NoPruning)
 	}
 	const goroutines = 8
 	for round := 0; round < 4; round++ {
@@ -88,7 +88,7 @@ func TestFanConcurrentStress(t *testing.T) {
 				defer wg.Done()
 				sc := NewScratch()
 				for i := g; i < len(reqs); i += goroutines {
-					out[i] = One(sc, s, reqs[i])
+					out[i] = One(sc, s, nil, reqs[i])
 				}
 			}(g)
 		}

@@ -41,10 +41,11 @@ import (
 type Scratch struct {
 	rest []int // rest attributes of the current candidate, ascending
 
-	// Cluster pruning state (see walkClusters): the live ids >= minNewID
-	// and their distinct pivot cluster ids.
+	// Cluster pruning state (see walkClusters): the live ids >= minNewID,
+	// their distinct pivot cluster ids, and each cluster's first new id.
 	newIDs []int64
 	cids   []int32
+	firsts []int64
 
 	// Open-addressing table, shared by the grouping and counting passes.
 	// slots[i] holds a group/pair index + 1, 0 means empty. The table is
@@ -156,25 +157,26 @@ func (sc *Scratch) keyEqual(gi int32, rec pli.Record) bool {
 // single record cannot violate anything.
 //
 // With minNewID == NoPruning every cluster is visited, in ascending
-// cluster-id order. Otherwise only the clusters holding a live record with id >=
-// minNewID are visited (cluster pruning, paper §4.2). They are found from
-// the new records themselves: the live ids >= minNewID come from the
-// liveness bitmaps in ascending order, and each maps to its pivot cluster
-// id, deduplicated through the probe table. Clusters are visited in the
-// order of their first new record, so the walk (and the witness) is a
-// pure function of the store. The cost is O(new records + their pivot
-// clusters), independent of the pivot's total cluster count; the probe
-// table is free again before the first fn call.
-func (sc *Scratch) walkClusters(s *pli.Store, pivot int, minNewID int64, fn func(c *pli.Cluster) bool) {
+// cluster-id order, and fn's first argument is -1. Otherwise only the
+// clusters holding a live record with id >= minNewID are visited (cluster
+// pruning, paper §4.2), and fn also receives the cluster's first new id.
+// They are found from the new records themselves: the live ids >= minNewID
+// come from the liveness bitmaps in ascending order, and each maps to its
+// pivot cluster id, deduplicated through the probe table. Clusters are
+// visited in the order of their first new record, so the walk (and the
+// witness) is a pure function of the store. The cost is O(new records +
+// their pivot clusters), independent of the pivot's total cluster count;
+// the probe table is free again before the first fn call.
+func (sc *Scratch) walkClusters(s *pli.Store, pivot int, minNewID int64, fn func(firstNew int64, c *pli.Cluster) bool) {
 	ix := s.Index(pivot)
 	if minNewID < 0 {
 		ix.ForEachCluster(func(_ int32, c *pli.Cluster) bool {
-			return c.Size() < 2 || fn(c)
+			return c.Size() < 2 || fn(-1, c)
 		})
 		return
 	}
 	sc.newIDs = s.AppendLiveFrom(sc.newIDs[:0], minNewID)
-	sc.cids = sc.cids[:0]
+	sc.cids, sc.firsts = sc.cids[:0], sc.firsts[:0]
 	all := ix.NumClusters()
 	slots := sc.table(tableSize(min(len(sc.newIDs), all)))
 	mask := uint32(len(slots) - 1)
@@ -187,6 +189,7 @@ collect:
 			if g == 0 {
 				slots[slot] = int32(len(sc.cids)) + 1
 				sc.cids = append(sc.cids, cid)
+				sc.firsts = append(sc.firsts, id)
 				if len(sc.cids) == all {
 					break collect // every cluster selected: large batches stop early
 				}
@@ -198,8 +201,8 @@ collect:
 			slot = (slot + 1) & mask
 		}
 	}
-	for _, cid := range sc.cids {
-		if c := ix.Cluster(cid); c.Size() >= 2 && !fn(c) {
+	for i, cid := range sc.cids {
+		if c := ix.Cluster(cid); c.Size() >= 2 && !fn(sc.firsts[i], c) {
 			return
 		}
 	}
@@ -208,6 +211,15 @@ collect:
 // FD validates lhs → rhs against the store using the scratch's buffers;
 // it is the allocation-free form of the package-level FD function and
 // shares its semantics (including cluster pruning via minNewID).
+//
+// With pruning, the witness is the violating pair with the smallest B,
+// then the smallest A, the canonical witness of the agree-mask index
+// (agree.go). A cluster's check stops at its first conflict in ascending
+// id order, which is that cluster's smallest such pair; a later cluster
+// can only beat it while its first new record precedes the best B found,
+// because under the pruning precondition every violating pair's B is new.
+// Clusters come in ascending first-new-record order, so the walk stops
+// there.
 func (sc *Scratch) FD(s *pli.Store, lhs attrset.Set, rhs int, minNewID int64) (valid bool, w Witness) {
 	if s.NumRecords() <= 1 {
 		return true, Witness{}
@@ -218,16 +230,24 @@ func (sc *Scratch) FD(s *pli.Store, lhs attrset.Set, rhs int, minNewID int64) (v
 	pivot := pickPivot(s, lhs)
 	k := sc.setRest(lhs.Without(pivot))
 	valid = true
-	sc.walkClusters(s, pivot, minNewID, func(c *pli.Cluster) bool {
+	sc.walkClusters(s, pivot, minNewID, func(firstNew int64, c *pli.Cluster) bool {
+		if !valid && w.B < firstNew {
+			return false
+		}
+		var ok bool
+		var cw Witness
 		switch k {
 		case 0:
-			valid, w = fdCheckWholeCluster(s, c, rhs)
+			ok, cw = fdCheckWholeCluster(s, c, rhs)
 		case 1:
-			valid, w = sc.fdCheckSingle(s, c, sc.rest[0], rhs)
+			ok, cw = sc.fdCheckSingle(s, c, sc.rest[0], rhs)
 		default:
-			valid, w = sc.fdCheckTuple(s, c, rhs)
+			ok, cw = sc.fdCheckTuple(s, c, rhs)
 		}
-		return valid
+		if !ok && (valid || cw.B < w.B) {
+			valid, w = false, cw
+		}
+		return valid || firstNew >= 0
 	})
 	return valid, w
 }
@@ -332,7 +352,7 @@ func (sc *Scratch) Unique(s *pli.Store, cols attrset.Set, minNewID int64) (uniqu
 	pivot := pickPivot(s, cols)
 	k := sc.setRest(cols.Without(pivot))
 	unique = true
-	sc.walkClusters(s, pivot, minNewID, func(c *pli.Cluster) bool {
+	sc.walkClusters(s, pivot, minNewID, func(_ int64, c *pli.Cluster) bool {
 		if k == 0 {
 			// The whole cluster agrees on cols = {pivot}: any two members
 			// collide.
@@ -403,7 +423,7 @@ func (sc *Scratch) Violations(s *pli.Store, lhs attrset.Set, rhs int, max int) (
 	pivot := pickPivot(s, lhs)
 	sc.setRest(lhs.Without(pivot))
 	removals := 0
-	sc.walkClusters(s, pivot, NoPruning, func(c *pli.Cluster) bool {
+	sc.walkClusters(s, pivot, NoPruning, func(_ int64, c *pli.Cluster) bool {
 		groups = sc.violationsCluster(s, c, rhs, groups, &removals)
 		return true
 	})

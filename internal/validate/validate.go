@@ -22,6 +22,14 @@
 // clusters), not the pivot's total cluster count. Unpruned validation walks
 // every pivot cluster in ascending cluster-id order, so every witness the
 // package reports is a pure function of the store.
+//
+// An insert batch re-validates many candidates against the same new
+// records, so the engine does not call the pruned kernel per candidate: it
+// opens an AgreeIndex per batch (agree.go), which compares each new record
+// with its pivot-cluster partners once, keeps the distinct agree masks of
+// those pairs, and answers every candidate from the masks. A pruned
+// validation, by the index or the kernel, reports the canonical witness:
+// the violating pair with the smallest B, then the smallest A.
 package validate
 
 import (
