@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dynfd/internal/attrset"
+	"dynfd/internal/canon"
 	"dynfd/internal/fd"
 	"dynfd/internal/lattice"
 	"dynfd/internal/stream"
@@ -112,100 +113,54 @@ func (d *CoverDelta) AppendBinary(dst []byte) []byte {
 }
 
 // deltaReader consumes a cover delta encoding front to back.
-type deltaReader struct {
-	b   []byte
-	err error
-}
-
-func (r *deltaReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrBadCoverDelta, fmt.Sprintf(format, args...))
-	}
-}
-
-// uvarint reads one minimal varint no larger than max.
-func (r *deltaReader) uvarint(max uint64, what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.fail("truncated %s", what)
-		return 0
-	case n < 0:
-		r.fail("%s overflows", what)
-		return 0
-	case n > 1 && r.b[n-1] == 0:
-		r.fail("non-minimal %s", what)
-		return 0
-	case v > max:
-		r.fail("%s %d exceeds %d", what, v, max)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *deltaReader) byte(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail("truncated %s", what)
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
+type deltaReader struct{ canon.Reader }
 
 // entries reads one entry list; negative selects the negative-cover
 // rules (witnesses and witness-only changes allowed).
 func (r *deltaReader) entries(numAttrs int, negative bool) []lattice.Change {
 	// Every entry takes at least minEntryBytes, which bounds the count by
 	// the input size before anything is allocated.
-	n := r.uvarint(uint64(len(r.b)/minEntryBytes), "entry count")
-	if r.err != nil || n == 0 {
+	n := r.Uvarint(uint64(len(r.B)/minEntryBytes), "entry count")
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]lattice.Change, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		flags := r.byte("entry flags")
+	for i := uint64(0); i < n && r.Err == nil; i++ {
+		flags := r.Byte("entry flags")
 		en := lattice.Change{Was: flags&flagWas != 0}
 		en.Now.Present = flags&flagIs != 0
 		en.Now.HasWitness = flags&flagWitness != 0
 		switch {
 		case flags&^(flagWas|flagIs|flagWitness) != 0:
-			r.fail("unknown entry flags %#x", flags)
+			r.Fail("unknown entry flags %#x", flags)
 		case !en.Was && !en.Now.Present:
-			r.fail("entry neither was nor is a member")
+			r.Fail("entry neither was nor is a member")
 		case en.Now.HasWitness && (!negative || !en.Now.Present):
-			r.fail("witness on a slot that cannot carry one")
+			r.Fail("witness on a slot that cannot carry one")
 		case en.Was && en.Now.Present && !negative:
-			r.fail("positive-cover entry that is no change")
+			r.Fail("positive-cover entry that is no change")
 		}
-		k := r.uvarint(uint64(numAttrs), "lhs size")
+		k := r.Uvarint(uint64(numAttrs), "lhs size")
 		prev := -1
-		for j := uint64(0); j < k && r.err == nil; j++ {
-			a := prev + 1 + int(r.uvarint(uint64(numAttrs), "lhs attribute"))
+		for j := uint64(0); j < k && r.Err == nil; j++ {
+			a := prev + 1 + int(r.Uvarint(uint64(numAttrs), "lhs attribute"))
 			if a >= numAttrs {
-				r.fail("lhs attribute %d out of range", a)
+				r.Fail("lhs attribute %d out of range", a)
 				break
 			}
 			en.FD.Lhs = en.FD.Lhs.With(a)
 			prev = a
 		}
-		en.FD.Rhs = int(r.uvarint(uint64(numAttrs-1), "rhs"))
-		if r.err == nil && en.FD.Lhs.Contains(en.FD.Rhs) {
-			r.fail("trivial slot %v", en.FD)
+		en.FD.Rhs = int(r.Uvarint(uint64(numAttrs-1), "rhs"))
+		if r.Err == nil && en.FD.Lhs.Contains(en.FD.Rhs) {
+			r.Fail("trivial slot %v", en.FD)
 		}
 		if en.Now.HasWitness {
-			en.Now.Witness.A = int64(r.uvarint(math.MaxInt64, "witness"))
-			en.Now.Witness.B = int64(r.uvarint(math.MaxInt64, "witness"))
+			en.Now.Witness.A = int64(r.Uvarint(math.MaxInt64, "witness"))
+			en.Now.Witness.B = int64(r.Uvarint(math.MaxInt64, "witness"))
 		}
-		if r.err == nil && len(out) > 0 && !fd.Less(out[len(out)-1].FD, en.FD) {
-			r.fail("entries out of order at %v", en.FD)
+		if r.Err == nil && len(out) > 0 && !fd.Less(out[len(out)-1].FD, en.FD) {
+			r.Fail("entries out of order at %v", en.FD)
 		}
 		out = append(out, en)
 	}
@@ -217,25 +172,25 @@ func (r *deltaReader) entries(numAttrs int, negative bool) []lattice.Change {
 // extra bytes, out of order, out of range — fails with an error wrapping
 // ErrBadCoverDelta.
 func DecodeCoverDelta(b []byte) (*CoverDelta, error) {
-	r := &deltaReader{b: b}
-	if v := r.byte("version"); r.err == nil && v != coverDeltaVersion {
-		r.fail("unknown version %d", v)
+	r := &deltaReader{canon.NewReader(b, ErrBadCoverDelta)}
+	if v := r.Byte("version"); r.Err == nil && v != coverDeltaVersion {
+		r.Fail("unknown version %d", v)
 	}
 	d := &CoverDelta{}
-	d.NumAttrs = int(r.uvarint(attrset.MaxAttrs, "attribute count"))
-	if r.err == nil && d.NumAttrs == 0 {
-		r.fail("attribute count 0")
+	d.NumAttrs = int(r.Uvarint(attrset.MaxAttrs, "attribute count"))
+	if r.Err == nil && d.NumAttrs == 0 {
+		r.Fail("attribute count 0")
 	}
-	d.NextID = int64(r.uvarint(math.MaxInt64, "next id"))
-	d.FDCount = int(r.uvarint(math.MaxInt32, "fd count"))
-	d.NonFDCount = int(r.uvarint(math.MaxInt32, "non-fd count"))
+	d.NextID = int64(r.Uvarint(math.MaxInt64, "next id"))
+	d.FDCount = int(r.Uvarint(math.MaxInt32, "fd count"))
+	d.NonFDCount = int(r.Uvarint(math.MaxInt32, "non-fd count"))
 	d.FDs = r.entries(d.NumAttrs, false)
 	d.NonFDs = r.entries(d.NumAttrs, true)
-	if r.err == nil && len(r.b) > 0 {
-		r.fail("%d trailing bytes", len(r.b))
+	if r.Err == nil && len(r.B) > 0 {
+		r.Fail("%d trailing bytes", len(r.B))
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return d, nil
 }

@@ -1,13 +1,13 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"dynfd/internal/core"
 	"dynfd/internal/dataset"
@@ -114,6 +114,11 @@ type Engine struct {
 	lastCheckpoint error
 
 	committer *wal.GroupCommitter
+
+	// record is Stage's batch-record encoding buffer, reused from batch
+	// to batch: the log copies a record on append and the feed gets its
+	// own frame.
+	record []byte
 
 	// lastStaged is the snapshot of the last staged batch — the
 	// copy-on-write predecessor of the next one. Guarded by the external
@@ -249,7 +254,7 @@ func Open(st Storage, opts Options) (*Engine, error) {
 			replayed = true
 			continue
 		}
-		changes, err := stream.ReadChanges(bytes.NewReader(rec.Payload))
+		changes, err := stream.DecodeRecord(rec.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("durable: WAL record %d: %w", rec.Seq, err)
 		}
@@ -426,29 +431,54 @@ func (e *Engine) Stage(batch stream.Batch) (core.Result, *Pending, error) {
 	if err := e.precheck(batch); err != nil {
 		return core.Result{}, nil, err
 	}
-	var buf bytes.Buffer
-	if err := stream.WriteChanges(&buf, batch.Changes); err != nil {
+	record, err := stream.AppendRecord(e.record[:0], batch.Changes)
+	if err != nil {
 		return core.Result{}, nil, fmt.Errorf("durable: encoding batch: %w", err)
 	}
-	return e.stage(batch, buf.Bytes(), nil, nil)
+	e.record = record
+	return e.stage(batch, record, nil, nil)
 }
 
 // precheck rejects a batch before it reaches the log: the WAL must only
-// ever contain batches that apply cleanly on replay.
+// ever contain batches that apply cleanly on replay, and values that
+// replay and checkpoints reproduce byte for byte.
 func (e *Engine) precheck(batch stream.Batch) error {
 	if err := e.Poisoned(); err != nil {
 		return fmt.Errorf("durable: engine poisoned by earlier failure, refusing batch: %w", err)
 	}
+	for i, c := range batch.Changes {
+		if err := e.checkUTF8(c.Values); err != nil {
+			return fmt.Errorf("durable: batch change %d: %w", i, err)
+		}
+	}
 	return e.eng.CheckBatch(batch)
 }
 
-// stage is Stage after the precheck: it logs record (the batch's
-// stream-codec encoding) under the next sequence, applies the batch, and
-// builds its result snapshot. Given a cover delta (ApplyReplicated) the
-// engine patches its covers from it and frame, the received frame with
-// its trailer, goes to the feed unchanged. Without a delta, or when the
-// delta does not fit, the engine runs the full sweeps and the feed gets
-// record framed with this engine's own delta.
+// checkUTF8 rejects a tuple holding a value that is not valid UTF-8.
+// Checkpoints are JSON, which turns invalid bytes into U+FFFD, so such a
+// value would come back changed after recovery and with it the FDs it
+// takes part in.
+func (e *Engine) checkUTF8(values []string) error {
+	for a, v := range values {
+		if !utf8.ValidString(v) {
+			name := ""
+			if a < len(e.columns) {
+				name = e.columns[a]
+			}
+			return fmt.Errorf("value of attribute %d (%s) is not valid UTF-8", a, name)
+		}
+	}
+	return nil
+}
+
+// stage is Stage after the precheck: it logs record (the batch record,
+// or a JSON-lines batch shipped by an older primary) under the next
+// sequence, applies the batch, and builds its result snapshot. Given a
+// cover delta (ApplyReplicated) the engine patches its covers from it
+// and frame, the received frame with its trailer, goes to the feed
+// unchanged. Without a delta, or when the delta does not fit, the
+// engine runs the full sweeps and the feed gets record framed with this
+// engine's own delta.
 func (e *Engine) stage(batch stream.Batch, record, frame []byte, delta *core.CoverDelta) (core.Result, *Pending, error) {
 	// Claim a commit-queue slot before touching the log: a full queue is
 	// a clean, side-effect-free rejection. The slot is released by Wait.
@@ -558,7 +588,10 @@ func (e *Engine) Bootstrap(rows [][]string) error {
 		return fmt.Errorf("durable: Bootstrap requires an empty store (have %d records at seq %d)", e.eng.NumRecords(), e.seq.Load())
 	}
 	rel := dataset.New("relation", e.columns)
-	for _, row := range rows {
+	for i, row := range rows {
+		if err := e.checkUTF8(row); err != nil {
+			return fmt.Errorf("durable: bootstrap row %d: %w", i, err)
+		}
 		if err := rel.Append(row); err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -97,11 +96,11 @@ func TestReplicatedPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := stream.WriteChanges(&buf, insertBatch("1", "x", "p").Changes); err != nil {
+	record, err := stream.AppendRecord(nil, insertBatch("1", "x", "p").Changes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.ApplyReplicated(1, buf.Bytes()); err != nil {
+	if err := eng.ApplyReplicated(1, record); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.ApplyReplicated(2, wal.EncodePromotion(3)); err != nil {
@@ -312,7 +311,7 @@ func TestEpochForcedInstallRewindsFeed(t *testing.T) {
 	}
 	var changes []stream.Change
 	record, _, _ := wal.SplitTrailer(frames[0].Payload)
-	if changes, err = stream.ReadChanges(bytes.NewReader(record)); err != nil {
+	if changes, err = stream.DecodeRecord(record); err != nil {
 		t.Fatal(err)
 	}
 	if len(changes) != 1 || changes[0].Values[0] != "after" {

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"fmt"
 
 	"dynfd/internal/core"
@@ -33,7 +32,7 @@ type ChangeFeed interface {
 }
 
 // ApplyReplicated applies one frame shipped from a replication primary
-// (DESIGN.md §15): the stream-codec batch exactly as the primary logged
+// (DESIGN.md §15): the batch record exactly as the primary logged
 // it, normally followed by the batch's cover delta as a frame trailer
 // (wal.SplitTrailer). seq must be exactly Seq()+1 — the follower's replay
 // is a gapless prefix of the primary's history. The batch bytes are
@@ -69,7 +68,7 @@ func (e *Engine) ApplyReplicated(seq uint64, payload []byte) error {
 		return e.stagePromotion(seq, epoch, payload)
 	}
 	record, trailer, framed := wal.SplitTrailer(payload)
-	changes, err := stream.ReadChanges(bytes.NewReader(record))
+	changes, err := stream.DecodeRecord(record)
 	if err != nil {
 		return fmt.Errorf("durable: decoding replicated frame %d: %w", seq, err)
 	}

@@ -353,18 +353,6 @@ func (s *Server) createTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
-// changeRequest is one change of a batch request.
-type changeRequest struct {
-	Op     string   `json:"op"`
-	ID     *int64   `json:"id,omitempty"`
-	Values []string `json:"values,omitempty"`
-}
-
-// batchRequest is the body of POST /v1/tenants/{t}/batch.
-type batchRequest struct {
-	Changes []changeRequest `json:"changes"`
-}
-
 // batchResponse acknowledges one durably applied batch.
 type batchResponse struct {
 	Seq         uint64   `json:"seq"`
@@ -386,54 +374,6 @@ func unmarshalStrict(data []byte, v any) error {
 		return fmt.Errorf("trailing data after JSON value")
 	}
 	return nil
-}
-
-// decodeBatch parses and validates a batch request body. maxChanges <= 0
-// disables the change-count cap. It is the fuzzed decode surface: any
-// input must either yield a clean error or a fully validated change list.
-func decodeBatch(data []byte, maxChanges int) ([]dynfd.Change, error) {
-	var req batchRequest
-	if err := unmarshalStrict(data, &req); err != nil {
-		return nil, err
-	}
-	if len(req.Changes) == 0 {
-		return nil, fmt.Errorf("batch has no changes")
-	}
-	if maxChanges > 0 && len(req.Changes) > maxChanges {
-		return nil, fmt.Errorf("batch has %d changes (limit %d)", len(req.Changes), maxChanges)
-	}
-	changes := make([]dynfd.Change, len(req.Changes))
-	for i, c := range req.Changes {
-		switch c.Op {
-		case "insert":
-			if c.ID != nil {
-				return nil, fmt.Errorf("change %d: insert must not carry an id", i)
-			}
-			if c.Values == nil {
-				return nil, fmt.Errorf("change %d: insert requires values", i)
-			}
-			changes[i] = dynfd.Insert(c.Values...)
-		case "delete":
-			if c.ID == nil {
-				return nil, fmt.Errorf("change %d: delete requires an id", i)
-			}
-			if c.Values != nil {
-				return nil, fmt.Errorf("change %d: delete must not carry values", i)
-			}
-			changes[i] = dynfd.Delete(*c.ID)
-		case "update":
-			if c.ID == nil {
-				return nil, fmt.Errorf("change %d: update requires an id", i)
-			}
-			if c.Values == nil {
-				return nil, fmt.Errorf("change %d: update requires values", i)
-			}
-			changes[i] = dynfd.Update(*c.ID, c.Values...)
-		default:
-			return nil, fmt.Errorf("change %d: unknown op %q", i, c.Op)
-		}
-	}
-	return changes, nil
 }
 
 func (s *Server) applyBatch(w http.ResponseWriter, r *http.Request, name string) {

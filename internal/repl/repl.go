@@ -69,9 +69,9 @@ func (e *FencedError) Error() string {
 }
 
 // Frame is one replicated change batch: the WAL sequence number and the
-// stream-codec payload exactly as logged on the primary, followed by the
-// batch's cover delta as a trailer (wal.SplitTrailer) when the primary
-// sent one. A heartbeat frame has an empty payload and carries the
+// record payload exactly as logged on the primary — a batch record
+// (stream.AppendRecord) or a promotion record — followed by the batch's
+// cover delta as a trailer (wal.SplitTrailer) when the primary sent one. A heartbeat frame has an empty payload and carries the
 // primary's durable sequence.
 type Frame struct {
 	Seq     uint64

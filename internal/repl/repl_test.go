@@ -164,6 +164,9 @@ func TestCatchUpEquivalence(t *testing.T) {
 		}
 		mon, fol, stop, counts := runCheckedFollower(t, client, dir, nil, src, batches)
 		waitSeq(t, mon, n)
+		// Join the replay goroutine before reading its counters: an install
+		// publishes the sequence before it counts itself.
+		stop()
 		if got := fol.Installs(); got == 0 {
 			t.Fatal("stale seed converged without re-installing a checkpoint")
 		}

@@ -175,7 +175,7 @@ func (r *shadowReplica) ApplyReplicated(seq uint64, payload []byte) error {
 	control := wal.IsControl(payload)
 	if !control {
 		record, _, _ := wal.SplitTrailer(payload)
-		changes, err := stream.ReadChanges(bytes.NewReader(record))
+		changes, err := stream.DecodeRecord(record)
 		if err != nil {
 			r.t.Errorf("shadow: decoding frame %d: %v", seq, err)
 			return nil

@@ -14,11 +14,12 @@ import (
 // the epoch survives crash/replay and ships to downstream followers
 // in-band through the ordinary frame stream.
 //
-// Batch payloads are stream-codec JSON lines — every non-empty payload
-// starts with '{', '#', or whitespace — so the binary magic below can
-// never collide with a batch encoding, and an old decoder that does not
-// know about control records fails loudly instead of applying one as
-// data.
+// Batch payloads start with the batch-record magic "\xfddynfdb\x00"
+// (stream.AppendRecord), or, when logged before batch records existed,
+// are JSON lines that start with '{', '#', or whitespace. The control
+// magic below differs from both, so it never collides with a batch
+// encoding, and an old decoder that does not know about control records
+// fails loudly instead of applying one as data.
 //
 // Promotion payload layout (all integers big-endian):
 //

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"dynfd/internal/stream"
 )
 
 func TestPromotionRoundtrip(t *testing.T) {
@@ -56,10 +58,14 @@ func TestPromotionErrorClasses(t *testing.T) {
 }
 
 // TestPromotionNeverParsesAsBatch pins the wire-compat invariant the
-// control magic relies on: a promotion payload does not start with any
-// byte the stream codec accepts as the start of a batch line.
+// control magic relies on: a promotion payload is not a batch record and
+// does not start with any byte the legacy JSON-lines codec accepts as the
+// start of a batch line.
 func TestPromotionNeverParsesAsBatch(t *testing.T) {
 	p := EncodePromotion(42)
+	if stream.IsRecord(p) {
+		t.Fatal("promotion payload carries the batch record magic")
+	}
 	switch p[0] {
 	case '{', '#', ' ', '\t', '\n', '\r':
 		t.Fatalf("promotion payload starts with %q, which the batch codec accepts", p[0])

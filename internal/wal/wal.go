@@ -1,7 +1,8 @@
 // Package wal implements the write-ahead log of DynFD's durability layer
 // (DESIGN.md §11): an append-only file of length-prefixed, sequence-
 // numbered, CRC32-checksummed records, each carrying one applied change
-// batch encoded with the internal/stream codec.
+// batch as a binary batch record (stream.AppendRecord) or a replication-
+// control message (control.go).
 //
 // Record layout (all integers big-endian):
 //
@@ -46,7 +47,7 @@ type File interface {
 }
 
 // Record is one decoded log record: the batch sequence number and the raw
-// payload (a stream-codec change batch in the durability layer).
+// payload (a batch record or control message in the durability layer).
 type Record struct {
 	Seq     uint64
 	Payload []byte
