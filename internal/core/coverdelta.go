@@ -82,31 +82,35 @@ func (d *CoverDelta) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(d.NextID))
 	dst = binary.AppendUvarint(dst, uint64(d.FDCount))
 	dst = binary.AppendUvarint(dst, uint64(d.NonFDCount))
-	for _, list := range [2][]lattice.Change{d.FDs, d.NonFDs} {
-		dst = binary.AppendUvarint(dst, uint64(len(list)))
-		for _, en := range list {
-			var flags byte
-			if en.Was {
-				flags |= flagWas
-			}
-			if en.Now.Present {
-				flags |= flagIs
-			}
-			if en.Now.HasWitness {
-				flags |= flagWitness
-			}
-			dst = append(dst, flags)
-			dst = binary.AppendUvarint(dst, uint64(en.FD.Lhs.Count()))
-			prev := -1
-			for a := en.FD.Lhs.First(); a >= 0; a = en.FD.Lhs.Next(a) {
-				dst = binary.AppendUvarint(dst, uint64(a-prev-1))
-				prev = a
-			}
-			dst = binary.AppendUvarint(dst, uint64(en.FD.Rhs))
-			if en.Now.HasWitness {
-				dst = binary.AppendUvarint(dst, uint64(en.Now.Witness.A))
-				dst = binary.AppendUvarint(dst, uint64(en.Now.Witness.B))
-			}
+	dst = appendEntries(dst, d.FDs)
+	return appendEntries(dst, d.NonFDs)
+}
+
+// appendEntries appends an entry list: its length, then each entry.
+func appendEntries(dst []byte, list []lattice.Change) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(list)))
+	for _, en := range list {
+		var flags byte
+		if en.Was {
+			flags |= flagWas
+		}
+		if en.Now.Present {
+			flags |= flagIs
+		}
+		if en.Now.HasWitness {
+			flags |= flagWitness
+		}
+		dst = append(dst, flags)
+		dst = binary.AppendUvarint(dst, uint64(en.FD.Lhs.Count()))
+		prev := -1
+		for a := en.FD.Lhs.First(); a >= 0; a = en.FD.Lhs.Next(a) {
+			dst = binary.AppendUvarint(dst, uint64(a-prev-1))
+			prev = a
+		}
+		dst = binary.AppendUvarint(dst, uint64(en.FD.Rhs))
+		if en.Now.HasWitness {
+			dst = binary.AppendUvarint(dst, uint64(en.Now.Witness.A))
+			dst = binary.AppendUvarint(dst, uint64(en.Now.Witness.B))
 		}
 	}
 	return dst

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dynfd/internal/attrset"
 	"dynfd/internal/fd"
@@ -22,6 +21,11 @@ type Snapshot struct {
 	FDs      []FDSnapshot     `json:"fds"`
 	NonFDs   []NonFDSnapshot  `json:"non_fds"`
 	Config   Config           `json:"config"`
+
+	// distinct, when set (DecodeState), holds the number of values the
+	// encoding introduced per attribute; Restore requires as many
+	// clusters, which rejects a value introduced twice.
+	distinct []int
 }
 
 // RecordSnapshot is one tuple with its surrogate id.
@@ -52,12 +56,12 @@ func (e *Engine) Snapshot() *Snapshot {
 		NextID:   e.store.NextID(),
 		Config:   e.cfg,
 	}
+	// ForEachRecord visits ids in ascending order, the order Restore needs.
 	e.store.ForEachRecord(func(id int64, _ pli.Record) bool {
 		values, _ := e.store.Values(id)
 		s.Records = append(s.Records, RecordSnapshot{ID: id, Values: values})
 		return true
 	})
-	sort.Slice(s.Records, func(i, j int) bool { return s.Records[i].ID < s.Records[j].ID })
 	for _, f := range e.fds.All() {
 		s.FDs = append(s.FDs, FDSnapshot{Lhs: f.Lhs.Slice(), Rhs: f.Rhs})
 	}
@@ -94,6 +98,11 @@ func Restore(s *Snapshot) (*Engine, error) {
 	}
 	if err := e.store.ApplyBatch(nil, ins, resolveWorkers(e.cfg.Workers)); err != nil {
 		return nil, fmt.Errorf("core: snapshot records: %w", err)
+	}
+	for a, n := range s.distinct {
+		if got := e.store.Index(a).NumClusters(); got != n {
+			return nil, fmt.Errorf("core: snapshot attribute %d introduces %d values but holds %d distinct ones", a, n, got)
+		}
 	}
 	if err := e.store.SetNextID(s.NextID); err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)

@@ -17,33 +17,9 @@ import (
 	"dynfd/internal/wal"
 )
 
-// Checkpoint blob format identifiers; version bumps guard incompatible
-// layout changes.
-const (
-	checkpointFormat  = "dynfd-checkpoint"
-	checkpointVersion = 1
-)
-
 // DefaultCheckpointEvery is the automatic checkpoint interval (in applied
 // batches) when Options.CheckpointEvery is zero.
 const DefaultCheckpointEvery = 64
-
-// checkpoint is the JSON layout of a checkpoint blob: the engine snapshot
-// plus the WAL sequence number it covers — recovery replays only log
-// records with a higher sequence.
-type checkpoint struct {
-	Format  string         `json:"format"`
-	Version int            `json:"version"`
-	Seq     uint64         `json:"seq"`
-	Columns []string       `json:"columns"`
-	Engine  *core.Snapshot `json:"engine"`
-	// Epoch is the fencing epoch the state belongs to and EpochStart the
-	// WAL sequence at which that epoch began (DESIGN.md §16). Both are 0
-	// for a store that has never been promoted, so pre-failover checkpoints
-	// decode unchanged.
-	Epoch      uint64 `json:"epoch,omitempty"`
-	EpochStart uint64 `json:"epoch_start,omitempty"`
-}
 
 // Options configures Open.
 type Options struct {
@@ -294,23 +270,6 @@ func (e *Engine) finishOpen(opts Options) {
 	}
 }
 
-func decodeCheckpoint(blob []byte) (*checkpoint, error) {
-	var cp checkpoint
-	if err := json.Unmarshal(blob, &cp); err != nil {
-		return nil, fmt.Errorf("durable: decoding checkpoint: %w", err)
-	}
-	if cp.Format != checkpointFormat {
-		return nil, fmt.Errorf("durable: not a checkpoint (format %q, want %q)", cp.Format, checkpointFormat)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("durable: unsupported checkpoint version %d (want %d)", cp.Version, checkpointVersion)
-	}
-	if cp.Engine == nil || len(cp.Columns) != cp.Engine.NumAttrs {
-		return nil, fmt.Errorf("durable: checkpoint schema inconsistent")
-	}
-	return &cp, nil
-}
-
 func equalColumns(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -326,18 +285,17 @@ func equalColumns(a, b []string) bool {
 // writeCheckpoint persists the current engine state tagged with the
 // current sequence number.
 func (e *Engine) writeCheckpoint() error {
-	blob, err := json.Marshal(checkpoint{
-		Format:     checkpointFormat,
-		Version:    checkpointVersion,
-		Seq:        e.seq.Load(),
-		Columns:    e.columns,
-		Engine:     e.eng.Snapshot(),
-		Epoch:      e.epoch.Load(),
-		EpochStart: e.epochStart.Load(),
-	})
+	config, err := json.Marshal(e.eng.Config())
 	if err != nil {
 		return fmt.Errorf("durable: encoding checkpoint: %w", err)
 	}
+	blob := appendCheckpoint(nil, &checkpoint{
+		Seq:        e.seq.Load(),
+		Columns:    e.columns,
+		Epoch:      e.epoch.Load(),
+		EpochStart: e.epochStart.Load(),
+		config:     config,
+	}, e.eng)
 	if err := e.st.WriteCheckpoint(blob); err != nil {
 		return err
 	}
@@ -455,9 +413,10 @@ func (e *Engine) precheck(batch stream.Batch) error {
 }
 
 // checkUTF8 rejects a tuple holding a value that is not valid UTF-8.
-// Checkpoints are JSON, which turns invalid bytes into U+FFFD, so such a
-// value would come back changed after recovery and with it the FDs it
-// takes part in.
+// Binary checkpoints keep any bytes, but stores and primaries of older
+// builds write JSON checkpoints, which turn invalid bytes into U+FFFD: such
+// a value would come back changed after their recovery or catch-up, and
+// with it the FDs it takes part in.
 func (e *Engine) checkUTF8(values []string) error {
 	for a, v := range values {
 		if !utf8.ValidString(v) {

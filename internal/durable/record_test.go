@@ -181,10 +181,11 @@ func TestFollowerAppliesLegacyJSONFrames(t *testing.T) {
 }
 
 // TestNonUTF8ValuesRejected is the regression test for values that
-// recovery used to change: checkpoints are JSON, which turns invalid
-// UTF-8 into U+FFFD, so a durable engine that accepted "\xff" came back
-// with different FDs after a restart. Stage, ApplyReplicated and
-// Bootstrap now refuse such values, naming the change and the attribute.
+// recovery used to change: JSON checkpoints, which older builds write and
+// this one still reads, turn invalid UTF-8 into U+FFFD, so a durable
+// engine that accepted "\xff" came back with different FDs after a
+// restart. Stage, ApplyReplicated and Bootstrap refuse such values,
+// naming the change and the attribute.
 func TestNonUTF8ValuesRejected(t *testing.T) {
 	t.Parallel()
 	mem := faultio.NewMem()

@@ -37,17 +37,19 @@ type Storage interface {
 	Close() error
 }
 
-// Filenames inside a DirStorage directory.
+// Filenames inside a DirStorage directory. The checkpoint file keeps its
+// historical name: it holds a binary checkpoint, or a JSON one written by
+// an older build, and either way existing stores and tools find it there.
 const (
 	checkpointName = "checkpoint.json"
 	checkpointTmp  = "checkpoint.json.tmp"
 	walName        = "wal.log"
 )
 
-// DirStorage implements Storage on a directory holding checkpoint.json and
-// wal.log. Checkpoint replacement is write-temp + fsync + rename + fsync
-// of the directory, the portable atomic-replace recipe; the WAL file is
-// kept open in append mode for the storage's lifetime.
+// DirStorage implements Storage on a directory holding the checkpoint
+// file and wal.log. Checkpoint replacement is write-temp + fsync + rename
+// + fsync of the directory, the portable atomic-replace recipe; the WAL
+// file is kept open in append mode for the storage's lifetime.
 type DirStorage struct {
 	dir string
 	log *os.File
@@ -71,7 +73,7 @@ func OpenDir(dir string) (*DirStorage, error) {
 // Dir returns the storage directory.
 func (s *DirStorage) Dir() string { return s.dir }
 
-// ReadCheckpoint reads checkpoint.json if present.
+// ReadCheckpoint reads the checkpoint file if present.
 func (s *DirStorage) ReadCheckpoint() ([]byte, bool, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, checkpointName))
 	if os.IsNotExist(err) {
@@ -83,7 +85,7 @@ func (s *DirStorage) ReadCheckpoint() ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// WriteCheckpoint atomically replaces checkpoint.json.
+// WriteCheckpoint atomically replaces the checkpoint file.
 func (s *DirStorage) WriteCheckpoint(data []byte) error {
 	tmp := filepath.Join(s.dir, checkpointTmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

@@ -154,6 +154,10 @@ func newIndex() *Index {
 // NumClusters returns the number of distinct values currently present.
 func (ix *Index) NumClusters() int { return len(ix.inverted) }
 
+// Horizon returns the cid horizon: every cluster id ever minted, live or
+// dead, is below it, so a cid-indexed slice of this length covers them all.
+func (ix *Index) Horizon() int32 { return ix.next }
+
 // Cluster returns the cluster with the given id, or nil if it was deleted.
 func (ix *Index) Cluster(cid int32) *Cluster {
 	p := int(cid >> dirBits)

@@ -2,6 +2,7 @@ package dynfd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -146,10 +147,16 @@ func TestSaveLoadPreservesWitnesses(t *testing.T) {
 	}
 }
 
-// withRetiredConfigKeys re-encodes a JSON snapshot or checkpoint blob with
-// the engine-config keys that older releases wrote ("DisableStealing",
-// "StealChunk") put back in, as a file from such a release would carry.
-func withRetiredConfigKeys(t *testing.T, blob []byte) []byte {
+// retiredConfigKeys puts the engine-config keys that older releases wrote
+// ("DisableStealing", "StealChunk") back into a JSON-decoded config
+// object, as a file from such a release would carry them.
+func retiredConfigKeys(cfg map[string]any) {
+	cfg["DisableStealing"] = true
+	cfg["StealChunk"] = 1
+}
+
+// decodeJSONDoc decodes a JSON object keeping numbers exact.
+func decodeJSONDoc(t *testing.T, blob []byte) map[string]any {
 	t.Helper()
 	dec := json.NewDecoder(bytes.NewReader(blob))
 	dec.UseNumber()
@@ -157,6 +164,14 @@ func withRetiredConfigKeys(t *testing.T, blob []byte) []byte {
 	if err := dec.Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
+	return doc
+}
+
+// withRetiredConfigKeys re-encodes a JSON snapshot or checkpoint blob with
+// the retired config keys put back in.
+func withRetiredConfigKeys(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	doc := decodeJSONDoc(t, blob)
 	engine, ok := doc["engine"].(map[string]any)
 	if !ok {
 		t.Fatalf("blob has no engine object: %.200s", blob)
@@ -165,13 +180,68 @@ func withRetiredConfigKeys(t *testing.T, blob []byte) []byte {
 	if !ok {
 		t.Fatalf("blob has no engine config: %.200s", blob)
 	}
-	cfg["DisableStealing"] = true
-	cfg["StealChunk"] = 1
+	retiredConfigKeys(cfg)
 	out, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// legacyCheckpoint builds the JSON checkpoint an older release would have
+// written for mon's current state: the monitor's JSON snapshot under the
+// checkpoint format tag, with the sequence it covers.
+func legacyCheckpoint(t *testing.T, mon *DurableMonitor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := mon.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := decodeJSONDoc(t, buf.Bytes())
+	doc["format"] = "dynfd-checkpoint"
+	doc["seq"] = mon.Seq()
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// binaryWithRetiredConfigKeys rewrites the config JSON embedded in a
+// binary checkpoint (DESIGN.md §11: magic; version, seq, epoch, epoch
+// start; columns; length-prefixed config; engine state) with the retired
+// config keys put back in.
+func binaryWithRetiredConfigKeys(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	const magic = "\xfddynfdk\x00"
+	if !bytes.HasPrefix(blob, []byte(magic)) {
+		t.Fatalf("not a binary checkpoint: %q", blob[:min(len(blob), 16)])
+	}
+	off := len(magic)
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(blob[off:])
+		if n <= 0 {
+			t.Fatalf("bad varint at offset %d", off)
+		}
+		off += n
+		return v
+	}
+	for range 4 { // version, seq, epoch, epoch start
+		uvarint()
+	}
+	for n := uvarint(); n > 0; n-- {
+		off += int(uvarint())
+	}
+	head := off
+	end := off + int(uvarint())
+	cfg := decodeJSONDoc(t, blob[off:end])
+	retiredConfigKeys(cfg)
+	js, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := binary.AppendUvarint(append([]byte(nil), blob[:head]...), uint64(len(js)))
+	return append(append(out, js...), blob[end:]...)
 }
 
 // TestRestoreIgnoresRetiredConfigKeys pins that monitor snapshots and
@@ -198,44 +268,59 @@ func TestRestoreIgnoresRetiredConfigKeys(t *testing.T) {
 			t.Errorf("covers differ after load:\n%v / %v\n%v / %v", m.FDs(), m.NonFDs(), m2.FDs(), m2.NonFDs())
 		}
 	})
-	t.Run("checkpoint", func(t *testing.T) {
-		t.Parallel()
-		dir := t.TempDir()
-		mon, err := OpenDurable(dir, []string{"zip", "city", "state"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mon.Bootstrap(durableRows); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mon.Apply(Insert("10117", "Berlin", "BE"), Delete(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := mon.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		wantFDs, wantNonFDs := mon.FDs(), mon.NonFDs()
-		if err := mon.Close(); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "checkpoint.json")
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, withRetiredConfigKeys(t, blob), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenDurable(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		if !reflect.DeepEqual(wantFDs, re.FDs()) || !reflect.DeepEqual(wantNonFDs, re.NonFDs()) {
-			t.Errorf("covers differ after reopen:\n%v / %v\n%v / %v", wantFDs, wantNonFDs, re.FDs(), re.NonFDs())
-		}
-		if err := re.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	// The durable monitor writes binary checkpoints, whose config is a
+	// JSON object too; the JSON checkpoints of older releases still load.
+	for _, tc := range []struct {
+		name    string
+		rewrite func(t *testing.T, mon *DurableMonitor, stored []byte) []byte
+	}{
+		{"checkpoint", func(t *testing.T, mon *DurableMonitor, _ []byte) []byte {
+			return withRetiredConfigKeys(t, legacyCheckpoint(t, mon))
+		}},
+		{"binary_checkpoint", func(t *testing.T, _ *DurableMonitor, stored []byte) []byte {
+			return binaryWithRetiredConfigKeys(t, stored)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			mon, err := OpenDurable(dir, []string{"zip", "city", "state"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mon.Bootstrap(durableRows); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mon.Apply(Insert("10117", "Berlin", "BE"), Delete(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := mon.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			wantFDs, wantNonFDs := mon.FDs(), mon.NonFDs()
+			path := filepath.Join(dir, "checkpoint.json")
+			stored, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob := tc.rewrite(t, mon, stored)
+			if err := mon.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDurable(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if !reflect.DeepEqual(wantFDs, re.FDs()) || !reflect.DeepEqual(wantNonFDs, re.NonFDs()) {
+				t.Errorf("covers differ after reopen:\n%v / %v\n%v / %v", wantFDs, wantNonFDs, re.FDs(), re.NonFDs())
+			}
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
