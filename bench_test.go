@@ -106,6 +106,23 @@ func BenchmarkBootstrapHyFD(b *testing.B) {
 	}
 }
 
+// BenchmarkBootstrapEngine stands up an engine over artist ×0.2 (10,000
+// rows × 18 columns, the tenant the service ledger creates) through
+// core.Bootstrap at Workers -1, as the service runs it: the Pli store's
+// bulk load, HyFD, and the cover inversion.
+func BenchmarkBootstrapEngine(b *testing.B) {
+	d := generated(b, "artist", 0.2)
+	cfg := core.DefaultConfig()
+	cfg.Workers = -1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Bootstrap(d.Relation, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkApplyBatch measures one maintenance batch per operation mix.
 func BenchmarkApplyBatch(b *testing.B) {
 	for _, name := range []string{"cpu", "disease", "claims"} {

@@ -133,13 +133,14 @@ func NewEmpty(numAttrs int, cfg Config) *Engine {
 // Bootstrap returns an engine initialized from a populated relation. The
 // static HyFD algorithm profiles the initial tuples and hands over its data
 // structures and positive cover (paper §2); the negative cover is derived
-// through cover inversion (paper §3.2, Algorithm 1).
+// through cover inversion (paper §3.2, Algorithm 1). The store is loaded
+// with the engine's own worker budget, one attribute per worker.
 func Bootstrap(rel *dataset.Relation, cfg Config) (*Engine, error) {
-	res, err := hyfd.Discover(rel)
+	store, err := hyfd.Load(rel, resolveWorkers(cfg.Workers))
 	if err != nil {
 		return nil, fmt.Errorf("core: bootstrap: %w", err)
 	}
-	return FromHyFD(res, cfg), nil
+	return FromHyFD(hyfd.DiscoverStore(store), cfg), nil
 }
 
 // FromHyFD adopts the output of a HyFD run: the Pli store and the positive

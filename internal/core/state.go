@@ -38,9 +38,9 @@ import (
 // introduced once per attribute, and the covers are in fd.Less order
 // without duplicates, so a decoded and restored state re-encodes byte for
 // byte. The decoder checks all of it but one rule: a value introduced
-// twice in an attribute is caught by Restore, whose Plis merge the two
-// into one cluster, because the decoder would have to hash every value to
-// find it (DecodeState records each attribute's introductions).
+// twice in an attribute is caught by Restore, whose bulk loader hashes
+// each attribute's dictionary into its inverted index anyway and refuses
+// a repeat there (pli.Store.Load).
 
 // ErrBadState classifies every DecodeState failure.
 var ErrBadState = errors.New("core: malformed engine state")
@@ -104,9 +104,11 @@ func (e *Engine) coverMembers(c lattice.View) []lattice.Change {
 // attributes into a snapshot for Restore; the snapshot's Config is left
 // zero. It never panics; any input that is not exactly a canonical
 // encoding fails with an error wrapping ErrBadState, except a value
-// introduced twice in one attribute, which Restore refuses. Each distinct
-// value of an attribute becomes one string of its own, shared by the
-// records holding it and aliasing neither b nor the other values.
+// introduced twice in one attribute, which Restore refuses. The relation
+// stays dictionary-coded, as Restore loads it: record ids, one code per
+// record and attribute, and per attribute the introduced values, each a
+// string of its own that aliases neither b nor the other values. The
+// snapshot's Records stay empty.
 func DecodeState(b []byte, numAttrs int) (*Snapshot, error) {
 	if numAttrs <= 0 || numAttrs > attrset.MaxAttrs {
 		return nil, fmt.Errorf("%w: attribute count %d", ErrBadState, numAttrs)
@@ -116,27 +118,24 @@ func DecodeState(b []byte, numAttrs int) (*Snapshot, error) {
 	s.NextID = int64(r.Uvarint(math.MaxInt64, "next id"))
 	// A record takes at least one byte for its id and one per code.
 	n := r.Uvarint(uint64(len(r.B)/(1+numAttrs)), "record count")
+	rel := &pli.Coded{Codes: make([][]int32, numAttrs), Dicts: make([][]string, numAttrs)}
 	if r.Err == nil && n > 0 {
-		s.Records = make([]RecordSnapshot, n)
+		rel.IDs = make([]int64, n)
 	}
 	prev := int64(-1)
-	for i := range s.Records {
+	for i := range rel.IDs {
 		if prev+1 >= s.NextID {
 			r.Fail("record id beyond next id %d", s.NextID)
 			break
 		}
 		prev += 1 + int64(r.Uvarint(uint64(s.NextID-prev-2), "record id"))
-		s.Records[i].ID = prev
+		rel.IDs[i] = prev
 	}
-	vals := make([]string, len(s.Records)*numAttrs)
-	for i := range s.Records {
-		s.Records[i].Values = vals[i*numAttrs : (i+1)*numAttrs : (i+1)*numAttrs]
-	}
-	s.distinct = make([]int, numAttrs)
-	var dict []string
+	codes := make([]int32, len(rel.IDs)*numAttrs)
 	for a := 0; a < numAttrs && r.Err == nil; a++ {
-		dict = dict[:0]
-		for i := a; i < len(vals) && r.Err == nil; i += numAttrs {
+		col := codes[a*len(rel.IDs) : (a+1)*len(rel.IDs) : (a+1)*len(rel.IDs)]
+		var dict []string
+		for i := range col {
 			// The hot loop: a valid code is read inline; anything else goes
 			// to the reader to be refused.
 			c, k := binary.Uvarint(r.B)
@@ -145,15 +144,17 @@ func DecodeState(b []byte, numAttrs int) (*Snapshot, error) {
 			} else {
 				c = r.Uvarint(uint64(len(dict)), "code")
 			}
-			if c == uint64(len(dict)) && r.Err == nil {
+			if r.Err != nil {
+				break
+			}
+			if c == uint64(len(dict)) {
 				dict = append(dict, string(r.Bytes(r.Uvarint(uint64(len(r.B)), "value length"), "value")))
 			}
-			if r.Err == nil {
-				vals[i] = dict[c]
-			}
+			col[i] = int32(c)
 		}
-		s.distinct[a] = len(dict)
+		rel.Codes[a], rel.Dicts[a] = col, dict
 	}
+	s.coded = rel
 	for _, negative := range []bool{false, true} {
 		for _, en := range r.entries(numAttrs, negative) {
 			if en.Was || !en.Now.Present {

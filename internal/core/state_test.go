@@ -213,12 +213,12 @@ func TestDecodeStateRejects(t *testing.T) {
 	}
 	// nextID 3; ids 0 1 2; attribute 0: a, b, then a again introduced as
 	// a new value; attribute 1: x x y; empty covers. The decoder leaves
-	// this one to Restore, whose Plis count two distinct values.
+	// this one to Restore, whose bulk loader refuses the dictionary.
 	twice, err := DecodeState([]byte{3, 3, 0, 0, 0, 0, 1, 'a', 1, 1, 'b', 2, 1, 'a', 0, 1, 'x', 0, 1, 1, 'y', 0, 0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(twice); err == nil || !strings.Contains(err.Error(), "introduces 3 values but holds 2 distinct") {
+	if _, err := Restore(twice); err == nil || !strings.Contains(err.Error(), `attribute 0: dictionary repeats value "a"`) {
 		t.Errorf("value introduced twice: Restore err = %v", err)
 	}
 	for n := 0; n < len(state); n++ {

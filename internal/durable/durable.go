@@ -141,17 +141,7 @@ func (e *Engine) poison(err error) {
 // checkpoint and reset the log, so recovery converges in one step no
 // matter how often it is interrupted.
 func Open(st Storage, opts Options) (*Engine, error) {
-	e := &Engine{
-		st:              st,
-		log:             wal.NewLog(st.Log()),
-		checkpointEvery: opts.CheckpointEvery,
-	}
-	if e.checkpointEvery == 0 {
-		e.checkpointEvery = DefaultCheckpointEvery
-	} else if e.checkpointEvery < 0 {
-		e.checkpointEvery = 0
-	}
-
+	e := newEngine(st, opts)
 	blob, ok, err := st.ReadCheckpoint()
 	if err != nil {
 		return nil, err
@@ -173,11 +163,55 @@ func Open(st Storage, opts Options) (*Engine, error) {
 		e.finishOpen(opts)
 		return e, nil
 	}
-
 	cp, err := decodeCheckpoint(blob)
 	if err != nil {
 		return nil, err
 	}
+	return e.recoverFrom(cp, opts)
+}
+
+// OpenSeeded opens a follower directly at a primary's checkpoint instead
+// of replaying the primary's whole history: it decodes blob once, refuses
+// storage that already holds a checkpoint, persists blob verbatim, and
+// restores the engine from the decoded state (then recovers as Open
+// does, so the seeded store is exactly what a later Open finds).
+func OpenSeeded(st Storage, blob []byte, opts Options) (*Engine, error) {
+	cp, err := decodeCheckpoint(blob)
+	if err != nil {
+		return nil, err
+	}
+	_, ok, err := st.ReadCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return nil, fmt.Errorf("durable: refusing to seed storage that already holds a checkpoint")
+	}
+	if err := st.WriteCheckpoint(blob); err != nil {
+		return nil, err
+	}
+	return newEngine(st, opts).recoverFrom(cp, opts)
+}
+
+// newEngine returns an engine over st with the checkpoint interval
+// resolved; Open and OpenSeeded restore or initialize its state.
+func newEngine(st Storage, opts Options) *Engine {
+	e := &Engine{
+		st:              st,
+		log:             wal.NewLog(st.Log()),
+		checkpointEvery: opts.CheckpointEvery,
+	}
+	if e.checkpointEvery == 0 {
+		e.checkpointEvery = DefaultCheckpointEvery
+	} else if e.checkpointEvery < 0 {
+		e.checkpointEvery = 0
+	}
+	return e
+}
+
+// recoverFrom restores the engine from the stored checkpoint cp and
+// replays the WAL past it.
+func (e *Engine) recoverFrom(cp *checkpoint, opts Options) (*Engine, error) {
 	if opts.Columns != nil && !equalColumns(opts.Columns, cp.Columns) {
 		return nil, fmt.Errorf("durable: schema mismatch: store has %v, caller wants %v", cp.Columns, opts.Columns)
 	}
@@ -185,12 +219,13 @@ func Open(st Storage, opts Options) (*Engine, error) {
 	e.seq.Store(cp.Seq)
 	e.epoch.Store(cp.Epoch)
 	e.epochStart.Store(cp.EpochStart)
+	var err error
 	e.eng, err = core.Restore(cp.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("durable: restoring checkpoint: %w", err)
 	}
 
-	data, err := st.ReadLog()
+	data, err := e.st.ReadLog()
 	if err != nil {
 		return nil, err
 	}

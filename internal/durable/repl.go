@@ -188,20 +188,3 @@ func (e *Engine) InstallCheckpoint(blob []byte) error {
 	e.publish(e.lastStaged)
 	return nil
 }
-
-// Seed writes a primary checkpoint into empty storage so the next Open
-// starts a follower directly at the primary's state instead of replaying
-// its whole history. It refuses storage that already holds a checkpoint.
-func Seed(st Storage, blob []byte) error {
-	if _, err := decodeCheckpoint(blob); err != nil {
-		return err
-	}
-	_, ok, err := st.ReadCheckpoint()
-	if err != nil {
-		return err
-	}
-	if ok {
-		return fmt.Errorf("durable: refusing to seed storage that already holds a checkpoint")
-	}
-	return st.WriteCheckpoint(blob)
-}

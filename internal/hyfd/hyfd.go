@@ -40,23 +40,31 @@ type Result struct {
 }
 
 // Discover profiles the relation and returns the populated structures plus
-// the positive cover.
+// the positive cover. It loads the store serially (see Load).
 func Discover(rel *dataset.Relation) (*Result, error) {
-	if err := rel.Validate(); err != nil {
-		return nil, err
-	}
-	// Bulk-load the relation through the store's batch maintenance path:
-	// row i becomes surrogate id i, exactly as the former one-by-one
-	// Insert loop assigned them.
-	store := pli.NewStore(rel.NumColumns())
-	ins := make([]pli.BatchInsert, len(rel.Rows))
-	for i, row := range rel.Rows {
-		ins[i] = pli.BatchInsert{ID: int64(i), Values: row}
-	}
-	if err := store.ApplyBatch(nil, ins, 0); err != nil {
+	store, err := Load(rel, 1)
+	if err != nil {
 		return nil, err
 	}
 	return DiscoverStore(store), nil
+}
+
+// Load validates the relation and bulk-loads it into a fresh Pli store
+// (pli.Store.LoadRows over at most workers goroutines, one per attribute):
+// row i becomes surrogate id i.
+func Load(rel *dataset.Relation, workers int) (*pli.Store, error) {
+	if err := rel.Validate(); err != nil {
+		return nil, err
+	}
+	ids := make([]int64, len(rel.Rows))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	store := pli.NewStore(rel.NumColumns())
+	if err := store.LoadRows(ids, rel.Rows, workers); err != nil {
+		return nil, err
+	}
+	return store, nil
 }
 
 // DiscoverFDs is a convenience wrapper returning only the minimal FDs.

@@ -3,6 +3,8 @@ package pli
 import (
 	"fmt"
 	"testing"
+
+	"dynfd/internal/datagen"
 )
 
 func BenchmarkInsert(b *testing.B) {
@@ -191,6 +193,53 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStoreLoad fills an empty store with the bootstrap relation of
+// artist ×0.2 (10,000 rows × 18 columns, the tenant the service ledger
+// stands up) the three ways a store can be stood up: ApplyBatch of every
+// row (how bootstrap and restore loaded it before Store.Load), the bulk
+// loader from checkpoint codes, and the bulk loader's rows front end, each
+// at one and two workers. Coding the rows for input=codes is excluded
+// from the timing; a checkpoint decode yields the codes.
+func BenchmarkStoreLoad(b *testing.B) {
+	p, err := datagen.ByName("artist")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p = p.Scaled(0.2)
+	p.Changes = 0
+	ds, err := datagen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, numAttrs := ds.Relation.Rows, ds.Relation.NumColumns()
+	ids := make([]int64, len(rows))
+	ins := make([]BatchInsert, len(rows))
+	for i, row := range rows {
+		ids[i] = int64(i)
+		ins[i] = BatchInsert{ID: int64(i), Values: row}
+	}
+	rel := codeRows(ids, rows, numAttrs)
+	for _, in := range []struct {
+		name string
+		load func(s *Store, workers int) error
+	}{
+		{"applybatch", func(s *Store, workers int) error { return s.ApplyBatch(nil, ins, workers) }},
+		{"codes", func(s *Store, workers int) error { return s.Load(rel, workers) }},
+		{"rows", func(s *Store, workers int) error { return s.LoadRows(ids, rows, workers) }},
+	} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("input=%s/workers=%d", in.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := in.load(NewStore(numAttrs), workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -25,6 +25,10 @@
 // sweep instead of splicing per record. Insert, InsertWithID, and Delete
 // remain as single-element wrappers with their original semantics.
 //
+// Bulk load: Load fills an empty store from dictionary-coded records (a
+// checkpoint's form) and LoadRows from tuples, building each attribute's
+// Pli in one pass instead of one ApplyBatch insert per record (load.go).
+//
 // Deviation from the paper: compressed records store a real cluster id for
 // every value, including values that occur only once. The paper's "-1 for
 // unique values" trick is an optimization for the static case; in the

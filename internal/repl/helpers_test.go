@@ -187,25 +187,37 @@ func startPrimary(t testing.TB, feedCap, checkpointEvery int) (*primarySource, *
 // goroutine so the monitor can be inspected without races.
 func runFollower(t testing.TB, client *repl.Client, dir string, columns []string) (*dynfd.DurableMonitor, *repl.Follower, func()) {
 	t.Helper()
-	return startFollower(t, client, dir, columns, nil)
+	return startFollower(t, client, openIn(dir, columns), nil)
+}
+
+// openIn opens the follower monitor in dir: created fresh when columns is
+// non-nil, recovered otherwise.
+func openIn(dir string, columns []string) func() (*dynfd.DurableMonitor, error) {
+	return func() (*dynfd.DurableMonitor, error) { return dynfd.OpenDurable(dir, columns) }
+}
+
+// seedIn opens a follower monitor in the empty dir at a primary
+// checkpoint blob.
+func seedIn(dir string, blob []byte) func() (*dynfd.DurableMonitor, error) {
+	return func() (*dynfd.DurableMonitor, error) { return dynfd.OpenReplica(dir, blob) }
 }
 
 // runCheckedFollower is runFollower with the shadow check (shadow_test.go)
-// on every frame: src must record its witnesses, and batches is the
-// replicated history from sequence 1.
-func runCheckedFollower(t testing.TB, client *repl.Client, dir string, columns []string, src *primarySource, batches [][]dynfd.Change) (*dynfd.DurableMonitor, *repl.Follower, func(), *shadowCounts) {
+// on every frame, over the follower monitor open returns: src must record
+// its witnesses, and batches is the replicated history from sequence 1.
+func runCheckedFollower(t testing.TB, client *repl.Client, open func() (*dynfd.DurableMonitor, error), src *primarySource, batches [][]dynfd.Change) (*dynfd.DurableMonitor, *repl.Follower, func(), *shadowCounts) {
 	t.Helper()
 	counts := &shadowCounts{}
 	rows := recordHistory(streamBatches(batches))
-	mon, fol, stop := startFollower(t, client, dir, columns, func(mon *dynfd.DurableMonitor) repl.Replica {
+	mon, fol, stop := startFollower(t, client, open, func(mon *dynfd.DurableMonitor) repl.Replica {
 		return &shadowReplica{t: t, rep: mon, state: monitorState(t, mon), rows: rows, primary: src.wit, counts: counts}
 	})
 	return mon, fol, stop, counts
 }
 
-func startFollower(t testing.TB, client *repl.Client, dir string, columns []string, wrap func(*dynfd.DurableMonitor) repl.Replica) (*dynfd.DurableMonitor, *repl.Follower, func()) {
+func startFollower(t testing.TB, client *repl.Client, open func() (*dynfd.DurableMonitor, error), wrap func(*dynfd.DurableMonitor) repl.Replica) (*dynfd.DurableMonitor, *repl.Follower, func()) {
 	t.Helper()
-	mon, err := dynfd.OpenDurable(dir, columns)
+	mon, err := open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dynfd"
 )
 
 // TestFollowerTailConvergence: a follower started alongside the primary
@@ -84,7 +82,7 @@ func TestCatchUpEquivalence(t *testing.T) {
 		for _, b := range batches[:n/2] {
 			src.apply(t, b)
 		}
-		mon, _, stop, counts := runCheckedFollower(t, client, t.TempDir(), testCols, src, batches)
+		mon, _, stop, counts := runCheckedFollower(t, client, openIn(t.TempDir(), testCols), src, batches)
 		for _, b := range batches[n/2:] {
 			src.apply(t, b)
 		}
@@ -117,12 +115,8 @@ func TestCatchUpEquivalence(t *testing.T) {
 		if seq != 5 {
 			t.Fatalf("checkpoint at seq %d, want 5", seq)
 		}
-		dir := t.TempDir()
-		if err := dynfd.SeedReplica(dir, blob); err != nil {
-			t.Fatal(err)
-		}
-		// The seeded store recovers its schema from the checkpoint.
-		mon, fol, stop, counts := runCheckedFollower(t, client, dir, nil, src, batches)
+		// The seeded store takes its schema from the checkpoint.
+		mon, fol, stop, counts := runCheckedFollower(t, client, seedIn(t.TempDir(), blob), src, batches)
 		if got := mon.Seq(); got != 5 {
 			t.Fatalf("seeded store opened at seq %d, want 5", got)
 		}
@@ -153,16 +147,12 @@ func TestCatchUpEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
-		if err := dynfd.SeedReplica(dir, blob); err != nil {
-			t.Fatal(err)
-		}
 		// Outrun the ring before the seeded follower connects: its position
 		// (5) falls below the floor, so the join must re-install.
 		for _, b := range batches[5:] {
 			src.apply(t, b)
 		}
-		mon, fol, stop, counts := runCheckedFollower(t, client, dir, nil, src, batches)
+		mon, fol, stop, counts := runCheckedFollower(t, client, seedIn(t.TempDir(), blob), src, batches)
 		waitSeq(t, mon, n)
 		// Join the replay goroutine before reading its counters: an install
 		// publishes the sequence before it counts itself.
@@ -181,7 +171,7 @@ func TestCatchUpEquivalence(t *testing.T) {
 		// flight, proving streaming does not depend on WAL file history.
 		src, client := startPrimary(t, 4, 3)
 		src.trackWitnesses(t)
-		mon, _, stop, counts := runCheckedFollower(t, client, t.TempDir(), testCols, src, batches)
+		mon, _, stop, counts := runCheckedFollower(t, client, openIn(t.TempDir(), testCols), src, batches)
 		for _, b := range batches {
 			src.apply(t, b)
 			time.Sleep(time.Millisecond)

@@ -362,16 +362,13 @@ func (rt *Runtime) createReplica(name string) (*tenant, error) {
 	ctx, cancel := context.WithTimeout(rt.repl.ctx, time.Minute)
 	blob, _, _, err := rt.repl.client.Checkpoint(ctx, name)
 	cancel()
-	if err == nil {
-		err = dynfd.SeedReplica(t.dir, blob)
-	}
 	// The replica gets its own feed (when this node serves replication) so
 	// a promoted follower starts shipping frames without reopening engines:
 	// warm feeds are what make promotion instantaneous.
 	t.feed = rt.newFeed()
 	var mon *dynfd.DurableMonitor
 	if err == nil {
-		mon, err = dynfd.OpenDurable(t.dir, nil, rt.engineOptions(nil, t.feed)...)
+		mon, err = dynfd.OpenReplica(t.dir, blob, rt.engineOptions(nil, t.feed)...)
 	}
 	if err != nil {
 		os.RemoveAll(t.dir)

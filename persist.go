@@ -48,10 +48,9 @@ func (m *DurableMonitor) Save(w io.Writer) error { return m.ro.Save(w) }
 // monitor continues exactly where the saved one stopped: record ids,
 // covers, pruning witnesses, and configuration are preserved, and the
 // dual-cover consistency of the snapshot is verified. The relation is
-// rebuilt through the Pli store's bulk batch-maintenance path (snapshot
-// records are id-sorted, so one ApplyBatch call restores the indexes with
-// per-attribute parallelism under the saved Workers setting; DESIGN.md
-// §10) rather than one insert per record.
+// rebuilt by the Pli store's bulk loader (DESIGN.md §10): its rows front
+// end codes each attribute through the map that becomes its inverted
+// index, one attribute per worker under the saved Workers setting.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
 	var snap monitorSnapshot
 	dec := json.NewDecoder(r)
