@@ -64,6 +64,46 @@ func TestDurableMonitorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenReplica: a follower opens at a primary's checkpoint blob with
+// its FDs, and OpenReplica never opens an existing store instead — not
+// with a nil blob, and not over a directory that already holds one.
+func TestOpenReplica(t *testing.T) {
+	t.Parallel()
+	primary, err := OpenDurable(t.TempDir(), []string{"zip", "city", "state"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if err := primary.Bootstrap(durableRows); err != nil {
+		t.Fatal(err)
+	}
+	blob, _, err := primary.CheckpointBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	follower, err := OpenReplica(dir, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(follower.FDs()), fmt.Sprint(primary.FDs()); got != want {
+		t.Fatalf("follower FDs:\n got %s\nwant %s", got, want)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenReplica(t.TempDir(), nil); err == nil {
+		t.Fatal("nil blob accepted on an empty directory")
+	}
+	for _, b := range [][]byte{nil, blob} {
+		if mon, err := OpenReplica(dir, b); err == nil {
+			mon.Close()
+			t.Fatalf("directory holding a store reopened with blob of %d bytes", len(b))
+		}
+	}
+}
+
 // TestDurableMonitorSurvivesKill models kill -9: the first monitor is
 // abandoned without Close — no final checkpoint, acknowledged batches
 // only in the WAL — and a reopen of the directory must resume with
