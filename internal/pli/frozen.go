@@ -29,23 +29,31 @@ import (
 // Value may be read: its IDs keep changing with the live store.
 //
 // Within one attribute, equal cluster ids mean equal values among the
-// records live at freeze time, which is exactly what FD/UCC/violation
-// queries need; value-set queries (INDs) read the directory.
+// records live at freeze time, which is exactly what key and violation
+// queries need: ForEachGroup rebuilds an attribute's cluster membership
+// from the frozen records alone. Value-set queries (INDs) read the
+// directory.
 type Frozen struct {
 	numAttrs int
 	pages    [][]int32
 	live     [][]uint64
 	numRecs  int
-	nextID   int64
 
-	dirs     [][][]*Cluster // per attribute: directory page headers
-	horizons []int32        // per attribute: cid horizon at freeze time
+	attrs []frozenAttr // per attribute
+}
+
+// frozenAttr is one attribute's Pli at freeze time.
+type frozenAttr struct {
+	dir      [][]*Cluster // directory page headers
+	horizon  int32        // cid horizon
+	clusters int32        // live cluster count
 }
 
 // Freeze captures an immutable view of the store's current records and
 // cluster directories. It requires the same access as a read (no staged
 // batch open, no concurrent mutator) and costs O(pages): slice-header
 // copies plus marking every record-arena bitmap and directory page shared.
+// All attributes' directory headers share one allocation.
 func (s *Store) Freeze() *Frozen {
 	if s.staged != nil {
 		panic("pli: Freeze with a staged batch open")
@@ -60,10 +68,13 @@ func (s *Store) Freeze() *Frozen {
 		pages:    append([][]int32(nil), s.pages...),
 		live:     append([][]uint64(nil), s.live...),
 		numRecs:  s.numRecs,
-		nextID:   s.nextID,
-		dirs:     make([][][]*Cluster, s.numAttrs),
-		horizons: make([]int32, s.numAttrs),
+		attrs:    make([]frozenAttr, s.numAttrs),
 	}
+	pages := 0
+	for a := range s.shards {
+		pages += len(s.shards[a].ix.dir)
+	}
+	dirs := make([][]*Cluster, 0, pages)
 	for a := range s.shards {
 		ix := s.shards[a].ix
 		for p, page := range ix.dir {
@@ -71,8 +82,13 @@ func (s *Store) Freeze() *Frozen {
 				ix.dirShared[p] = true
 			}
 		}
-		f.dirs[a] = append([][]*Cluster(nil), ix.dir...)
-		f.horizons[a] = ix.next
+		start := len(dirs)
+		dirs = append(dirs, ix.dir...)
+		f.attrs[a] = frozenAttr{
+			dir:      dirs[start:len(dirs):len(dirs)],
+			horizon:  ix.next,
+			clusters: int32(ix.NumClusters()),
+		}
 	}
 	return f
 }
@@ -83,27 +99,17 @@ func (f *Frozen) NumAttrs() int { return f.numAttrs }
 // NumRecords returns the tuple count at freeze time.
 func (f *Frozen) NumRecords() int { return f.numRecs }
 
-// NextID returns the surrogate id horizon at freeze time: every frozen
-// record id is below it.
-func (f *Frozen) NextID() int64 { return f.nextID }
+// NumClusters returns attribute a's cluster count at freeze time (the
+// distinct values of its records), mirroring Index.NumClusters.
+func (f *Frozen) NumClusters(a int) int { return int(f.attrs[a].clusters) }
 
-// Alive reports whether id was live at freeze time.
-func (f *Frozen) Alive(id int64) bool {
-	pg := id >> pageBits
-	if id < 0 || pg >= int64(len(f.pages)) || f.live[pg] == nil {
-		return false
-	}
-	slot := id & pageMask
-	return f.live[pg][slot>>6]&(1<<(slot&63)) != 0
-}
+// Arena returns the frozen record arena.
+func (f *Frozen) Arena() Arena { return Arena{pages: f.pages, numAttrs: f.numAttrs} }
 
 // Rec returns the compressed record for id without a liveness check,
 // mirroring Store.Rec. The returned slice aliases the frozen arena and
 // must not be modified.
-func (f *Frozen) Rec(id int64) Record {
-	off := int(id&pageMask) * f.numAttrs
-	return f.pages[id>>pageBits][off : off+f.numAttrs : off+f.numAttrs]
-}
+func (f *Frozen) Rec(id int64) Record { return f.Arena().Rec(id) }
 
 // ForEachRecord calls fn for every record live at freeze time in ascending
 // id order (the same guarantee as Store.ForEachRecord).
@@ -130,8 +136,8 @@ func (f *Frozen) ForEachRecord(fn func(id int64, rec Record) bool) {
 // time, in ascending cluster-id order. It costs O(directory pages below the
 // horizon) and allocates nothing.
 func (f *Frozen) ForEachValue(a int, fn func(v string) bool) {
-	h := int(f.horizons[a])
-	for p, page := range f.dirs[a] {
+	h := int(f.attrs[a].horizon)
+	for p, page := range f.attrs[a].dir {
 		base := p << dirBits
 		if base >= h {
 			return
@@ -144,6 +150,90 @@ func (f *Frozen) ForEachValue(a int, fn func(v string) bool) {
 		for _, c := range page[:min(dirPageSize, h-base)] {
 			if c != nil && !fn(c.Value) {
 				return
+			}
+		}
+	}
+}
+
+// GroupBuf is the reusable working memory of Frozen.ForEachGroup. The zero
+// value is ready to use; it grows to the largest attribute horizon and
+// relation it has grouped.
+type GroupBuf struct {
+	ends []int32 // per cid: member count, then end offset in ids (-1: fewer than two members)
+	cids []int32 // per live record, in id order: its cid
+	ids  []int64 // members of multi-record clusters, grouped by cid
+}
+
+// ForEachGroup calls fn with the member ids of every cluster of attribute a
+// that held at least two records at freeze time, in ascending cid order with
+// ascending ids: the clusters, and the order, that Index.ForEachCluster
+// gives on the live store at the freeze instant, less the single-record
+// ones. The ids slice is only valid during the call.
+//
+// A frozen view may not read its clusters' IDs (they follow the live
+// store), so the pass rebuilds the membership from the frozen records: a
+// counting pass over the live records reads column a into a dense count
+// array sized to a's horizon, a prefix sum over the counts gives each
+// multi-record cluster its slot range and drops the rest, and a placement
+// pass fills the slots from the counting pass's cids. The cost is
+// O(live records + horizon); only the members of multi-record clusters
+// are stored, and it allocates nothing once g is warm.
+func (f *Frozen) ForEachGroup(a int, g *GroupBuf, fn func(ids []int64) bool) {
+	h := int(f.attrs[a].horizon)
+	if cap(g.ends) < h {
+		g.ends = make([]int32, h)
+	}
+	ends := g.ends[:h]
+	clear(ends)
+	cids := g.cids[:0]
+	f.forEachLive(func(id int64) {
+		cid := f.Rec(id)[a]
+		ends[cid]++
+		cids = append(cids, cid)
+	})
+	total := int32(0)
+	for cid, n := range ends {
+		if n < 2 {
+			ends[cid] = -1
+			continue
+		}
+		ends[cid] = total
+		total += n
+	}
+	if cap(g.ids) < int(total) {
+		g.ids = make([]int64, total)
+	}
+	ids := g.ids[:total]
+	k := 0
+	f.forEachLive(func(id int64) {
+		if cid := cids[k]; ends[cid] >= 0 {
+			ids[ends[cid]] = id
+			ends[cid]++
+		}
+		k++
+	})
+	g.cids = cids
+	start := int32(0)
+	for _, end := range ends {
+		if end < 0 {
+			continue
+		}
+		if !fn(ids[start:end]) {
+			return
+		}
+		start = end
+	}
+}
+
+// forEachLive calls fn for every id live at freeze time, ascending.
+func (f *Frozen) forEachLive(fn func(id int64)) {
+	for pg, bm := range f.live {
+		base := int64(pg) << pageBits
+		for w, word := range bm {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << b
+				fn(base + int64(w<<6+b))
 			}
 		}
 	}

@@ -68,6 +68,23 @@ func SetApplyAttrTestHook(h func(a int)) {
 // record arena and must not be modified by callers.
 type Record []int32
 
+// Arena is a read-only view of a record arena: the compressed records of
+// the live store (Store.Arena) or of a frozen view (Frozen.Arena). The
+// validation kernels take it by value, so they read either arena through
+// the same two array loads per record, with no interface call. A view of
+// the live store is valid while the store is not mutated.
+type Arena struct {
+	pages    [][]int32
+	numAttrs int
+}
+
+// Rec returns the compressed record for id without a liveness check; see
+// Store.Rec.
+func (ar Arena) Rec(id int64) Record {
+	off := int(id&pageMask) * ar.numAttrs
+	return ar.pages[id>>pageBits][off : off+ar.numAttrs : off+ar.numAttrs]
+}
+
 // Cluster is one equivalence class of a Pli: the ids of all current records
 // that share Value in the Pli's attribute.
 //
@@ -366,6 +383,12 @@ func (s *Store) NextID() int64 { return s.nextID }
 
 // Index returns the Pli of attribute a.
 func (s *Store) Index(a int) *Index { return s.shards[a].ix }
+
+// NumClusters returns attribute a's cluster count, Index(a).NumClusters.
+func (s *Store) NumClusters(a int) int { return s.shards[a].ix.NumClusters() }
+
+// Arena returns a view of the record arena, valid until the next mutation.
+func (s *Store) Arena() Arena { return Arena{pages: s.pages, numAttrs: s.numAttrs} }
 
 // alive reports whether id is a live record.
 func (s *Store) alive(id int64) bool {

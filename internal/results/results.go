@@ -6,6 +6,12 @@
 // answer every query (covers, key checks, INDs, violations) from the
 // snapshot alone, never touching the engine or its mutation lock.
 //
+// Key and violation queries run validate's Pli kernels over the frozen
+// view (validate.FrozenUnique, validate.FrozenViolations): the pivot
+// attribute's clusters are regrouped from the frozen records, single-record
+// clusters are dropped, and only the members of the rest are checked — the
+// same kernels, and the same answers, as validation on the live store.
+//
 // Snapshots are built copy-on-write from their predecessor: per-RHS cover
 // slices are re-collected only for the right-hand sides named in the
 // batch's FD diff, and the frozen view shares arena page slabs, liveness
@@ -22,6 +28,7 @@ import (
 	"dynfd/internal/fd"
 	"dynfd/internal/lattice"
 	"dynfd/internal/pli"
+	"dynfd/internal/validate"
 )
 
 // UnaryIND is a unary inclusion dependency between two attributes: every
@@ -30,13 +37,10 @@ type UnaryIND struct {
 	Lhs, Rhs int
 }
 
-// ViolationGroup mirrors validate.ViolationGroup: a set of records that
-// agree on a candidate's Lhs but disagree on its Rhs. IDs are ascending;
-// RhsValues counts the distinct Rhs values in the group.
-type ViolationGroup struct {
-	IDs       []int64
-	RhsValues int
-}
+// ViolationGroup is a set of records that agree on a candidate's Lhs but
+// disagree on its Rhs. IDs are ascending; RhsValues counts the distinct Rhs
+// values in the group.
+type ViolationGroup = validate.ViolationGroup
 
 // Snapshot is one published, immutable result state. All methods are safe
 // for unlimited concurrent callers; slices returned by accessor methods
@@ -58,8 +62,8 @@ type Snapshot struct {
 
 	// Memoized query caches, per snapshot: repeated HTTP queries for the
 	// same column set or the IND listing hit the memo instead of
-	// re-scanning. mu only guards the memo maps — never held during
-	// publication or by the engine.
+	// recomputing. keyMemo is allocated by the first key query. mu only
+	// guards the memos — never held during publication or by the engine.
 	mu      sync.Mutex
 	keyMemo map[attrset.Set]bool
 	inds    []UnaryIND
@@ -84,7 +88,6 @@ func Build(prev *Snapshot, seq uint64, columns []string, store *pli.Store,
 		numAttrs: numAttrs,
 		origin:   store,
 		frozen:   store.Freeze(),
-		keyMemo:  make(map[attrset.Set]bool),
 	}
 	s.numRecs = s.frozen.NumRecords()
 
@@ -161,92 +164,34 @@ func (s *Snapshot) Holds(lhs attrset.Set, rhs int) bool {
 	return false
 }
 
-// Open-addressing geometry, shared with internal/validate: power-of-two
-// tables at most half full, Fibonacci multiplicative hashing.
-const hashMul = 0x9E3779B185EBCA87
-
-func tableSize(m int) int {
-	size := 4
-	for size < 2*m {
-		size <<= 1
-	}
-	return size
-}
-
-// hashProj mixes the projection of rec onto cols.
-func hashProj(rec pli.Record, cols []int) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, a := range cols {
-		h = (h ^ uint64(uint32(rec[a]))) * hashMul
-	}
-	return h
-}
-
-func projEqual(a, b pli.Record, cols []int) bool {
-	for _, c := range cols {
-		if a[c] != b[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // Unique reports whether the records were pairwise distinct on the given
 // column set at the snapshot's sequence — the key check. Results are
 // memoized per column set. The semantics match validate.Unique: relations
 // with at most one record are trivially unique, the empty column set is
 // never unique beyond that.
 func (s *Snapshot) Unique(cols attrset.Set) bool {
-	if s.numRecs <= 1 {
-		return true
-	}
-	if cols.IsEmpty() {
-		return false
-	}
 	s.mu.Lock()
 	u, ok := s.keyMemo[cols]
 	s.mu.Unlock()
 	if ok {
 		return u
 	}
-	u = s.uniqueScan(cols)
+	// Cover fast path: if cols → a fails for some attribute a outside the
+	// set, a witness pair agrees on cols — the projection cannot be
+	// unique. (The converse needs the Pli walk: a superkey still admits
+	// exact duplicate tuples.)
+	u = true
+	for a := 0; a < s.numAttrs && u; a++ {
+		u = cols.Contains(a) || s.Holds(cols, a)
+	}
+	u = u && validate.FrozenUnique(s.frozen, cols)
 	s.mu.Lock()
+	if s.keyMemo == nil {
+		s.keyMemo = make(map[attrset.Set]bool)
+	}
 	s.keyMemo[cols] = u
 	s.mu.Unlock()
 	return u
-}
-
-func (s *Snapshot) uniqueScan(cols attrset.Set) bool {
-	// Cover fast path: if cols → a fails for some attribute a outside the
-	// set, a witness pair agrees on cols — the projection cannot be
-	// unique. (The converse needs the scan: a superkey still admits exact
-	// duplicate tuples.)
-	for a := 0; a < s.numAttrs; a++ {
-		if !cols.Contains(a) && !s.Holds(cols, a) {
-			return false
-		}
-	}
-	proj := cols.Slice()
-	size := tableSize(s.numRecs)
-	mask := uint64(size - 1)
-	slots := make([]int64, size) // record id + 1; 0 = empty
-	unique := true
-	s.frozen.ForEachRecord(func(id int64, rec pli.Record) bool {
-		i := (hashProj(rec, proj) * hashMul) & mask
-		for {
-			v := slots[i]
-			if v == 0 {
-				slots[i] = id + 1
-				return true
-			}
-			if projEqual(rec, s.frozen.Rec(v-1), proj) {
-				unique = false
-				return false
-			}
-			i = (i + 1) & mask
-		}
-	})
-	return unique
 }
 
 // INDs returns all unary inclusion dependencies between distinct
@@ -308,122 +253,13 @@ func (s *Snapshot) INDs() []UnaryIND {
 // Violations explains why lhs → rhs did not hold at the snapshot's
 // sequence: up to max groups of records that agree on lhs but differ on
 // rhs (max <= 0 returns all), plus the g3 error — the minimum fraction of
-// records whose removal would make the FD hold. The group contents,
-// ordering, and g3 value are identical to validate.Scratch.Violations on
-// the live store at the same sequence: group IDs ascending, groups ordered
-// by first member id.
+// records whose removal would make the FD hold. It runs
+// validate.FrozenViolations, so the groups, their order and g3 are
+// identical to validate.Violations on the live store at the same sequence:
+// group IDs ascending, groups ordered by first member id.
 func (s *Snapshot) Violations(lhs attrset.Set, rhs int, max int) ([]ViolationGroup, float64) {
-	n := s.numRecs
-	if n <= 1 || rhs < 0 || rhs >= s.numAttrs {
+	if rhs < 0 || rhs >= s.numAttrs {
 		return nil, 0
 	}
-	proj := lhs.Slice()
-
-	// Pass A: group the records by their lhs projection. Scanning in
-	// ascending id order makes both each group's id list and the group
-	// discovery order (= order of first member) ascending for free.
-	size := tableSize(n)
-	mask := uint64(size - 1)
-	slots := make([]int32, size) // group index + 1; 0 = empty
-	rep := make([]int64, 0, 16)  // group -> representative record id
-	gof := make([]int32, 0, n)   // scan order -> group
-	ids := make([]int64, 0, n)   // scan order -> record id
-	s.frozen.ForEachRecord(func(id int64, rec pli.Record) bool {
-		i := (hashProj(rec, proj) * hashMul) & mask
-		for {
-			v := slots[i]
-			if v == 0 {
-				slots[i] = int32(len(rep)) + 1
-				gof = append(gof, int32(len(rep)))
-				rep = append(rep, id)
-				break
-			}
-			if projEqual(rec, s.frozen.Rec(rep[v-1]), proj) {
-				gof = append(gof, v-1)
-				break
-			}
-			i = (i + 1) & mask
-		}
-		ids = append(ids, id)
-		return true
-	})
-	numG := len(rep)
-
-	// Pass B: per group, count the distinct rhs cluster ids and the
-	// plurality (most frequent rhs value) via a (group, rhs-cid) pair
-	// table.
-	gsize := make([]int32, numG)
-	gdist := make([]int32, numG)
-	gmax := make([]int32, numG)
-	psize := tableSize(n)
-	pmask := uint64(psize - 1)
-	pslot := make([]int32, psize) // pair index + 1
-	pairG := make([]int32, 0, 16)
-	pairR := make([]int32, 0, 16)
-	pairN := make([]int32, 0, 16)
-	for k, id := range ids {
-		g := gof[k]
-		rcid := s.frozen.Rec(id)[rhs]
-		gsize[g]++
-		h := (uint64(uint32(g))*hashMul ^ uint64(uint32(rcid))) * hashMul
-		i := h & pmask
-		for {
-			v := pslot[i]
-			if v == 0 {
-				pslot[i] = int32(len(pairG)) + 1
-				pairG = append(pairG, g)
-				pairR = append(pairR, rcid)
-				pairN = append(pairN, 1)
-				gdist[g]++
-				if gmax[g] < 1 {
-					gmax[g] = 1
-				}
-				break
-			}
-			if pairG[v-1] == g && pairR[v-1] == rcid {
-				pairN[v-1]++
-				if pairN[v-1] > gmax[g] {
-					gmax[g] = pairN[v-1]
-				}
-				break
-			}
-			i = (i + 1) & pmask
-		}
-	}
-
-	// Pass C: emit the violating groups (≥2 distinct rhs values) in group
-	// order — already ascending by first member id — and accumulate the
-	// removal count.
-	removals := 0
-	var out []ViolationGroup
-	for g := 0; g < numG; g++ {
-		if gdist[g] < 2 {
-			continue
-		}
-		removals += int(gsize[g] - gmax[g])
-		if max <= 0 || len(out) < max {
-			out = append(out, ViolationGroup{
-				IDs:       make([]int64, 0, gsize[g]),
-				RhsValues: int(gdist[g]),
-			})
-		}
-	}
-	if removals == 0 {
-		return nil, 0
-	}
-	// Fill the emitted groups' id lists in one ordered sweep.
-	emitted := make(map[int32]int, len(out))
-	k := 0
-	for g := 0; g < numG; g++ {
-		if gdist[g] >= 2 && k < len(out) {
-			emitted[int32(g)] = k
-			k++
-		}
-	}
-	for k, id := range ids {
-		if slot, ok := emitted[gof[k]]; ok {
-			out[slot].IDs = append(out[slot].IDs, id)
-		}
-	}
-	return out, float64(removals) / float64(n)
+	return validate.FrozenViolations(s.frozen, lhs, rhs, max)
 }

@@ -3,6 +3,7 @@ package results_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,8 +12,10 @@ import (
 	"dynfd/internal/core"
 	"dynfd/internal/dataset"
 	"dynfd/internal/fd"
+	"dynfd/internal/pli"
 	"dynfd/internal/results"
 	"dynfd/internal/stream"
+	"dynfd/internal/validate"
 )
 
 // buildEngine bootstraps a core engine over random rows.
@@ -85,12 +88,77 @@ func randomBatch(r *rand.Rand, e *core.Engine, attrs, size, domain int) stream.B
 
 // liveRows returns the live relation as id-ordered rows.
 func liveRows(e *core.Engine) [][]string {
+	_, rows := liveRecords(e)
+	return rows
+}
+
+// liveRecords returns the live relation's ids, ascending, and their rows.
+func liveRecords(e *core.Engine) ([]int64, [][]string) {
+	var ids []int64
 	var rows [][]string
-	e.ForEachRecord(func(_ int64, values []string) bool {
+	e.ForEachRecord(func(id int64, values []string) bool {
+		ids = append(ids, id)
 		rows = append(rows, append([]string(nil), values...))
 		return true
 	})
-	return rows
+	return ids, rows
+}
+
+// bruteViolations is the oracle violation inspection over id-ordered
+// rows: group by the lhs projection, keep the groups with two or more
+// distinct rhs values (in first-member order, ids ascending), cap them at
+// max (<= 0: all) and sum each group's size less its most frequent rhs
+// value into g3.
+func bruteViolations(ids []int64, rows [][]string, lhs []int, rhs, max int) ([]results.ViolationGroup, float64) {
+	if len(rows) <= 1 {
+		return nil, 0
+	}
+	index := map[string]int{}
+	var members [][]int64
+	var counts []map[string]int
+	for i, row := range rows {
+		var b strings.Builder
+		for _, c := range lhs {
+			b.WriteString(row[c])
+			b.WriteByte(0)
+		}
+		g, ok := index[b.String()]
+		if !ok {
+			g = len(members)
+			index[b.String()] = g
+			members = append(members, nil)
+			counts = append(counts, map[string]int{})
+		}
+		members[g] = append(members[g], ids[i])
+		counts[g][row[rhs]]++
+	}
+	var out []results.ViolationGroup
+	removals := 0
+	for g, ms := range members {
+		if len(counts[g]) < 2 {
+			continue
+		}
+		plurality := 0
+		for _, n := range counts[g] {
+			if n > plurality {
+				plurality = n
+			}
+		}
+		removals += len(ms) - plurality
+		out = append(out, results.ViolationGroup{IDs: ms, RhsValues: len(counts[g])})
+	}
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out, float64(removals) / float64(len(rows))
+}
+
+// sameViolations reports whether two inspections returned the same groups,
+// member ids, distinct-rhs counts and g3.
+func sameViolations(a []results.ViolationGroup, ag3 float64, b []results.ViolationGroup, bg3 float64) bool {
+	return ag3 == bg3 && slices.EqualFunc(a, b, func(x, y results.ViolationGroup) bool {
+		return x.RhsValues == y.RhsValues && slices.Equal(x.IDs, y.IDs)
+	})
 }
 
 // bruteUnique is the oracle key check: pairwise-distinct projections.
@@ -188,7 +256,7 @@ func checkSnapshot(t *testing.T, r *rand.Rand, e *core.Engine, s *results.Snapsh
 		t.Fatalf("CoverOf concatenation != FDs:\n %v\n %v", cat, s.FDs())
 	}
 
-	rows := liveRows(e)
+	ids, rows := liveRecords(e)
 
 	// Holds on random candidates.
 	for trial := 0; trial < 30; trial++ {
@@ -233,7 +301,9 @@ func checkSnapshot(t *testing.T, r *rand.Rand, e *core.Engine, s *results.Snapsh
 		t.Fatalf("INDs memoized call diverged: %v", got)
 	}
 
-	// Violations against the engine's live-store scan.
+	// Violations against the engine's live store and the brute-force
+	// oracle. Some candidates keep rhs in lhs (never violated); max runs
+	// from 0 (all) past any group count.
 	for trial := 0; trial < 15; trial++ {
 		var lhs attrset.Set
 		for a := 0; a < attrs; a++ {
@@ -242,11 +312,15 @@ func checkSnapshot(t *testing.T, r *rand.Rand, e *core.Engine, s *results.Snapsh
 			}
 		}
 		rhs := r.Intn(attrs)
-		if lhs.Contains(rhs) {
+		if lhs.Contains(rhs) && r.Intn(3) > 0 {
 			lhs = lhs.Without(rhs)
 		}
-		max := r.Intn(4) // 0 = all
+		max := []int{0, 1, 2, 3, 1000}[r.Intn(5)]
 		gotG, gotErr := s.Violations(lhs, rhs, max)
+		if oracleG, oracleErr := bruteViolations(ids, rows, lhs.Slice(), rhs, max); !sameViolations(gotG, gotErr, oracleG, oracleErr) {
+			t.Fatalf("Violations(%v -> %d, max %d): snapshot %v g3=%v, oracle %v g3=%v",
+				lhs, rhs, max, gotG, gotErr, oracleG, oracleErr)
+		}
 		wantG, wantErr := e.Violations(lhs.Slice(), rhs, max)
 		if gotErr != wantErr {
 			t.Fatalf("Violations(%v -> %d) g3: snapshot %v, engine %v", lhs, rhs, gotErr, wantErr)
@@ -379,44 +453,177 @@ func TestSnapshotCopyOnWriteSharing(t *testing.T) {
 
 // TestSnapshotImmutableUnderMutation verifies snapshot isolation: a frozen
 // snapshot keeps answering from its own sequence while the engine moves on.
+//
+// It holds three snapshots of a relation whose column c0 starts as a key:
+// the bootstrap one; one after deletes left id gaps, with c0 still a key
+// (its key checks take the cluster-count short-circuit); and one after
+// exact duplicate tuples arrived, so c0 and the all-column superkey are no
+// longer unique. Random batches then compact and splice the clusters the
+// held snapshots were frozen with, and a last batch deletes every record
+// they held, killing all their clusters. Each held snapshot's Unique and
+// Violations — every column set; every lhs, empty and holding rhs
+// included, with every rhs; max 0, 1 and past the group count — must
+// still equal the brute-force oracle on its own rows and validate on a
+// store loaded from those rows with their ids.
 func TestSnapshotImmutableUnderMutation(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	const attrs = 3
-	e, cols := buildEngine(t, r, attrs, 25, 3)
-	snap := e.BuildResults(nil, 0, cols, nil, nil)
-
-	wantRecs := snap.NumRecords()
-	wantFDs := append([]fd.FD(nil), snap.FDs()...)
-	wantINDs := append([]results.UnaryIND(nil), snap.INDs()...)
-	uniqCols := attrset.Of(0, 1, 2)
-	wantUnique := snap.Unique(uniqCols)
-	vioLhs, vioRhs := attrset.Of(0), 1
-	wantG, wantG3 := snap.Violations(vioLhs, vioRhs, 0)
-
-	prev := snap
-	for b := 0; b < 20; b++ {
-		res, err := e.ApplyBatch(randomBatch(r, e, attrs, 10, 3))
+	const attrs, domain = 4, 3
+	cols := []string{"c0", "c1", "c2", "c3"}
+	keyed := 0
+	keyedRow := func() []string {
+		keyed++
+		row := []string{fmt.Sprint("k", keyed)}
+		for a := 1; a < attrs; a++ {
+			row = append(row, fmt.Sprint(r.Intn(domain)))
+		}
+		return row
+	}
+	rel := dataset.New("t", cols)
+	for i := 0; i < 25; i++ {
+		if err := rel.Append(keyedRow()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := core.Bootstrap(rel, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	snap := e.BuildResults(nil, seq, cols, nil, nil)
+	apply := func(changes []stream.Change) {
+		t.Helper()
+		res, err := e.ApplyBatch(stream.Batch{Changes: changes})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev = e.BuildResults(prev, uint64(b+1), cols, res.Added, res.Removed)
+		seq++
+		snap = e.BuildResults(snap, seq, cols, res.Added, res.Removed)
 	}
 
-	if snap.NumRecords() != wantRecs {
-		t.Fatalf("NumRecords moved: %d -> %d", wantRecs, snap.NumRecords())
+	type held struct {
+		snap  *results.Snapshot
+		ids   []int64
+		rows  [][]string
+		fds   []fd.FD
+		inds  []results.UnaryIND
+		key   bool // c0 is a key
+		dupes bool // some tuples are exact duplicates
 	}
-	if !fd.Equal(snap.FDs(), wantFDs) {
-		t.Fatalf("FDs moved under mutation: %v -> %v", wantFDs, snap.FDs())
+	var kept []held
+	hold := func(key, dupes bool) {
+		t.Helper()
+		ids, rows := liveRecords(e)
+		if got := bruteUnique(rows, []int{0}); got != key {
+			t.Fatalf("held snapshot %d: c0 unique %v, want %v", len(kept), got, key)
+		}
+		if got := !bruteUnique(rows, []int{0, 1, 2, 3}); got != dupes {
+			t.Fatalf("held snapshot %d: duplicate tuples %v, want %v", len(kept), got, dupes)
+		}
+		kept = append(kept, held{snap, ids, rows, slices.Clone(snap.FDs()), slices.Clone(snap.INDs()), key, dupes})
 	}
-	if got := snap.INDs(); !indsEqual(got, wantINDs) {
-		t.Fatalf("INDs moved under mutation: %v -> %v", wantINDs, got)
+	hold(true, false)
+
+	// Deletes and keyed inserts: id gaps, c0 still a key.
+	for b := 0; b < 3; b++ {
+		ids, _ := liveRecords(e)
+		var changes []stream.Change
+		for _, k := range r.Perm(len(ids))[:4] {
+			changes = append(changes, stream.Change{Kind: stream.Delete, ID: ids[k]})
+		}
+		for i := 0; i < 3; i++ {
+			changes = append(changes, stream.Change{Kind: stream.Insert, Values: keyedRow()})
+		}
+		apply(changes)
 	}
-	if got := snap.Unique(uniqCols); got != wantUnique {
-		t.Fatalf("Unique moved under mutation: %v -> %v", wantUnique, got)
+	hold(true, false)
+
+	// Exact duplicates of live tuples.
+	_, rows := liveRecords(e)
+	var dupes []stream.Change
+	for _, k := range r.Perm(len(rows))[:4] {
+		dupes = append(dupes, stream.Change{Kind: stream.Insert, Values: rows[k]})
 	}
-	gotG, gotG3 := snap.Violations(vioLhs, vioRhs, 0)
-	if gotG3 != wantG3 || len(gotG) != len(wantG) {
-		t.Fatalf("Violations moved under mutation: %d groups g3=%v -> %d groups g3=%v",
-			len(wantG), wantG3, len(gotG), gotG3)
+	apply(dupes)
+	hold(false, true)
+
+	for b := 0; b < 20; b++ {
+		apply(randomBatch(r, e, attrs, 10, domain).Changes)
+	}
+	var wipe []stream.Change
+	wiped := map[int64]bool{}
+	for _, h := range kept {
+		for _, id := range h.ids {
+			if _, ok := e.Record(id); ok && !wiped[id] {
+				wiped[id] = true
+				wipe = append(wipe, stream.Change{Kind: stream.Delete, ID: id})
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		wipe = append(wipe, stream.Change{Kind: stream.Insert, Values: keyedRow()})
+	}
+	apply(wipe)
+
+	for i, h := range kept {
+		if h.snap.NumRecords() != len(h.rows) {
+			t.Fatalf("held %d: NumRecords moved: %d -> %d", i, len(h.rows), h.snap.NumRecords())
+		}
+		if !fd.Equal(h.snap.FDs(), h.fds) {
+			t.Fatalf("held %d: FDs moved under mutation: %v -> %v", i, h.fds, h.snap.FDs())
+		}
+		if got := h.snap.INDs(); !indsEqual(got, h.inds) {
+			t.Fatalf("held %d: INDs moved under mutation: %v -> %v", i, h.inds, got)
+		}
+		checkHeld(t, h.snap, h.ids, h.rows, attrs)
+		if h.snap.Unique(attrset.Of(0)) != h.key {
+			t.Fatalf("held %d: Unique({c0}) = %v, want %v", i, !h.key, h.key)
+		}
+		if h.dupes && h.snap.Unique(attrset.Of(0, 1, 2, 3)) {
+			t.Fatalf("held %d: the all-column superkey is unique despite duplicate tuples", i)
+		}
+	}
+}
+
+// checkHeld compares a snapshot's key and violation queries, over every
+// column set and every candidate, with the brute-force oracle on rows and
+// with validate on a store loaded from ids and rows.
+func checkHeld(t *testing.T, s *results.Snapshot, ids []int64, rows [][]string, attrs int) {
+	t.Helper()
+	store := pli.NewStore(attrs)
+	for i, id := range ids {
+		if err := store.InsertWithID(id, rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for mask := 0; mask < 1<<attrs; mask++ {
+		var set attrset.Set
+		for a := 0; a < attrs; a++ {
+			if mask&(1<<a) != 0 {
+				set = set.With(a)
+			}
+		}
+		want := bruteUnique(rows, set.Slice())
+		if got, _ := validate.Unique(store, set, validate.NoPruning); got != want {
+			t.Fatalf("validate.Unique(%v) on loaded store = %v, oracle %v", set, got, want)
+		}
+		if got := s.Unique(set); got != want {
+			t.Fatalf("Unique(%v) = %v, oracle %v", set, got, want)
+		}
+		for rhs := 0; rhs < attrs; rhs++ {
+			all, _ := bruteViolations(ids, rows, set.Slice(), rhs, 0)
+			for _, max := range []int{0, 1, len(all) + 1} {
+				wantG, wantG3 := bruteViolations(ids, rows, set.Slice(), rhs, max)
+				gotG, gotG3 := s.Violations(set, rhs, max)
+				if !sameViolations(gotG, gotG3, wantG, wantG3) {
+					t.Fatalf("Violations(%v -> %d, max %d) = %v g3=%v, oracle %v g3=%v",
+						set, rhs, max, gotG, gotG3, wantG, wantG3)
+				}
+				liveG, liveG3 := validate.Violations(store, set, rhs, max)
+				if !sameViolations(gotG, gotG3, liveG, liveG3) {
+					t.Fatalf("Violations(%v -> %d, max %d) = %v g3=%v, validate on loaded store %v g3=%v",
+						set, rhs, max, gotG, gotG3, liveG, liveG3)
+				}
+			}
+		}
 	}
 }

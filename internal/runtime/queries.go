@@ -91,11 +91,11 @@ func (t *tenant) info() (TenantInfo, bool) {
 // KeyCheck reports whether the given columns form a unique column
 // combination (no two records agree on all of them) as of the tenant's
 // published snapshot. Unlike an FD-cover query, this is exact even in
-// the presence of fully duplicate tuples. The scan runs over int32
-// cluster ids in an open-addressing table — no per-record string
-// building — and only when the snapshot's FD cover cannot already refute
-// uniqueness; results are memoized per snapshot, and the call never
-// blocks behind an in-flight batch.
+// the presence of fully duplicate tuples. The check runs validate's Pli
+// kernel over the snapshot's frozen clusters, and only when the
+// snapshot's FD cover cannot already refute uniqueness; results are
+// memoized per snapshot, and the call never blocks behind an in-flight
+// batch.
 func (rt *Runtime) KeyCheck(name string, columns []string) (unique bool, err error) {
 	snap, _, err := rt.Snapshot(name)
 	if err != nil {

@@ -60,9 +60,8 @@ func TestUniqueZeroAllocs(t *testing.T) {
 
 // TestViolationsAllocs pins Scratch.Violations' documented allocation
 // budget: a valid FD inspects with zero allocations, and a violating one
-// allocates only the returned groups — one slice-header append plus one
-// IDs slice per group (two allocations for a single-group violation; the
-// deterministic cross-group sort only runs for two or more groups).
+// allocates only the returned groups — their headers and one array for
+// their IDs.
 func TestViolationsAllocs(t *testing.T) {
 	valid := buildStore(t, [][]string{
 		{"k1", "a"}, {"k1", "a"}, {"k2", "b"}, {"k2", "b"}, {"k3", "a"},
@@ -89,6 +88,43 @@ func TestViolationsAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("single violation group: %v allocs/op, want <= 2", allocs)
+	}
+}
+
+// TestFrozenQueryAllocs pins the frozen entry points' budget, the read
+// path of a published snapshot: with a warm scratch FrozenUnique allocates
+// nothing, whether the cluster count answers or the pivot groups are
+// walked, and FrozenViolations allocates only the returned groups (their
+// headers and one ids array), nothing for a valid FD.
+func TestFrozenQueryAllocs(t *testing.T) {
+	s := randomStore(t, 6, 500, 4, 5)
+	if _, err := s.Insert([]string{"key", "x", "x", "x"}); err != nil {
+		t.Fatal(err)
+	}
+	f := s.Freeze()
+	sc := NewScratch()
+	for _, cols := range []attrset.Set{attrset.Of(0), attrset.Of(0, 1), attrset.Of(0, 1, 2)} {
+		sc.FrozenUnique(f, cols)
+		if allocs := testing.AllocsPerRun(50, func() { sc.FrozenUnique(f, cols) }); allocs != 0 {
+			t.Errorf("FrozenUnique(%v): %v allocs/op, want 0", cols, allocs)
+		}
+	}
+	for _, tc := range []struct {
+		lhs    attrset.Set
+		rhs    int
+		max    int
+		allocs float64
+	}{
+		{attrset.Of(0, 1), 1, 0, 0}, // lhs contains rhs: valid
+		{attrset.Of(0), 1, 0, 2},
+		{attrset.Of(0, 1), 2, 3, 2},
+		{attrset.Set{}, 3, 1, 2},
+	} {
+		sc.FrozenViolations(f, tc.lhs, tc.rhs, tc.max)
+		allocs := testing.AllocsPerRun(50, func() { sc.FrozenViolations(f, tc.lhs, tc.rhs, tc.max) })
+		if allocs != tc.allocs {
+			t.Errorf("FrozenViolations(%v -> %d, max %d): %v allocs/op, want %v", tc.lhs, tc.rhs, tc.max, allocs, tc.allocs)
+		}
 	}
 }
 

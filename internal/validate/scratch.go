@@ -23,10 +23,19 @@
 // second counting pass over the same table to derive per-group Rhs
 // statistics (distinct values and plurality count) without its former
 // map[int32]int per group.
+//
+// The Unique and Violations kernels check one pivot group: a member-id
+// slice read through a pli.Arena. On the live store the groups are the
+// pivot's clusters; on a frozen snapshot (FrozenUnique, FrozenViolations)
+// they come from pli.Frozen.ForEachGroup, so a published snapshot answers
+// its key and violation queries with the same kernels. The FD kernels run
+// only on the live store and read its clusters directly.
 package validate
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"dynfd/internal/attrset"
@@ -65,10 +74,26 @@ type Scratch struct {
 	gsize []int32 // per group: member count
 	gdist []int32 // per group: distinct Rhs values
 	gmax  []int32 // per group: plurality Rhs count
-	gout  []int32 // per group: output group index, -1 if not violating
+	gout  []int32 // per group: write cursor in vids, -1 if not violating
 	pairG []int32 // per (group, rhs) pair: group index
 	pairR []int32 // per (group, rhs) pair: rhs cluster id
 	pairN []int32 // per (group, rhs) pair: record count
+
+	// The violating groups found so far in one Violations call: their
+	// members, flattened, and a span per group. violationGroups copies out
+	// only the groups it returns.
+	vids     []int64
+	vspans   []span
+	removals int
+
+	groups pli.GroupBuf // frozen pivot grouping (FrozenUnique, FrozenViolations)
+}
+
+// span is one violating group in Scratch.vids.
+type span struct {
+	first     int64 // smallest member id, the output order key
+	off, n    int
+	rhsValues int
 }
 
 // NewScratch returns an empty scratch.
@@ -330,6 +355,8 @@ func (sc *Scratch) fdCheckTuple(s *pli.Store, c *pli.Cluster, rhs int) (bool, Wi
 
 // Unique checks column-combination uniqueness using the scratch's buffers;
 // it is the allocation-free form of the package-level Unique function.
+// When the pivot has one cluster per record, cols is unique without a
+// walk (the key short-circuit).
 func (sc *Scratch) Unique(s *pli.Store, cols attrset.Set, minNewID int64) (unique bool, w Witness) {
 	if s.NumRecords() <= 1 {
 		return true, Witness{}
@@ -350,7 +377,11 @@ func (sc *Scratch) Unique(s *pli.Store, cols attrset.Set, minNewID int64) (uniqu
 		return false, Witness{A: a, B: b}
 	}
 	pivot := pickPivot(s, cols)
+	if s.NumClusters(pivot) == s.NumRecords() {
+		return true, Witness{}
+	}
 	k := sc.setRest(cols.Without(pivot))
+	recs := s.Arena()
 	unique = true
 	sc.walkClusters(s, pivot, minNewID, func(_ int64, c *pli.Cluster) bool {
 		if k == 0 {
@@ -359,22 +390,50 @@ func (sc *Scratch) Unique(s *pli.Store, cols attrset.Set, minNewID int64) (uniqu
 			unique, w = false, Witness{A: c.IDs[0], B: c.IDs[1]}
 			return false
 		}
-		unique, w = sc.uniqueCheckCluster(s, c)
+		unique, w = sc.uniqueCheckCluster(recs, c.IDs)
 		return unique
 	})
 	return unique, w
 }
 
-// uniqueCheckCluster probes the rest tuples of one pivot cluster; any
+// FrozenUnique is Unique on a frozen view, without pruning or witness: the
+// key check of a published snapshot. It walks the pivot groups of
+// pli.Frozen.ForEachGroup, and skips the walk when the pivot's cluster
+// count settles the answer: one cluster per record is a key, and a
+// single-attribute set with fewer clusters than records is not.
+func (sc *Scratch) FrozenUnique(f *pli.Frozen, cols attrset.Set) bool {
+	if f.NumRecords() <= 1 {
+		return true
+	}
+	if cols.IsEmpty() {
+		return false
+	}
+	pivot := pickPivot(f, cols)
+	if f.NumClusters(pivot) == f.NumRecords() {
+		return true
+	}
+	if sc.setRest(cols.Without(pivot)) == 0 {
+		return false
+	}
+	recs := f.Arena()
+	unique := true
+	f.ForEachGroup(pivot, &sc.groups, func(ids []int64) bool {
+		unique, _ = sc.uniqueCheckCluster(recs, ids)
+		return unique
+	})
+	return unique
+}
+
+// uniqueCheckCluster probes the rest tuples of one pivot group; any
 // repeated tuple is a collision.
-func (sc *Scratch) uniqueCheckCluster(s *pli.Store, c *pli.Cluster) (bool, Witness) {
-	slots := sc.table(tableSize(c.Size()))
+func (sc *Scratch) uniqueCheckCluster(recs pli.Arena, ids []int64) (bool, Witness) {
+	slots := sc.table(tableSize(len(ids)))
 	mask := uint32(len(slots) - 1)
 	sc.keys, sc.rep = sc.keys[:0], sc.rep[:0]
 	single := len(sc.rest) == 1
 	restAttr := sc.rest[0]
-	for _, id := range c.IDs {
-		rec := s.Rec(id)
+	for _, id := range ids {
+		rec := recs.Rec(id)
 		var slot uint32
 		if single {
 			slot = hash1(rec[restAttr]) & mask
@@ -408,40 +467,78 @@ func (sc *Scratch) uniqueCheckCluster(s *pli.Store, c *pli.Cluster) (bool, Witne
 // Violations collects the violation groups of lhs → rhs using the
 // scratch's buffers; it is the low-allocation form of the package-level
 // Violations function. With a warm scratch it allocates only the returned
-// groups: one slice header append plus one IDs slice per violating group,
-// and the final deterministic ordering when more than one group is
-// returned — a valid FD inspects with zero allocations (pinned by
-// TestViolationsAllocs).
+// groups — their headers and one backing array for their ids — and a
+// valid FD inspects with zero allocations (pinned by TestViolationsAllocs).
 func (sc *Scratch) Violations(s *pli.Store, lhs attrset.Set, rhs int, max int) (groups []ViolationGroup, g3 float64) {
 	n := s.NumRecords()
 	if n <= 1 {
 		return nil, 0
 	}
+	recs := s.Arena()
+	sc.startViolations()
 	if lhs.IsEmpty() {
-		return violationsEmptyLhs(s, rhs, max)
+		sc.newIDs = s.AppendLiveFrom(sc.newIDs[:0], 0)
+		sc.violationsCluster(recs, sc.newIDs, rhs)
+	} else {
+		pivot := pickPivot(s, lhs)
+		sc.setRest(lhs.Without(pivot))
+		sc.walkClusters(s, pivot, NoPruning, func(_ int64, c *pli.Cluster) bool {
+			sc.violationsCluster(recs, c.IDs, rhs)
+			return true
+		})
 	}
-	pivot := pickPivot(s, lhs)
-	sc.setRest(lhs.Without(pivot))
-	removals := 0
-	sc.walkClusters(s, pivot, NoPruning, func(_ int64, c *pli.Cluster) bool {
-		groups = sc.violationsCluster(s, c, rhs, groups, &removals)
-		return true
-	})
-	return trimGroups(groups, max), float64(removals) / float64(n)
+	return sc.violationGroups(max), float64(sc.removals) / float64(n)
 }
 
-// violationsCluster appends the violation groups of one pivot cluster.
+// FrozenViolations is Violations on a frozen view: the violation query of
+// a published snapshot, over the pivot groups of pli.Frozen.ForEachGroup.
+// Its groups and g3 equal Violations on the live store at the freeze
+// instant.
+func (sc *Scratch) FrozenViolations(f *pli.Frozen, lhs attrset.Set, rhs int, max int) (groups []ViolationGroup, g3 float64) {
+	n := f.NumRecords()
+	if n <= 1 {
+		return nil, 0
+	}
+	recs := f.Arena()
+	sc.startViolations()
+	if lhs.IsEmpty() {
+		sc.newIDs = sc.newIDs[:0]
+		f.ForEachRecord(func(id int64, _ pli.Record) bool {
+			sc.newIDs = append(sc.newIDs, id)
+			return true
+		})
+		sc.violationsCluster(recs, sc.newIDs, rhs)
+	} else {
+		pivot := pickPivot(f, lhs)
+		sc.setRest(lhs.Without(pivot))
+		f.ForEachGroup(pivot, &sc.groups, func(ids []int64) bool {
+			sc.violationsCluster(recs, ids, rhs)
+			return true
+		})
+	}
+	return sc.violationGroups(max), float64(sc.removals) / float64(n)
+}
+
+// startViolations clears the recorded groups and the rest attributes; an
+// empty Lhs checks the whole relation as one group with no rest.
+func (sc *Scratch) startViolations() {
+	sc.vids, sc.vspans, sc.removals = sc.vids[:0], sc.vspans[:0], 0
+	sc.rest = sc.rest[:0]
+}
+
+// violationsCluster records the violation groups of one pivot group.
 //
-// Pass A assigns every cluster member to a rest-tuple group (same probing
-// as the FD kernels, but every member is recorded instead of stopping at
-// the first conflict). Pass B counts (group, Rhs value) pairs through a
-// second probe over the same table, yielding each group's distinct-Rhs
-// count and its plurality count (the g3 numerator). Pass C walks the
-// cluster once more and emits the members of violating groups; cluster
-// ids are ascending (the pli.Cluster invariant), so each group's IDs come
-// out sorted without a copy or sort.
-func (sc *Scratch) violationsCluster(s *pli.Store, c *pli.Cluster, rhs int, groups []ViolationGroup, removals *int) []ViolationGroup {
-	m := c.Size()
+// Pass A assigns every member to a rest-tuple group (same probing as the
+// FD kernels, but every member is recorded instead of stopping at the
+// first conflict). Pass B counts (group, Rhs value) pairs through a second
+// probe over the same table, yielding each group's distinct-Rhs count and
+// its plurality count (the g3 numerator). Pass C gives each violating
+// group a span of sc.vids and walks the members once more to fill the
+// spans; ids are ascending (the pli.Cluster invariant, which
+// pli.Frozen.ForEachGroup keeps), so each group's members come out sorted
+// without a copy or sort.
+func (sc *Scratch) violationsCluster(recs pli.Arena, ids []int64, rhs int) {
+	m := len(ids)
 	k := len(sc.rest)
 	sc.gof = grow32(sc.gof, m)
 	sc.rcid = grow32(sc.rcid, m)
@@ -449,9 +546,9 @@ func (sc *Scratch) violationsCluster(s *pli.Store, c *pli.Cluster, rhs int, grou
 
 	// Pass A: group membership by rest tuple.
 	if k == 0 {
-		for pos, id := range c.IDs {
+		for pos, id := range ids {
 			sc.gof[pos] = 0
-			sc.rcid[pos] = s.Rec(id)[rhs]
+			sc.rcid[pos] = recs.Rec(id)[rhs]
 		}
 		sc.gsize = append(sc.gsize, int32(m))
 	} else {
@@ -460,8 +557,8 @@ func (sc *Scratch) violationsCluster(s *pli.Store, c *pli.Cluster, rhs int, grou
 		sc.keys = sc.keys[:0]
 		single := k == 1
 		restAttr := sc.rest[0]
-		for pos, id := range c.IDs {
-			rec := s.Rec(id)
+		for pos, id := range ids {
+			rec := recs.Rec(id)
 			sc.rcid[pos] = rec[rhs]
 			var slot uint32
 			if single {
@@ -532,59 +629,61 @@ func (sc *Scratch) violationsCluster(s *pli.Store, c *pli.Cluster, rhs int, grou
 		}
 	}
 
-	// Pass C: emit the violating groups (>= 2 distinct Rhs values).
+	// Pass C: give each violating group (>= 2 distinct Rhs values) its span
+	// of sc.vids, then fill the spans in member order.
 	sc.gout = grow32(sc.gout, ng)
-	base := len(groups)
-	viol := 0
+	base, total := len(sc.vids), int32(0)
 	for g := 0; g < ng; g++ {
 		if sc.gdist[g] < 2 {
 			sc.gout[g] = -1
 			continue
 		}
-		sc.gout[g] = int32(viol)
-		viol++
-		*removals += int(sc.gsize[g] - sc.gmax[g])
-		groups = append(groups, ViolationGroup{
-			IDs:       make([]int64, 0, sc.gsize[g]),
-			RhsValues: int(sc.gdist[g]),
-		})
+		sc.gout[g] = total
+		sc.vspans = append(sc.vspans, span{off: base + int(total), n: int(sc.gsize[g]), rhsValues: int(sc.gdist[g])})
+		total += sc.gsize[g]
+		sc.removals += int(sc.gsize[g] - sc.gmax[g])
 	}
-	if viol == 0 {
-		return groups
+	if total == 0 {
+		return
 	}
-	for pos, id := range c.IDs {
+	sc.vids = slices.Grow(sc.vids, int(total))[:base+int(total)]
+	for pos, id := range ids {
 		if o := sc.gout[sc.gof[pos]]; o >= 0 {
-			grp := &groups[base+int(o)]
-			grp.IDs = append(grp.IDs, id)
+			sc.vids[base+int(o)] = id
+			sc.gout[sc.gof[pos]] = o + 1
 		}
 	}
-	return groups
 }
 
-// violationsEmptyLhs handles the ∅ → rhs inspection: the whole relation is
-// one group. This cold path keeps the simple map-based counting; the record
-// arena iterates in ascending id order (the pli.Store.ForEachRecord
-// guarantee), so the collected ids are already sorted.
-func violationsEmptyLhs(s *pli.Store, rhs, max int) ([]ViolationGroup, float64) {
-	n := s.NumRecords()
-	ids := make([]int64, 0, n)
-	rhsCounts := make(map[int32]int)
-	s.ForEachRecord(func(id int64, rec pli.Record) bool {
-		ids = append(ids, id)
-		rhsCounts[rec[rhs]]++
-		return true
-	})
-	if len(rhsCounts) < 2 {
-		return nil, 0
+// violationGroups orders the recorded groups deterministically (by first
+// record id), applies the caller's cap (max <= 0 keeps all) and copies out
+// the groups it keeps: one allocation for their headers and one for their
+// ids. Groups originate from distinct Lhs projections, so first ids are
+// unique and the order is total.
+func (sc *Scratch) violationGroups(max int) []ViolationGroup {
+	if len(sc.vspans) == 0 {
+		return nil
 	}
-	largest := 0
-	for _, c := range rhsCounts {
-		if c > largest {
-			largest = c
-		}
+	for i := range sc.vspans {
+		sc.vspans[i].first = sc.vids[sc.vspans[i].off]
 	}
-	groups := []ViolationGroup{{IDs: ids, RhsValues: len(rhsCounts)}}
-	return trimGroups(groups, max), float64(n-largest) / float64(n)
+	slices.SortFunc(sc.vspans, func(a, b span) int { return cmp.Compare(a.first, b.first) })
+	keep := sc.vspans
+	if max > 0 && len(keep) > max {
+		keep = keep[:max]
+	}
+	total := 0
+	for _, sp := range keep {
+		total += sp.n
+	}
+	ids := make([]int64, total)
+	out := make([]ViolationGroup, len(keep))
+	for i, sp := range keep {
+		copy(ids, sc.vids[sp.off:sp.off+sp.n])
+		out[i] = ViolationGroup{IDs: ids[:sp.n:sp.n], RhsValues: sp.rhsValues}
+		ids = ids[sp.n:]
+	}
+	return out
 }
 
 // Scratches is a fixed set of per-worker scratches owned by one

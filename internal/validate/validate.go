@@ -33,8 +33,6 @@
 package validate
 
 import (
-	"sort"
-
 	"dynfd/internal/attrset"
 	"dynfd/internal/pli"
 )
@@ -97,14 +95,23 @@ func constantColumn(s *pli.Store, rhs int) (bool, Witness) {
 // the pruned path visits the selected clusters in the order of their first
 // new record (TestPrunedWitnessDeterministic), unpruned validation walks the
 // pivot's clusters in ascending cluster-id order.
-func pickPivot(s *pli.Store, lhs attrset.Set) int {
+//
+// The live store and a frozen view both count clusters, so a snapshot's
+// queries pick the pivot the live store would at the freeze instant.
+func pickPivot(s clusterCounts, lhs attrset.Set) int {
 	best, bestClusters := -1, -1
 	for a := lhs.First(); a >= 0; a = lhs.Next(a) {
-		if n := s.Index(a).NumClusters(); n > bestClusters {
+		if n := s.NumClusters(a); n > bestClusters {
 			best, bestClusters = a, n
 		}
 	}
 	return best
+}
+
+// clusterCounts reports each attribute's cluster count: pli.Store and
+// pli.Frozen.
+type clusterCounts interface {
+	NumClusters(a int) int
 }
 
 // ViolationGroup is one set of records that agree on a candidate's Lhs but
@@ -123,9 +130,9 @@ type ViolationGroup struct {
 // which is the standard approximate-FD measure. A valid FD yields no
 // groups and error 0.
 //
-// Group IDs are emitted in ascending record-id order directly — clusters
-// keep their ids sorted (the pli.Cluster invariant), so no per-group sort
-// is needed; only the cross-group ordering in trimGroups sorts.
+// Groups are ordered by their first record id, and each group's IDs are
+// ascending — clusters keep their ids sorted (the pli.Cluster invariant),
+// so no per-group sort is needed; only the cross-group ordering sorts.
 func Violations(s *pli.Store, lhs attrset.Set, rhs int, max int) (groups []ViolationGroup, g3 float64) {
 	sc := scratchPool.Get().(*Scratch)
 	groups, g3 = sc.Violations(s, lhs, rhs, max)
@@ -133,17 +140,12 @@ func Violations(s *pli.Store, lhs attrset.Set, rhs int, max int) (groups []Viola
 	return groups, g3
 }
 
-// trimGroups orders groups deterministically (by first record id) and
-// applies the caller's cap. Groups originate from distinct Lhs projections,
-// so first ids are unique and the order is total.
-func trimGroups(groups []ViolationGroup, max int) []ViolationGroup {
-	if len(groups) > 1 {
-		sort.Slice(groups, func(i, j int) bool { return groups[i].IDs[0] < groups[j].IDs[0] })
-	}
-	if max > 0 && len(groups) > max {
-		groups = groups[:max]
-	}
-	return groups
+// FrozenViolations is Violations on a frozen view, with a pooled Scratch.
+func FrozenViolations(f *pli.Frozen, lhs attrset.Set, rhs int, max int) (groups []ViolationGroup, g3 float64) {
+	sc := scratchPool.Get().(*Scratch)
+	groups, g3 = sc.FrozenViolations(f, lhs, rhs, max)
+	scratchPool.Put(sc)
+	return groups, g3
 }
 
 // Unique checks whether the column combination cols is unique: no two
@@ -158,6 +160,14 @@ func Unique(s *pli.Store, cols attrset.Set, minNewID int64) (unique bool, w Witn
 	unique, w = sc.Unique(s, cols, minNewID)
 	scratchPool.Put(sc)
 	return unique, w
+}
+
+// FrozenUnique is the key check on a frozen view, with a pooled Scratch.
+func FrozenUnique(f *pli.Frozen, cols attrset.Set) bool {
+	sc := scratchPool.Get().(*Scratch)
+	unique := sc.FrozenUnique(f, cols)
+	scratchPool.Put(sc)
+	return unique
 }
 
 // AgreeSet returns the set of attributes on which the two compressed

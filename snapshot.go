@@ -96,8 +96,10 @@ func (s *ResultSnapshot) Holds(lhsColumns []string, rhsColumn string) (bool, err
 // Unique reports whether the given columns formed a unique column
 // combination at snapshot time — no two live records agree on all of
 // them. Unlike Holds this is exact even for fully duplicate tuples: when
-// the FD cover cannot refute uniqueness, the snapshotted records are
-// scanned. Results are memoized per snapshot.
+// the FD cover cannot refute uniqueness, the check runs on the
+// snapshotted Plis — no walk at all when one of the columns had a
+// distinct value per record, otherwise over the multi-record clusters of
+// the column with the most values. Results are memoized per snapshot.
 func (s *ResultSnapshot) Unique(columns []string) (bool, error) {
 	if len(columns) == 0 {
 		return false, fmt.Errorf("dynfd: at least one column required")
