@@ -20,14 +20,18 @@
 // writes) without taking down the process or the other tenants.
 //
 // The original single-dataset line protocol remains available behind
-// -listen, for compatibility with existing feeds:
+// -listen, for compatibility with existing feeds. It is a thin codec over
+// the tenant named "line" under -data-root, created from -columns or
+// -initial when absent (later -initial rows are ignored), so it shares the
+// runtime's group commit, admission control and quarantine, and the same
+// tenant is readable and writable over -http:
 //
-//	dynfdd -listen 127.0.0.1:7070 -columns zip,city [-data-dir /var/lib/one]
+//	dynfdd -listen 127.0.0.1:7070 -data-root /var/lib/dynfd -columns zip,city
 //	printf '{"op":"fds"}\n' | nc 127.0.0.1 7070
 //
-// Both modes can run simultaneously. On SIGINT/SIGTERM the daemon stops
-// accepting, drains in-flight commits, checkpoints every engine, and
-// exits 0.
+// Both front ends can run simultaneously over one runtime. On
+// SIGINT/SIGTERM the daemon stops accepting, drains in-flight commits,
+// checkpoints every engine, and exits 0.
 //
 // Read endpoints (/fds, /keys, /inds, /violations, tenant listings, and
 // metrics) are served from each tenant's last published result snapshot:
@@ -100,7 +104,6 @@ import (
 	"syscall"
 	"time"
 
-	"dynfd/internal/core"
 	"dynfd/internal/dataset"
 	"dynfd/internal/durable"
 	"dynfd/internal/httpapi"
@@ -111,13 +114,12 @@ import (
 
 func main() {
 	httpAddr := flag.String("http", "", "HTTP listen address for the multi-tenant JSON API")
-	dataRoot := flag.String("data-root", "", "directory holding one durable engine per tenant (required with -http)")
-	listen := flag.String("listen", "", "TCP listen address for the legacy single-dataset line protocol")
-	initial := flag.String("initial", "", "line protocol: CSV file with the initial relation (header = schema)")
-	columns := flag.String("columns", "", "line protocol: comma-separated schema when no -initial file is given")
+	dataRoot := flag.String("data-root", "", "directory holding one durable engine per tenant (required)")
+	listen := flag.String("listen", "", "TCP listen address for the line protocol, which serves the tenant \"line\"")
+	initial := flag.String("initial", "", "line protocol: CSV file (header = schema) to create the tenant \"line\" from when it is absent")
+	columns := flag.String("columns", "", "line protocol: comma-separated schema to create the tenant \"line\" with when it is absent and no -initial file is given")
 	batch := flag.Int("batch", 100, "line protocol: auto-commit batch size")
 	workersFlag := flag.String("workers", "auto", `default maintenance parallelism per engine: "auto" = one scheduler worker per CPU, 0 or 1 = inline on one goroutine, n > 1 = scheduler with n workers (tenants may override at create time)`)
-	dataDir := flag.String("data-dir", "", "line protocol: write-ahead log directory (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", durable.DefaultCheckpointEvery, "batches between checkpoints (negative disables)")
 	syncMaxDelay := flag.Duration("sync-max-delay", 0, "group-commit linger: how long a commit leader waits before the shared WAL fsync so concurrent batches coalesce (0 = sync immediately; try 1ms under heavy concurrent write load)")
 	commitQueue := flag.Int("commit-queue", 0, "per-tenant bound on batches staged but not yet fsynced; overflow answers 503 before anything is logged (0 = unbounded)")
@@ -139,12 +141,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dynfdd: nothing to serve: pass -http addr (multi-tenant API) and/or -listen addr (line protocol)")
 		os.Exit(2)
 	}
-	if *httpAddr != "" && *dataRoot == "" {
-		fmt.Fprintln(os.Stderr, "dynfdd: -http requires -data-root")
+	if *dataRoot == "" {
+		fmt.Fprintln(os.Stderr, "dynfdd: -http and -listen require -data-root")
 		os.Exit(2)
 	}
 	if (*replAddr != "" || *replicateFrom != "") && *httpAddr == "" {
 		fmt.Fprintln(os.Stderr, "dynfdd: -repl-addr and -replicate-from require -http (the multi-tenant service)")
+		os.Exit(2)
+	}
+	if *listen != "" && *replicateFrom != "" {
+		fmt.Fprintln(os.Stderr, "dynfdd: -listen takes writes, so it cannot run on a follower (-replicate-from)")
 		os.Exit(2)
 	}
 	workers, err := parseWorkers(*workersFlag)
@@ -154,10 +160,9 @@ func main() {
 	}
 
 	var (
-		wg        sync.WaitGroup
-		stops     []func() // executed in order on shutdown signal
-		shutdowns []func() error
-		failed    = make(chan error, 2)
+		wg     sync.WaitGroup
+		stops  []func() // executed in order on shutdown signal
+		failed = make(chan error, 2)
 	)
 	// Register for shutdown signals before the first listener opens: a
 	// SIGTERM that arrives once an address is announced must take the
@@ -189,22 +194,24 @@ func main() {
 		stops = append(stops, func() { psrv.Close() })
 	}
 
+	// One runtime hosts every tenant both front ends serve.
+	rt, err := runtime.Open(runtime.Config{
+		DataRoot:         *dataRoot,
+		Workers:          workers,
+		CheckpointEvery:  *checkpointEvery,
+		SyncMaxDelay:     *syncMaxDelay,
+		CommitQueue:      *commitQueue,
+		ServeReplication: *replAddr != "",
+		ReplicateFrom:    *replicateFrom,
+		Logger:           log.Default(),
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dynfdd:", err)
+		os.Exit(1)
+	}
+
 	// Multi-tenant HTTP+JSON service.
 	if *httpAddr != "" {
-		rt, err := runtime.Open(runtime.Config{
-			DataRoot:         *dataRoot,
-			Workers:          workers,
-			CheckpointEvery:  *checkpointEvery,
-			SyncMaxDelay:     *syncMaxDelay,
-			CommitQueue:      *commitQueue,
-			ServeReplication: *replAddr != "",
-			ReplicateFrom:    *replicateFrom,
-			Logger:           log.Default(),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dynfdd:", err)
-			os.Exit(1)
-		}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dynfdd:", err)
@@ -249,13 +256,20 @@ func main() {
 			}()
 			stops = append(stops, func() { rhsrv.Close() })
 		}
-		// Final per-tenant checkpoints after the HTTP server drained.
-		shutdowns = append(shutdowns, rt.Close)
 	}
 
-	// Legacy single-dataset line protocol.
+	// Line protocol over the tenant "line".
 	if *listen != "" {
-		srv, l, shutdown, err := setup(*listen, *initial, *columns, *dataDir, *batch, workers, *checkpointEvery, *syncMaxDelay, *commitQueue)
+		if err := openLineTenant(rt, *initial, *columns); err != nil {
+			fmt.Fprintln(os.Stderr, "dynfdd:", err)
+			os.Exit(1)
+		}
+		srv, err := server.ForTenant(rt, lineTenant, *batch)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dynfdd:", err)
+			os.Exit(1)
+		}
+		l, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dynfdd:", err)
 			os.Exit(1)
@@ -269,7 +283,6 @@ func main() {
 			}
 		}()
 		stops = append(stops, func() { srv.Close() })
-		shutdowns = append(shutdowns, shutdown)
 	}
 
 	select {
@@ -280,16 +293,14 @@ func main() {
 		os.Exit(1)
 	}
 	// Stop accepting and drain in-flight work, then write final
-	// checkpoints and release storage.
+	// per-tenant checkpoints and release storage.
 	for _, stop := range stops {
 		stop()
 	}
 	wg.Wait()
-	for _, shutdown := range shutdowns {
-		if err := shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "dynfdd:", err)
-			os.Exit(1)
-		}
+	if err := rt.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "dynfdd:", err)
+		os.Exit(1)
 	}
 	log.Printf("dynfdd: shut down cleanly")
 }
@@ -351,10 +362,25 @@ func parseWorkers(s string) (int, error) {
 	return n, nil
 }
 
-// setup builds the line-protocol server and listener. The returned
-// shutdown func must run after Serve returns; with a data directory it
-// writes the final checkpoint and closes the store.
-func setup(listen, initial, columns, dataDir string, batch, workers, checkpointEvery int, syncMaxDelay time.Duration, commitQueue int) (*server.Server, net.Listener, func() error, error) {
+// lineTenant names the runtime tenant the -listen line protocol serves.
+const lineTenant = "line"
+
+// openLineTenant makes sure the line protocol's tenant exists, creating it
+// from the -initial CSV (header = schema) or the -columns list when it is
+// absent. An existing tenant keeps its state, and -initial rows are
+// ignored.
+func openLineTenant(rt *runtime.Runtime, initial, columns string) error {
+	info, err := rt.Info(lineTenant)
+	if err == nil {
+		if initial != "" {
+			log.Printf("dynfdd: tenant %q already holds %d records at seq %d; ignoring -initial rows",
+				lineTenant, info.Records, info.Seq)
+		}
+		return nil
+	}
+	if !errors.Is(err, runtime.ErrNoSuchTenant) {
+		return err
+	}
 	var (
 		cols []string
 		rows [][]string
@@ -363,61 +389,13 @@ func setup(listen, initial, columns, dataDir string, batch, workers, checkpointE
 	case initial != "":
 		rel, err := dataset.ReadCSVFile(initial)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		cols, rows = rel.Columns, rel.Rows
 	case columns != "":
 		cols = strings.Split(columns, ",")
-	case dataDir == "":
-		return nil, nil, nil, fmt.Errorf("either -initial, -columns, or -data-dir is required")
+	default:
+		return fmt.Errorf("no tenant %q under %s: pass -columns or -initial to create it", lineTenant, rt.DataRoot())
 	}
-	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-
-	var (
-		srv      *server.Server
-		shutdown = func() error { return nil }
-	)
-	if dataDir != "" {
-		st, err := durable.OpenDir(dataDir)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		eng, err := durable.Open(st, durable.Options{
-			Columns: cols, Config: cfg, CheckpointEvery: checkpointEvery,
-			SyncMaxDelay: syncMaxDelay, CommitQueue: commitQueue,
-		})
-		if err != nil {
-			st.Close()
-			return nil, nil, nil, err
-		}
-		switch {
-		case eng.Seq() == 0 && eng.NumRecords() == 0 && len(rows) > 0:
-			if err := eng.Bootstrap(rows); err != nil {
-				st.Close()
-				return nil, nil, nil, err
-			}
-		case len(rows) > 0:
-			log.Printf("dynfdd: %s already holds %d records at seq %d; ignoring -initial rows",
-				dataDir, eng.NumRecords(), eng.Seq())
-		}
-		srv, err = server.NewWithBackend(eng.Columns(), eng, batch)
-		if err != nil {
-			st.Close()
-			return nil, nil, nil, err
-		}
-		shutdown = eng.Close
-	} else {
-		var err error
-		srv, err = server.New(cols, rows, batch, cfg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		shutdown()
-		return nil, nil, nil, err
-	}
-	return srv, l, shutdown, nil
+	return rt.Create(lineTenant, cols, rows)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -12,23 +13,49 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"dynfd/internal/runtime"
+	"dynfd/internal/server"
 )
 
-func TestSetupAndRoundTrip(t *testing.T) {
-	t.Parallel()
-	csv := filepath.Join(t.TempDir(), "d.csv")
-	if err := os.WriteFile(csv, []byte("zip,city\n14482,Potsdam\n10115,Berlin\n"), 0o644); err != nil {
+// startLine stands up the -listen front end in-process the way main does:
+// a runtime over root, the line tenant opened (or created) from initial
+// or columns, and a server on a loopback listener. stop closes the server
+// only; the caller decides whether the runtime is closed or abandoned
+// like a killed daemon.
+func startLine(t *testing.T, root, initial, columns string) (addr string, rt *runtime.Runtime, stop func()) {
+	t.Helper()
+	rt, err := runtime.Open(runtime.Config{DataRoot: root, CheckpointEvery: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv, l, shutdown, err := setup("127.0.0.1:0", csv, "", "", 10, 2, 0, 0, 0)
+	if err := openLineTenant(rt, initial, columns); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.ForTenant(rt, lineTenant, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve(l) }()
-	defer func() { srv.Close(); <-done; shutdown() }()
+	return l.Addr().String(), rt, func() { srv.Close(); <-done }
+}
 
-	conn, err := net.Dial("tcp", l.Addr().String())
+func TestSetupAndRoundTrip(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "d.csv")
+	if err := os.WriteFile(csv, []byte("zip,city\n14482,Potsdam\n10115,Berlin\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addr, rt, stop := startLine(t, filepath.Join(dir, "root"), csv, "")
+	defer func() { stop(); rt.Close() }()
+
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,27 +72,61 @@ func TestSetupAndRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetupErrors checks the daemon refuses a line-protocol setup it
+// cannot serve: no schema for an absent tenant, a missing CSV, -listen
+// without -data-root or on a follower, a bad batch size, and a bad listen
+// address. Flag misuse exits 2, a setup failure exits 1.
 func TestSetupErrors(t *testing.T) {
 	t.Parallel()
-	if _, _, _, err := setup("127.0.0.1:0", "", "", "", 10, 0, 0, 0, 0); err == nil {
+	rt, err := runtime.Open(runtime.Config{DataRoot: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if err := openLineTenant(rt, "", ""); err == nil {
 		t.Error("missing schema accepted")
 	}
-	if _, _, _, err := setup("127.0.0.1:0", "/nonexistent.csv", "", "", 10, 0, 0, 0, 0); err == nil {
+	if err := openLineTenant(rt, "/nonexistent.csv", ""); err == nil {
 		t.Error("missing CSV accepted")
 	}
-	if _, _, _, err := setup("127.0.0.1:0", "", "a,b", "", 0, 0, 0, 0, 0); err == nil {
-		t.Error("batch size 0 accepted")
+	if _, err := rt.Info(lineTenant); !errors.Is(err, runtime.ErrNoSuchTenant) {
+		t.Errorf("failed setups left a tenant behind: %v", err)
 	}
-	if _, _, _, err := setup("notanaddress", "", "a,b", "", 10, 0, 0, 0, 0); err == nil {
-		t.Error("bad listen address accepted")
+
+	bin := buildDaemon(t)
+	root := filepath.Join(t.TempDir(), "root")
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		msg  string
+	}{
+		{"absent tenant without schema", []string{"-listen", "127.0.0.1:0", "-data-root", root}, 1, "pass -columns or -initial"},
+		{"missing CSV", []string{"-listen", "127.0.0.1:0", "-data-root", root, "-initial", "/nonexistent.csv"}, 1, "nonexistent.csv"},
+		{"no data root", []string{"-listen", "127.0.0.1:0", "-columns", "a,b"}, 2, "require -data-root"},
+		{"follower", []string{"-http", "127.0.0.1:0", "-listen", "127.0.0.1:0", "-data-root", root, "-columns", "a,b",
+			"-replicate-from", "http://127.0.0.1:1"}, 2, "cannot run on a follower"},
+		{"batch size 0", []string{"-listen", "127.0.0.1:0", "-data-root", root, "-columns", "a,b", "-batch", "0"}, 1, "batch size"},
+		{"bad listen address", []string{"-listen", "notanaddress", "-data-root", root, "-columns", "a,b"}, 1, "notanaddress"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+			t.Errorf("%s: exit %v, want code %d\n%s", tc.name, err, tc.code, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.msg) {
+			t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.msg, out)
+		}
 	}
 }
 
-// TestSetupDurableResume covers the in-process durable path: a daemon
-// setup with -data-dir, batches committed over the wire, the server
-// abandoned without shutdown (kill -9 equivalent), and a second setup on
-// the same directory resuming with identical FDs — including that the
-// -initial rows are only bootstrapped the first time.
+// TestSetupDurableResume covers the in-process durable path: the line
+// tenant created from -initial under a data root, batches committed over
+// the wire, the runtime abandoned without Close (kill -9 equivalent: no
+// final checkpoint), and a second start on the same root resuming with
+// identical FDs — including that the -initial rows are only bootstrapped
+// the first time.
 func TestSetupDurableResume(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -73,15 +134,10 @@ func TestSetupDurableResume(t *testing.T) {
 	if err := os.WriteFile(csv, []byte("zip,city\n14482,Potsdam\n10115,Berlin\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dataDir := filepath.Join(dir, "state")
+	root := filepath.Join(dir, "root")
 
-	srv, l, _, err := setup("127.0.0.1:0", csv, "", dataDir, 10, 0, -1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(l) }()
-	conn, err := net.Dial("tcp", l.Addr().String())
+	addr, rt, stop := startLine(t, root, csv, "")
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +153,14 @@ func TestSetupDurableResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	srv.Close()
-	<-done
-	// No shutdown(): the daemon "died" without its final checkpoint.
+	stop()
+	// No rt.Close() until the end: the daemon "died" without its final
+	// checkpoint.
+	defer rt.Close()
 
-	srv2, l2, shutdown2, err := setup("127.0.0.1:0", csv, "", dataDir, 10, 0, -1, 0, 0)
-	if err != nil {
-		t.Fatalf("resume failed: %v", err)
-	}
-	done2 := make(chan struct{})
-	go func() { defer close(done2); _ = srv2.Serve(l2) }()
-	defer func() { srv2.Close(); <-done2; shutdown2() }()
-	conn2, err := net.Dial("tcp", l2.Addr().String())
+	addr2, rt2, stop2 := startLine(t, root, csv, "")
+	defer func() { stop2(); rt2.Close() }()
+	conn2, err := net.Dial("tcp", addr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +182,21 @@ func TestSetupDurableResume(t *testing.T) {
 	if !strings.Contains(stats, `"records":3`) {
 		t.Fatalf("stats after resume = %s", stats)
 	}
+}
+
+// buildDaemon compiles dynfdd into a temporary directory; subprocess
+// tests skip in -short mode.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("subprocess test skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "dynfdd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Skipf("cannot build dynfdd: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // daemon is one dynfdd subprocess under test.
@@ -216,23 +283,17 @@ func (d *daemon) roundTrip(t *testing.T, lines ...string) []wireResp {
 	return out
 }
 
-// TestDaemonKillAndRestart is the end-to-end durability check: a real
-// dynfdd process is SIGKILLed right after acknowledging commits, and a
-// restart on the same -data-dir must come back with zero lost batches.
+// TestDaemonKillAndRestart is the end-to-end durability check of the line
+// protocol: a real dynfdd process serving -listen over a -data-root, with
+// checkpointing disabled, is SIGKILLed right after acknowledging commits,
+// and a restart on the same root must come back with zero lost batches.
 // It then exercises graceful shutdown: SIGTERM exits 0 after a final
 // checkpoint, and a third start resumes from the checkpoint alone.
 func TestDaemonKillAndRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "dynfdd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build dynfdd: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(t.TempDir(), "state")
+	bin := buildDaemon(t)
+	dataRoot := filepath.Join(t.TempDir(), "root")
 
-	d := startDaemon(t, bin, "-listen", "127.0.0.1:0", "-columns", "zip,city", "-data-dir", dataDir, "-checkpoint-every", "-1")
+	d := startDaemon(t, bin, "-listen", "127.0.0.1:0", "-columns", "zip,city", "-data-root", dataRoot, "-checkpoint-every", "-1")
 	resps := d.roundTrip(t,
 		`{"op":"insert","values":["14482","Potsdam"]}`,
 		`{"op":"insert","values":["14482","Golm"]}`,
@@ -258,7 +319,7 @@ func TestDaemonKillAndRestart(t *testing.T) {
 	}
 	d.cmd.Wait()
 
-	d2 := startDaemon(t, bin, "-listen", "127.0.0.1:0", "-data-dir", dataDir)
+	d2 := startDaemon(t, bin, "-listen", "127.0.0.1:0", "-data-root", dataRoot)
 	resps2 := d2.roundTrip(t, `{"op":"fds"}`, `{"op":"stats"}`)
 	if got := fmt.Sprint(resps2[0].FDs); got != wantFDs {
 		t.Fatalf("FDs lost across kill -9:\n got %s\nwant %s", got, wantFDs)
@@ -285,7 +346,7 @@ func TestDaemonKillAndRestart(t *testing.T) {
 
 	// After the graceful exit the state lives in the final checkpoint;
 	// a third start must resume identically.
-	d3 := startDaemon(t, bin, "-listen", "127.0.0.1:0", "-data-dir", dataDir)
+	d3 := startDaemon(t, bin, "-listen", "127.0.0.1:0", "-data-root", dataRoot)
 	defer func() {
 		d3.cmd.Process.Kill()
 		d3.cmd.Wait()
@@ -303,14 +364,7 @@ func TestDaemonKillAndRestart(t *testing.T) {
 // front ends, so the HTTP announcement comes while the line protocol is
 // still being set up.
 func TestDaemonSIGTERMAtAnnounce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "dynfdd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build dynfdd: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 	for i := 0; i < 20; i++ {
 		root := filepath.Join(t.TempDir(), "root")
 		d := startAnnounced(t, bin, "http on ",

@@ -117,14 +117,7 @@ func waitReplica(t *testing.T, d *httpDaemon, want uint64) string {
 // replication instead of starting over. Both daemons must shut down
 // cleanly on SIGTERM.
 func TestServiceReplication(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "dynfdd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build dynfdd: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 
 	primary := startReplPrimary(t, bin,
 		"-http", "127.0.0.1:0", "-data-root", filepath.Join(t.TempDir(), "primary"),

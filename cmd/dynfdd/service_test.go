@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os/exec"
@@ -107,6 +108,25 @@ func (d *httpDaemon) state(t *testing.T, tenant string) tenantState {
 	return st
 }
 
+// renderedFDs returns the tenant's FDs as its /fds endpoint renders them.
+func (d *httpDaemon) renderedFDs(t *testing.T, tenant string) string {
+	t.Helper()
+	code, data := d.do(t, "GET", "/v1/tenants/"+tenant+"/fds", "")
+	var body struct {
+		FDs []struct {
+			Rendered string `json:"rendered"`
+		} `json:"fds"`
+	}
+	if code != 200 || json.Unmarshal(data, &body) != nil {
+		t.Fatalf("fds %s = %d %s", tenant, code, data)
+	}
+	out := make([]string, len(body.FDs))
+	for i, f := range body.FDs {
+		out[i] = f.Rendered
+	}
+	return fmt.Sprint(out)
+}
+
 // TestServiceKillAndRestart proves the multi-tenant service loses nothing
 // a client was told was durable: a real dynfdd process hosts three
 // tenants, acknowledges batches for each, and is SIGKILLed with
@@ -115,14 +135,7 @@ func (d *httpDaemon) state(t *testing.T, tenant string) tenantState {
 // with identical seq, record count, and FD cover. A final SIGTERM must
 // exit 0 after draining.
 func TestServiceKillAndRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "dynfdd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build dynfdd: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 	dataRoot := filepath.Join(t.TempDir(), "root")
 
 	d := startHTTPDaemon(t, bin,
@@ -226,17 +239,12 @@ func TestServiceKillAndRestart(t *testing.T) {
 	}
 }
 
-// TestServiceDualMode runs both the HTTP API and the legacy line protocol
-// in one process and checks each answers.
+// TestServiceDualMode runs both the HTTP API and the line protocol in one
+// process and checks they serve one runtime: the line protocol's tenant
+// "line" is listed and readable over HTTP, and a batch posted over HTTP
+// shows in the next line-protocol read.
 func TestServiceDualMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "dynfdd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build dynfdd: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 	dir := t.TempDir()
 
 	cmd := exec.Command(bin,
@@ -298,8 +306,38 @@ func TestServiceDualMode(t *testing.T) {
 	}
 
 	d := &daemon{cmd: cmd, addr: lineAddr}
-	resps := d.roundTrip(t, `{"op":"insert","values":["14482","Potsdam"]}`, `{"op":"commit"}`)
+	resps := d.roundTrip(t,
+		`{"op":"insert","values":["14482","Potsdam"]}`,
+		`{"op":"insert","values":["14482","Golm"]}`,
+		`{"op":"commit"}`,
+		`{"op":"fds"}`)
 	if !resps[0].OK {
 		t.Fatalf("line-protocol commit alongside HTTP failed: %+v", resps[0])
+	}
+
+	lineFDs := fmt.Sprint(resps[1].FDs)
+	h := &httpDaemon{cmd: cmd, base: "http://" + httpAddr}
+	if got := h.renderedFDs(t, "line"); got != lineFDs {
+		t.Fatalf("HTTP fds of tenant line = %s, line protocol = %s", got, lineFDs)
+	}
+	code, data := h.do(t, "GET", "/v1/tenants", "")
+	var list struct{ Tenants []tenantState }
+	if code != 200 || json.Unmarshal(data, &list) != nil {
+		t.Fatalf("list = %d %s", code, data)
+	}
+	if len(list.Tenants) != 1 || list.Tenants[0].Seq != 1 || list.Tenants[0].Records != 2 {
+		t.Fatalf("tenant listing after a line-protocol batch = %s", data)
+	}
+
+	if code, data := h.do(t, "POST", "/v1/tenants/line/batch",
+		`{"changes":[{"op":"insert","values":["10115","Berlin"]}]}`); code != 200 {
+		t.Fatalf("HTTP batch to tenant line = %d %s", code, data)
+	}
+	resps = d.roundTrip(t, `{"op":"fds"}`, `{"op":"stats"}`)
+	if got, want := fmt.Sprint(resps[0].FDs), h.renderedFDs(t, "line"); got != want || got == lineFDs {
+		t.Fatalf("line-protocol fds after an HTTP batch = %s, HTTP = %s", got, want)
+	}
+	if resps[1].Records == nil || *resps[1].Records != 3 {
+		t.Fatalf("line-protocol stats after an HTTP batch = %+v", resps[1])
 	}
 }

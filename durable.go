@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dynfd/internal/dataset"
 	"dynfd/internal/durable"
 	"dynfd/internal/wal"
 )
@@ -40,9 +41,9 @@ type DurableMonitor struct {
 }
 
 // OpenDurable opens (or creates) a durable monitor rooted at dir. For a
-// new directory, columns defines the schema; for an existing one, the
-// schema is recovered from the checkpoint and columns — when non-nil —
-// is verified against it. Options other than WithCheckpointEvery only
+// new directory, columns defines the schema and must name distinct
+// columns, as for NewMonitor; for an existing one, the schema is recovered
+// from the checkpoint and columns — when non-nil — is verified against it. Options other than WithCheckpointEvery only
 // take effect when the store is created; a recovered store keeps its
 // saved configuration.
 func OpenDurable(dir string, columns []string, opts ...Option) (*DurableMonitor, error) {
@@ -64,6 +65,11 @@ func OpenReplica(dir string, blob []byte, opts ...Option) (*DurableMonitor, erro
 // openDurable opens the store in dir through open: durable.Open, or
 // durable.OpenSeeded at a primary's checkpoint.
 func openDurable(dir string, columns []string, open func(durable.Storage, durable.Options) (*durable.Engine, error), opts []Option) (*DurableMonitor, error) {
+	if columns != nil {
+		if err := dataset.New("relation", columns).Validate(); err != nil {
+			return nil, err
+		}
+	}
 	o := options{pruning: AllPruning()}
 	for _, opt := range opts {
 		opt(&o)

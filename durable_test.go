@@ -170,4 +170,7 @@ func TestOpenDurableSchemaMismatch(t *testing.T) {
 	if _, err := OpenDurable(dir, []string{"x", "y", "z"}); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
+	if _, err := OpenDurable(t.TempDir(), []string{"a", "a"}); err == nil {
+		t.Fatal("duplicate columns accepted for a new store")
+	}
 }

@@ -51,8 +51,8 @@ func sameState(t *testing.T, a, b *Engine) {
 	if a.Seq() != b.Seq() || coversOf(a) != coversOf(b) {
 		t.Fatalf("seq %d covers %s, want seq %d covers %s", a.Seq(), coversOf(a), b.Seq(), coversOf(b))
 	}
-	if a.NumRecords() != b.NumRecords() {
-		t.Fatalf("%d records, want %d", a.NumRecords(), b.NumRecords())
+	if a.Core().NumRecords() != b.Core().NumRecords() {
+		t.Fatalf("%d records, want %d", a.Core().NumRecords(), b.Core().NumRecords())
 	}
 	b.Core().ForEachRecord(func(id int64, want []string) bool {
 		if got, ok := a.Core().Record(id); !ok || fmt.Sprint(got) != fmt.Sprint(want) {

@@ -11,7 +11,6 @@ import (
 
 	"dynfd/internal/core"
 	"dynfd/internal/dataset"
-	"dynfd/internal/fd"
 	"dynfd/internal/results"
 	"dynfd/internal/stream"
 	"dynfd/internal/wal"
@@ -678,22 +677,3 @@ func (e *Engine) LastCheckpointErr() error {
 	defer e.cpMu.Unlock()
 	return e.lastCheckpoint
 }
-
-// The read-side delegates below, together with CheckBatch and ApplyBatch,
-// let a durable engine serve wherever a core engine does (the server's
-// backend interface).
-
-// CheckBatch verifies a batch would apply cleanly without touching state.
-func (e *Engine) CheckBatch(batch stream.Batch) error { return e.eng.CheckBatch(batch) }
-
-// ApplyBatch is Apply under the name the server backend expects.
-func (e *Engine) ApplyBatch(batch stream.Batch) (core.Result, error) { return e.Apply(batch) }
-
-// FDs returns the current minimal FDs.
-func (e *Engine) FDs() []fd.FD { return e.eng.FDs() }
-
-// NumRecords returns the current tuple count.
-func (e *Engine) NumRecords() int { return e.eng.NumRecords() }
-
-// Stats returns the accumulated work counters.
-func (e *Engine) Stats() core.Stats { return e.eng.Stats() }

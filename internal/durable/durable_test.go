@@ -30,7 +30,7 @@ func insertBatch(values ...string) stream.Batch {
 	return stream.Batch{Changes: []stream.Change{{Kind: stream.Insert, Values: values}}}
 }
 
-func fdsOf(e *Engine) string { return fmt.Sprint(e.FDs()) }
+func fdsOf(e *Engine) string { return fmt.Sprint(e.Core().FDs()) }
 
 func TestOpenBootstrapApplyCloseReopen(t *testing.T) {
 	t.Parallel()
@@ -52,7 +52,7 @@ func TestOpenBootstrapApplyCloseReopen(t *testing.T) {
 		}
 	}
 	want := fdsOf(eng)
-	wantRecords := eng.NumRecords()
+	wantRecords := eng.Core().NumRecords()
 	if eng.Seq() != 3 {
 		t.Fatalf("seq = %d, want 3", eng.Seq())
 	}
@@ -72,8 +72,8 @@ func TestOpenBootstrapApplyCloseReopen(t *testing.T) {
 	if got := fdsOf(eng2); got != want {
 		t.Fatalf("FDs after reopen:\n got %s\nwant %s", got, want)
 	}
-	if eng2.NumRecords() != wantRecords || eng2.Seq() != 3 {
-		t.Fatalf("after reopen: records=%d seq=%d, want %d/3", eng2.NumRecords(), eng2.Seq(), wantRecords)
+	if eng2.Core().NumRecords() != wantRecords || eng2.Seq() != 3 {
+		t.Fatalf("after reopen: records=%d seq=%d, want %d/3", eng2.Core().NumRecords(), eng2.Seq(), wantRecords)
 	}
 	if err := eng2.Core().CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -310,8 +310,8 @@ func TestCheckpointEveryResetsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng2.Seq() != 2 || eng2.NumRecords() != 2 {
-		t.Fatalf("recovered seq=%d records=%d, want 2/2", eng2.Seq(), eng2.NumRecords())
+	if eng2.Seq() != 2 || eng2.Core().NumRecords() != 2 {
+		t.Fatalf("recovered seq=%d records=%d, want 2/2", eng2.Seq(), eng2.Core().NumRecords())
 	}
 }
 
@@ -358,7 +358,7 @@ func TestAppendFailurePoisons(t *testing.T) {
 	if err := eng.Checkpoint(); err == nil {
 		t.Fatal("poisoned engine accepted a checkpoint")
 	}
-	if len(eng.FDs()) == 0 {
+	if len(eng.Core().FDs()) == 0 {
 		t.Fatal("no FDs readable from poisoned engine")
 	}
 }
@@ -438,8 +438,8 @@ func TestStaleRecordsSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng2.Seq() != 2 || eng2.NumRecords() != 2 {
-		t.Fatalf("recovered seq=%d records=%d, want 2/2", eng2.Seq(), eng2.NumRecords())
+	if eng2.Seq() != 2 || eng2.Core().NumRecords() != 2 {
+		t.Fatalf("recovered seq=%d records=%d, want 2/2", eng2.Seq(), eng2.Core().NumRecords())
 	}
 	if err := eng2.Core().CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -194,8 +194,8 @@ func TestEpochForcedInstallDiscardsDivergentTail(t *testing.T) {
 	if got, want := fdsOf(loser), fdsOf(winner); got != want {
 		t.Fatalf("installed state diverges:\n got %s\nwant %s", got, want)
 	}
-	if loser.NumRecords() != winner.NumRecords() {
-		t.Fatalf("records: loser %d, winner %d", loser.NumRecords(), winner.NumRecords())
+	if loser.Core().NumRecords() != winner.Core().NumRecords() {
+		t.Fatalf("records: loser %d, winner %d", loser.Core().NumRecords(), winner.Core().NumRecords())
 	}
 	if err := loser.Core().CheckInvariants(); err != nil {
 		t.Fatal(err)

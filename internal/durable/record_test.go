@@ -157,7 +157,7 @@ func TestFollowerAppliesLegacyJSONFrames(t *testing.T) {
 		if coversOf(follower) != coversOf(primary) {
 			t.Fatalf("trailer %v: follower covers %s, primary %s", trailer, coversOf(follower), coversOf(primary))
 		}
-		if got, want := follower.Stats().CoverPatches, len(frames); trailer && got != want {
+		if got, want := follower.Core().Stats().CoverPatches, len(frames); trailer && got != want {
 			t.Fatalf("follower patched %d of %d legacy frames with trailers", got, want)
 		}
 		data, err := mem.ReadLog()
@@ -251,7 +251,7 @@ func TestNonUTF8ValuesRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "row 1") || !strings.Contains(err.Error(), "attribute 1 (b)") {
 		t.Fatalf("Bootstrap of a non-UTF-8 value: %v", err)
 	}
-	if fresh.NumRecords() != 0 {
-		t.Fatalf("rejected bootstrap left %d records", fresh.NumRecords())
+	if fresh.Core().NumRecords() != 0 {
+		t.Fatalf("rejected bootstrap left %d records", fresh.Core().NumRecords())
 	}
 }

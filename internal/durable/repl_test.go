@@ -70,7 +70,7 @@ func TestReplicatedFrameFallbacks(t *testing.T) {
 				t.Fatalf("%s: frame %d: %v", name, fr.Seq, err)
 			}
 		}
-		if got := follower.Stats().CoverPatches; got != 0 {
+		if got := follower.Core().Stats().CoverPatches; got != 0 {
 			t.Fatalf("%s: follower patched %d batches from unusable deltas", name, got)
 		}
 		if got, want := fmt.Sprint(follower.Core().FDs(), follower.Core().NonFDs()), fmt.Sprint(primary.Core().FDs(), primary.Core().NonFDs()); got != want {

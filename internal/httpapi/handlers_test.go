@@ -12,14 +12,13 @@ import (
 	"testing"
 
 	"dynfd/internal/runtime"
-	"dynfd/internal/server"
 )
 
 // newTestServer starts an in-process service over a fresh data root with
 // one pre-created tenant "t0" (columns zip,city) and small limits.
 func newTestServer(t *testing.T) (*httptest.Server, *runtime.Runtime) {
 	t.Helper()
-	limits := server.DefaultLimits()
+	limits := runtime.DefaultLimits()
 	limits.MaxBodyBytes = 4096
 	limits.MaxPending = 64
 	rt, err := runtime.Open(runtime.Config{DataRoot: t.TempDir(), Limits: limits})

@@ -60,13 +60,12 @@ import (
 
 	"dynfd"
 	"dynfd/internal/runtime"
-	"dynfd/internal/server"
 )
 
 // Server routes HTTP requests onto a runtime.
 type Server struct {
 	rt     *runtime.Runtime
-	limits server.Limits
+	limits runtime.Limits
 }
 
 // New wraps a runtime; limits come from the runtime's configuration.

@@ -12,7 +12,6 @@ import (
 	"dynfd"
 	"dynfd/internal/repl"
 	"dynfd/internal/runtime"
-	"dynfd/internal/server"
 )
 
 // replPair is a primary and a follower service wired together over a real
@@ -29,7 +28,7 @@ type replPair struct {
 // primary advertises its public API URL, so followers can redirect.
 func newReplPair(t *testing.T) *replPair {
 	t.Helper()
-	limits := server.DefaultLimits()
+	limits := runtime.DefaultLimits()
 	prt, err := runtime.Open(runtime.Config{
 		DataRoot:         t.TempDir(),
 		Limits:           limits,

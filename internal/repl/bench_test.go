@@ -106,7 +106,7 @@ func BenchmarkFollowerApply(b *testing.B) {
 			var fol *durable.Engine
 			var engine time.Duration
 			phases := func() time.Duration {
-				s := fol.Stats()
+				s := fol.Core().Stats()
 				return s.StructureTime + s.DeletePhaseTime + s.InsertPhaseTime
 			}
 			restart := func() {

@@ -217,7 +217,7 @@ func TestFollowerWALMatchesPrimary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := feng.Stats().CoverPatches; got != len(batches) {
+	if got := feng.Core().Stats().CoverPatches; got != len(batches) {
 		t.Fatalf("follower patched %d of %d batches", got, len(batches))
 	}
 	plog, err := p.st.ReadLog()
@@ -408,8 +408,8 @@ func TestDeltaStreamEpochForcedInstall(t *testing.T) {
 	stopC()
 	checkShadow(t, bCounts, true)
 	checkShadow(t, cCounts, true)
-	if b.eng.Stats().Batches != b.eng.Stats().CoverPatches {
-		t.Fatalf("B ran %d batches but patched %d: its history must be delta-only", b.eng.Stats().Batches, b.eng.Stats().CoverPatches)
+	if b.eng.Core().Stats().Batches != b.eng.Core().Stats().CoverPatches {
+		t.Fatalf("B ran %d batches but patched %d: its history must be delta-only", b.eng.Core().Stats().Batches, b.eng.Core().Stats().CoverPatches)
 	}
 
 	// Phase 2: A takes a divergent tail nobody receives, then dies.
@@ -473,7 +473,7 @@ func TestDeltaStreamEpochForcedInstall(t *testing.T) {
 	stopA()
 	checkShadow(t, cCounts, true)
 	checkShadow(t, aCounts, true)
-	if s := b.eng.Stats(); s.Batches-s.CoverPatches != len(batches)-splitAt {
+	if s := b.eng.Core().Stats(); s.Batches-s.CoverPatches != len(batches)-splitAt {
 		t.Fatalf("promoted B ran the sweeps on %d batches, want %d", s.Batches-s.CoverPatches, len(batches)-splitAt)
 	}
 	want := states[len(batches)]

@@ -237,7 +237,7 @@ func (r *shadowReplica) ApplyReplicated(seq uint64, payload []byte) error {
 // engineState reads a durable engine's state for a shadow check.
 func engineState(eng *durable.Engine) func() (*core.Snapshot, int) {
 	return func() (*core.Snapshot, int) {
-		return eng.Core().Snapshot(), eng.Stats().CoverPatches
+		return eng.Core().Snapshot(), eng.Core().Stats().CoverPatches
 	}
 }
 

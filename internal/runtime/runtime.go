@@ -32,7 +32,6 @@ import (
 
 	"dynfd"
 	"dynfd/internal/repl"
-	"dynfd/internal/server"
 )
 
 // Sentinel errors of the tenant lifecycle and admission control. The HTTP
@@ -87,6 +86,52 @@ func ValidateTenantName(name string) error {
 	return nil
 }
 
+// Limits bounds resource use. The first three fields are per-connection
+// limits of the line protocol (internal/server); the remaining fields are
+// admission-control caps consumed by the runtime and the HTTP layer
+// (internal/httpapi). Every counter backing these caps is scoped to one
+// connection or one tenant — never shared across tenants — so one noisy
+// client cannot exhaust another tenant's budget.
+type Limits struct {
+	// IdleTimeout closes a connection when a single read or write stalls
+	// longer than this; 0 disables the deadline.
+	IdleTimeout time.Duration
+	// MaxLineBytes caps one request line; an overlong line is answered
+	// with an error and the connection is closed (its framing is lost).
+	MaxLineBytes int
+	// MaxPending caps the staged-but-uncommitted changes per connection
+	// on the line protocol, and the changes of one HTTP batch request;
+	// staging beyond it is rejected (the client should commit first).
+	MaxPending int
+
+	// MaxBodyBytes caps one HTTP request body; oversized requests are
+	// answered with 413. 0 disables the cap.
+	MaxBodyBytes int64
+	// MaxTenantInFlight caps the batches admitted but not yet completed
+	// per tenant; excess applies are rejected with a retryable error.
+	// 0 disables the cap.
+	MaxTenantInFlight int
+	// MaxInFlight caps the batches admitted but not yet completed across
+	// all tenants of a runtime. 0 disables the cap.
+	MaxInFlight int
+	// MaxTenants caps the number of live tenants of a runtime. 0 disables
+	// the cap.
+	MaxTenants int
+}
+
+// DefaultLimits are applied when Config.Limits is the zero value.
+func DefaultLimits() Limits {
+	return Limits{
+		IdleTimeout:       5 * time.Minute,
+		MaxLineBytes:      1 << 20,
+		MaxPending:        1 << 16,
+		MaxBodyBytes:      1 << 20,
+		MaxTenantInFlight: 64,
+		MaxInFlight:       1024,
+		MaxTenants:        1024,
+	}
+}
+
 // Config parameterizes a runtime.
 type Config struct {
 	// DataRoot is the directory holding one subdirectory per tenant.
@@ -101,8 +146,8 @@ type Config struct {
 	// (dynfd.WithCheckpointEvery); 0 keeps the engine default.
 	CheckpointEvery int
 	// Limits is the admission-control configuration; the zero value means
-	// server.DefaultLimits.
-	Limits server.Limits
+	// DefaultLimits.
+	Limits Limits
 	// Logger receives lifecycle and quarantine events; nil discards them.
 	Logger *log.Logger
 	// LatencyWindow is how many recent per-batch latencies each tenant
@@ -232,8 +277,8 @@ func Open(cfg Config) (*Runtime, error) {
 	if cfg.DataRoot == "" {
 		return nil, fmt.Errorf("runtime: Config.DataRoot is required")
 	}
-	if (cfg.Limits == server.Limits{}) {
-		cfg.Limits = server.DefaultLimits()
+	if (cfg.Limits == Limits{}) {
+		cfg.Limits = DefaultLimits()
 	}
 	if cfg.LatencyWindow <= 0 {
 		cfg.LatencyWindow = 512
@@ -362,7 +407,7 @@ func (rt *Runtime) Ready() bool {
 func (rt *Runtime) DataRoot() string { return rt.cfg.DataRoot }
 
 // Limits returns the admission-control configuration in force.
-func (rt *Runtime) Limits() server.Limits { return rt.cfg.Limits }
+func (rt *Runtime) Limits() Limits { return rt.cfg.Limits }
 
 // CreateOptions carries per-tenant overrides of the runtime defaults.
 // Overrides are persisted in the tenant directory and re-applied when the

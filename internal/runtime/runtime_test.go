@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dynfd"
-	"dynfd/internal/server"
 )
 
 func openTestRuntime(t *testing.T, cfg Config) *Runtime {
@@ -211,7 +210,7 @@ func TestStartupQuarantine(t *testing.T) {
 
 func TestAdmissionCaps(t *testing.T) {
 	t.Parallel()
-	limits := server.DefaultLimits()
+	limits := DefaultLimits()
 	limits.MaxTenants = 2
 	rt := openTestRuntime(t, Config{Limits: limits})
 	if err := rt.Create("t1", []string{"a"}, nil); err != nil {

@@ -7,43 +7,22 @@ import (
 	"testing"
 	"time"
 
-	"dynfd/internal/core"
-	"dynfd/internal/durable"
-	"dynfd/internal/faultio"
+	"dynfd/internal/runtime"
 )
 
-// startLimitedServer starts a server with custom limits over a 2-column
-// schema.
-func startLimitedServer(t *testing.T, limits Limits, batchSize int) string {
+// startLimitedServer serves a 2-column tenant of a runtime under custom
+// limits.
+func startLimitedServer(t *testing.T, limits runtime.Limits, batchSize int) string {
 	t.Helper()
-	srv, err := New([]string{"zip", "city"}, nil, batchSize, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetLimits(limits)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(l); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	return l.Addr().String()
+	addr, _ := startTenant(t, runtime.Config{Limits: limits}, []string{"zip", "city"}, nil, batchSize)
+	return addr
 }
 
 // TestServerIdleTimeout: a connection that goes quiet must be closed once
 // the idle deadline passes, freeing its handler goroutine.
 func TestServerIdleTimeout(t *testing.T) {
 	t.Parallel()
-	limits := DefaultLimits()
+	limits := runtime.DefaultLimits()
 	limits.IdleTimeout = 60 * time.Millisecond
 	addr := startLimitedServer(t, limits, 100)
 	conn, err := net.Dial("tcp", addr)
@@ -75,7 +54,7 @@ func TestServerIdleTimeout(t *testing.T) {
 // unrecoverable.
 func TestServerRejectsOverlongLine(t *testing.T) {
 	t.Parallel()
-	limits := DefaultLimits()
+	limits := runtime.DefaultLimits()
 	limits.MaxLineBytes = 256
 	addr := startLimitedServer(t, limits, 100)
 	c := dial(t, addr)
@@ -100,7 +79,7 @@ func TestServerRejectsOverlongLine(t *testing.T) {
 // disturbing the already-staged changes.
 func TestServerPendingCap(t *testing.T) {
 	t.Parallel()
-	limits := DefaultLimits()
+	limits := runtime.DefaultLimits()
 	limits.MaxPending = 3
 	addr := startLimitedServer(t, limits, 100) // batch size above the cap
 	c := dial(t, addr)
@@ -119,50 +98,42 @@ func TestServerPendingCap(t *testing.T) {
 	}
 }
 
-// TestServerOnDurableBackend runs the wire protocol against a durable
-// engine and checks a committed batch is in the WAL before the ack, so a
-// "kill" (abandoning the storage without Close) loses nothing.
+// TestServerOnDurableBackend checks a committed batch is fsynced to the
+// tenant's WAL before the ack, so a "kill" (abandoning the runtime without
+// Close, hence without a final checkpoint) loses nothing.
 func TestServerOnDurableBackend(t *testing.T) {
 	t.Parallel()
-	columns := []string{"zip", "city"}
-	st := faultio.NewMem()
-	eng, err := durable.Open(st, durable.Options{Columns: columns, Config: core.DefaultConfig(), CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewWithBackend(columns, eng, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(l)
-	}()
-	defer func() {
-		srv.Close()
-		<-done
-	}()
+	addr, rt := startTenant(t, runtime.Config{CheckpointEvery: -1}, []string{"zip", "city"}, nil, 100)
 
-	c := dial(t, l.Addr().String())
+	c := dial(t, addr)
 	c.send(`{"op":"insert","values":["14482","Potsdam"]}`)
 	c.send(`{"op":"insert","values":["10115","Berlin"]}`)
 	c.send(`{"op":"commit"}`)
 	if r := c.recv(); !r.OK {
 		t.Fatalf("commit = %+v", r)
 	}
-
-	// Crash: reopen storage as a fresh process would find it (synced
-	// bytes only) — the acked batch must be there.
-	rec, err := durable.Open(st.Reopen(0), durable.Options{Columns: columns, Config: core.DefaultConfig()})
+	// The ack came after the WAL fsync that covers the batch.
+	m, err := rt.TenantMetrics("line")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Seq() != 1 || rec.NumRecords() != 2 {
-		t.Fatalf("recovered seq=%d records=%d, want 1/2", rec.Seq(), rec.NumRecords())
+	if m.Seq != 1 || m.WALSyncs < 1 {
+		t.Fatalf("acked batch at seq %d after %d WAL syncs, want seq 1 and a sync", m.Seq, m.WALSyncs)
+	}
+
+	// Crash: recover the data root as a fresh process would find it —
+	// no final checkpoint, only the WAL — and the acked batch must be
+	// there.
+	rec, err := runtime.Open(runtime.Config{DataRoot: rt.DataRoot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	info, err := rec.Info("line")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != 1 || info.Records != 2 || info.Quarantined != "" {
+		t.Fatalf("recovered %+v, want seq 1 with 2 records", info)
 	}
 }

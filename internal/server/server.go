@@ -1,7 +1,10 @@
-// Package server exposes a DynFD engine over a line-oriented TCP protocol,
-// so the FDs of a relation can be maintained as a long-running service fed
-// by a live change stream — the deployment scenario the paper sketches in
-// Figure 1, where DynFD monitors the change feed of a database.
+// Package server serves one runtime tenant over a line-oriented TCP
+// protocol, so the FDs of a relation can be maintained as a long-running
+// service fed by a live change stream — the deployment scenario the paper
+// sketches in Figure 1, where DynFD monitors the change feed of a database.
+// The package is a codec only: the tenant's engine, durability, admission
+// control, group commit and quarantine all belong to internal/runtime, so
+// the tenant is equally readable and writable over the HTTP API.
 //
 // Protocol: every request is one JSON object per line.
 //
@@ -10,12 +13,17 @@
 //	{"op":"update","id":4,"values":[...]}          stage an update
 //	{"op":"commit"}                                apply staged changes as one batch
 //	{"op":"fds"}                                   list current minimal FDs
-//	{"op":"stats"}                                 maintenance counters
+//	{"op":"stats"}                                 record and batch counters
 //
 // Staged changes also auto-commit when they reach the server's batch size.
 // Every commit/fds/stats request receives exactly one JSON response line;
-// staging requests are acknowledged only on error. Batches from concurrent
-// connections serialize on the shared engine.
+// staging requests are acknowledged only on error. A commit hands the
+// connection's staged changes to runtime.Apply as one batch, so batches
+// from concurrent connections and HTTP clients serialize on the tenant and
+// share group-commit fsyncs; a commit with nothing staged answers
+// {"ok":true} and writes nothing. fds and stats read the tenant's last
+// published snapshot, and stats.batches counts the batches acknowledged
+// since the runtime opened the tenant.
 package server
 
 import (
@@ -23,176 +31,69 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
-	"dynfd/internal/core"
-	"dynfd/internal/dataset"
-	"dynfd/internal/fd"
-	"dynfd/internal/stream"
+	"dynfd"
+	"dynfd/internal/runtime"
 )
 
-// Backend is the engine surface the server drives. *core.Engine satisfies
-// it directly; *durable.Engine satisfies it with write-ahead durability,
-// so a commit is only acknowledged once it is fsynced.
-type Backend interface {
-	CheckBatch(stream.Batch) error
-	ApplyBatch(stream.Batch) (core.Result, error)
-	FDs() []fd.FD
-	NumRecords() int
-	Stats() core.Stats
-}
-
-// Limits bounds resource use. The first three fields are per-connection
-// limits of the line protocol; the remaining fields are admission-control
-// caps consumed by the multi-tenant runtime (internal/runtime) and HTTP
-// layer (internal/httpapi). Every counter backing these caps is scoped to
-// one connection or one tenant — never shared across tenants — so one
-// noisy client cannot exhaust another tenant's budget.
-type Limits struct {
-	// IdleTimeout closes a connection when a single read or write stalls
-	// longer than this; 0 disables the deadline.
-	IdleTimeout time.Duration
-	// MaxLineBytes caps one request line; an overlong line is answered
-	// with an error and the connection is closed (its framing is lost).
-	MaxLineBytes int
-	// MaxPending caps the staged-but-uncommitted changes per connection
-	// on the line protocol, and the changes of one HTTP batch request;
-	// staging beyond it is rejected (the client should commit first).
-	MaxPending int
-
-	// MaxBodyBytes caps one HTTP request body; oversized requests are
-	// answered with 413. 0 disables the cap.
-	MaxBodyBytes int64
-	// MaxTenantInFlight caps the batches admitted but not yet completed
-	// per tenant; excess applies are rejected with a retryable error.
-	// 0 disables the cap.
-	MaxTenantInFlight int
-	// MaxInFlight caps the batches admitted but not yet completed across
-	// all tenants of a runtime. 0 disables the cap.
-	MaxInFlight int
-	// MaxTenants caps the number of live tenants of a runtime. 0 disables
-	// the cap.
-	MaxTenants int
-}
-
-// DefaultLimits are applied when New/NewWithBackend construct a server.
-func DefaultLimits() Limits {
-	return Limits{
-		IdleTimeout:       5 * time.Minute,
-		MaxLineBytes:      1 << 20,
-		MaxPending:        1 << 16,
-		MaxBodyBytes:      1 << 20,
-		MaxTenantInFlight: 64,
-		MaxInFlight:       1024,
-		MaxTenants:        1024,
-	}
-}
-
-// Server maintains one relation's FDs and serves the wire protocol.
+// Server serves the line protocol for one runtime tenant.
 type Server struct {
-	columns   []string
+	rt        *runtime.Runtime
+	tenant    string
 	batchSize int
+	limits    runtime.Limits
 
-	limitsMu sync.Mutex
-	limits   Limits
-
-	mu      sync.Mutex
-	backend Backend
-
-	listenerMu sync.Mutex
-	listener   net.Listener
-	conns      map[net.Conn]bool
-	closed     bool
-	wg         sync.WaitGroup
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]bool
+	closed   bool
+	wg       sync.WaitGroup
 }
 
-// New creates a server for the given schema. If initial rows are provided
-// they are profiled with HyFD; batchSize bounds the auto-commit batch.
-func New(columns []string, initial [][]string, batchSize int, cfg core.Config) (*Server, error) {
-	rel := dataset.New("relation", columns)
-	for _, row := range initial {
-		if err := rel.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	if err := rel.Validate(); err != nil {
-		return nil, err
-	}
-	var (
-		engine *core.Engine
-		err    error
-	)
-	if len(initial) > 0 {
-		engine, err = core.Bootstrap(rel, cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		engine = core.NewEmpty(len(columns), cfg)
-	}
-	return NewWithBackend(columns, engine, batchSize)
-}
-
-// NewWithBackend creates a server over an existing backend — typically a
-// durable engine whose state was just recovered from disk.
-func NewWithBackend(columns []string, backend Backend, batchSize int) (*Server, error) {
+// ForTenant creates a server for an existing tenant of rt; batchSize bounds
+// the auto-commit batch. Connections live under rt's Limits.
+func ForTenant(rt *runtime.Runtime, tenant string, batchSize int) (*Server, error) {
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("server: batch size must be positive")
 	}
+	if _, err := rt.Info(tenant); err != nil {
+		return nil, err
+	}
 	return &Server{
-		columns:   append([]string(nil), columns...),
+		rt:        rt,
+		tenant:    tenant,
 		batchSize: batchSize,
-		limits:    DefaultLimits(),
-		backend:   backend,
+		limits:    rt.Limits(),
 		conns:     make(map[net.Conn]bool),
 	}, nil
 }
 
-// SetLimits replaces the per-connection limits. Connections accepted after
-// the call use the new limits; existing connections keep the snapshot they
-// took when they were accepted.
-func (s *Server) SetLimits(l Limits) {
-	s.limitsMu.Lock()
-	s.limits = l
-	s.limitsMu.Unlock()
-}
-
-// limitsSnapshot returns the limits one connection will live under. Each
-// handler takes its own copy, so limit state is per-connection by
-// construction — a reconfiguration or another connection's traffic never
-// shifts the budget of a session mid-flight.
-func (s *Server) limitsSnapshot() Limits {
-	s.limitsMu.Lock()
-	defer s.limitsMu.Unlock()
-	return s.limits
-}
-
 // Serve accepts connections until the listener is closed (via Close).
 func (s *Server) Serve(l net.Listener) error {
-	s.listenerMu.Lock()
+	s.mu.Lock()
 	if s.closed {
-		s.listenerMu.Unlock()
+		s.mu.Unlock()
 		return fmt.Errorf("server: already closed")
 	}
 	s.listener = l
-	s.listenerMu.Unlock()
+	s.mu.Unlock()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			s.listenerMu.Lock()
+			s.mu.Lock()
 			closed := s.closed
-			s.listenerMu.Unlock()
+			s.mu.Unlock()
 			if closed {
 				return nil
 			}
 			return err
 		}
-		s.listenerMu.Lock()
+		s.mu.Lock()
 		s.conns[conn] = true
-		s.listenerMu.Unlock()
+		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -202,8 +103,9 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Close stops accepting, closes all connections, and waits for handlers.
+// The runtime stays open; its owner closes it.
 func (s *Server) Close() error {
-	s.listenerMu.Lock()
+	s.mu.Lock()
 	s.closed = true
 	var err error
 	if s.listener != nil {
@@ -212,7 +114,7 @@ func (s *Server) Close() error {
 	for c := range s.conns {
 		c.Close()
 	}
-	s.listenerMu.Unlock()
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
 }
@@ -264,109 +166,93 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
-		s.listenerMu.Lock()
+		s.mu.Lock()
 		delete(s.conns, conn)
-		s.listenerMu.Unlock()
+		s.mu.Unlock()
 	}()
-	limits := s.limitsSnapshot()
-	dc := &deadlineConn{Conn: conn, timeout: limits.IdleTimeout}
+	dc := &deadlineConn{Conn: conn, timeout: s.limits.IdleTimeout}
 	sc := bufio.NewScanner(dc)
-	maxLine := limits.MaxLineBytes
+	maxLine := s.limits.MaxLineBytes
 	if maxLine <= 0 {
 		maxLine = bufio.MaxScanTokenSize
 	}
-	initial := 1 << 16
-	if initial > maxLine {
-		initial = maxLine
-	}
-	sc.Buffer(make([]byte, 0, initial), maxLine)
+	sc.Buffer(make([]byte, 0, min(1<<16, maxLine)), maxLine)
 	enc := json.NewEncoder(dc)
 	enc.SetEscapeHTML(false) // keep "->" readable in FD renderings
-	var pending []stream.Change
-	reply := func(r response) bool { return enc.Encode(r) == nil }
+	var pending []dynfd.Change
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			if !reply(response{Error: fmt.Sprintf("bad request: %v", err)}) {
-				return
-			}
-			continue
-		}
-		switch req.Op {
-		case "insert", "delete", "update":
-			if limits.MaxPending > 0 && len(pending) >= limits.MaxPending {
-				if !reply(response{Error: fmt.Sprintf("too many pending changes (limit %d); commit first", limits.MaxPending)}) {
-					return
-				}
-				continue
-			}
-			c, err := toChange(req)
-			if err != nil {
-				if !reply(response{Error: err.Error()}) {
-					return
-				}
-				continue
-			}
-			pending = append(pending, c)
-			if len(pending) < s.batchSize {
-				continue
-			}
-			fallthrough
-		case "commit":
-			resp := s.commit(&pending)
-			if !reply(resp) {
-				return
-			}
-		case "fds":
-			s.mu.Lock()
-			fds := s.renderFDs(s.backend.FDs())
-			s.mu.Unlock()
-			if !reply(response{OK: true, FDs: fds}) {
-				return
-			}
-		case "stats":
-			s.mu.Lock()
-			records := s.backend.NumRecords()
-			batches := s.backend.Stats().Batches
-			s.mu.Unlock()
-			if !reply(response{OK: true, Records: &records, Batches: &batches}) {
-				return
-			}
-		default:
-			if !reply(response{Error: fmt.Sprintf("unknown op %q", req.Op)}) {
-				return
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// The line's framing is lost: answer once, then drop the
-			// connection rather than misparse the rest of the stream.
-			reply(response{Error: fmt.Sprintf("request line exceeds %d bytes", maxLine)})
-			return
-		}
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			// Connection-level failures (including idle-timeout deadline
-			// expiry) end the session silently; the client observes the
-			// closed socket.
+		resp, ok := s.do(line, &pending)
+		if ok && enc.Encode(resp) != nil {
 			return
 		}
 	}
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		// The line's framing is lost: answer once, then drop the
+		// connection rather than misparse the rest of the stream.
+		enc.Encode(response{Error: fmt.Sprintf("request line exceeds %d bytes", maxLine)})
+	}
+	// Any other end — EOF, a closed listener, an idle-timeout deadline —
+	// closes the session silently; the client observes the closed socket.
 }
 
-func toChange(req request) (stream.Change, error) {
-	c := stream.Change{Values: req.Values}
+// do executes one request line against the staged changes of its
+// connection. ok is false for a change staged silently.
+func (s *Server) do(line []byte, pending *[]dynfd.Change) (resp response, ok bool) {
+	var req request
+	if err := json.Unmarshal(line, &req); err != nil {
+		return response{Error: fmt.Sprintf("bad request: %v", err)}, true
+	}
+	switch req.Op {
+	case "insert", "delete", "update":
+		if max := s.limits.MaxPending; max > 0 && len(*pending) >= max {
+			return response{Error: fmt.Sprintf("too many pending changes (limit %d); commit first", max)}, true
+		}
+		c, err := toChange(req)
+		if err != nil {
+			return response{Error: err.Error()}, true
+		}
+		*pending = append(*pending, c)
+		if len(*pending) < s.batchSize {
+			return response{}, false
+		}
+		return s.commit(pending), true
+	case "commit":
+		return s.commit(pending), true
+	case "fds":
+		snap, _, err := s.rt.Snapshot(s.tenant)
+		if err != nil {
+			return response{Error: err.Error()}, true
+		}
+		fds := snap.FDs()
+		out := make([]string, len(fds))
+		for i, f := range fds {
+			out[i] = snap.FormatFD(f)
+		}
+		return response{OK: true, FDs: out}, true
+	case "stats":
+		info, err := s.rt.Info(s.tenant)
+		if err != nil {
+			return response{Error: err.Error()}, true
+		}
+		batches := int(info.Batches)
+		return response{OK: true, Records: &info.Records, Batches: &batches}, true
+	}
+	return response{Error: fmt.Sprintf("unknown op %q", req.Op)}, true
+}
+
+func toChange(req request) (dynfd.Change, error) {
+	c := dynfd.Change{Values: req.Values}
 	switch req.Op {
 	case "insert":
-		c.Kind = stream.Insert
+		c.Kind = dynfd.KindInsert
 	case "delete":
-		c.Kind = stream.Delete
+		c.Kind = dynfd.KindDelete
 	case "update":
-		c.Kind = stream.Update
+		c.Kind = dynfd.KindUpdate
 	}
 	if req.Op != "insert" {
 		if req.ID == nil {
@@ -377,35 +263,20 @@ func toChange(req request) (stream.Change, error) {
 	return c, nil
 }
 
-// commit applies the staged changes as one batch on the shared backend. A
-// batch from the network is prechecked first: a bad change must reject the
-// whole batch without poisoning the shared engine state. With a durable
-// backend, ApplyBatch returning nil means the batch is fsynced — the OK
-// response is the durability acknowledgement.
-func (s *Server) commit(pending *[]stream.Change) response {
-	batch := stream.Batch{Changes: *pending}
-	*pending = (*pending)[:0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.backend.CheckBatch(batch); err != nil {
-		return response{Error: err.Error()}
+// commit applies the staged changes as one batch on the tenant. The
+// runtime prechecks the batch, so a bad change rejects the whole batch
+// without touching the tenant, and Apply returns only once the batch is
+// fsynced: the OK response is the durability acknowledgement. A commit
+// with nothing staged writes nothing.
+func (s *Server) commit(pending *[]dynfd.Change) response {
+	changes := *pending
+	*pending = changes[:0]
+	if len(changes) == 0 {
+		return response{OK: true}
 	}
-	res, err := s.backend.ApplyBatch(batch)
+	res, err := s.rt.Apply(s.tenant, changes)
 	if err != nil {
 		return response{Error: err.Error()}
 	}
-	return response{
-		OK:          true,
-		InsertedIDs: res.InsertedIDs,
-		Added:       s.renderFDs(res.Added),
-		Removed:     s.renderFDs(res.Removed),
-	}
-}
-
-func (s *Server) renderFDs(fds []fd.FD) []string {
-	out := make([]string, len(fds))
-	for i, f := range fds {
-		out[i] = f.Names(s.columns)
-	}
-	return out
+	return response{OK: true, InsertedIDs: res.InsertedIDs, Added: res.Added, Removed: res.Removed}
 }

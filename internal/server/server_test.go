@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"dynfd/internal/core"
+	"dynfd/internal/runtime"
 )
 
 // client is a small test helper around one protocol connection.
@@ -48,9 +48,29 @@ func (c *client) recv() response {
 	return r
 }
 
-func startServer(t *testing.T, initial [][]string, batchSize int) (string, *Server) {
+var columns = []string{"firstname", "lastname", "zip", "city"}
+
+// startServer serves a fresh runtime tenant, bootstrapped from initial,
+// over the line protocol.
+func startServer(t *testing.T, initial [][]string, batchSize int) string {
 	t.Helper()
-	srv, err := New([]string{"firstname", "lastname", "zip", "city"}, initial, batchSize, core.DefaultConfig())
+	addr, _ := startTenant(t, runtime.Config{}, columns, initial, batchSize)
+	return addr
+}
+
+// startTenant opens a runtime under cfg over a temporary data root,
+// creates the tenant "line" and serves it on a loopback listener.
+func startTenant(t *testing.T, cfg runtime.Config, cols []string, initial [][]string, batchSize int) (string, *runtime.Runtime) {
+	t.Helper()
+	cfg.DataRoot = t.TempDir()
+	rt, err := runtime.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Create("line", cols, initial); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ForTenant(rt, "line", batchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +88,9 @@ func startServer(t *testing.T, initial [][]string, batchSize int) (string, *Serv
 	t.Cleanup(func() {
 		srv.Close()
 		<-done
+		rt.Close()
 	})
-	return l.Addr().String(), srv
+	return l.Addr().String(), rt
 }
 
 var paperRows = [][]string{
@@ -81,7 +102,7 @@ var paperRows = [][]string{
 
 func TestServerPaperScenario(t *testing.T) {
 	t.Parallel()
-	addr, _ := startServer(t, paperRows, 100)
+	addr := startServer(t, paperRows, 100)
 	c := dial(t, addr)
 
 	c.send(`{"op":"fds"}`)
@@ -102,8 +123,10 @@ func TestServerPaperScenario(t *testing.T) {
 	if len(r.InsertedIDs) != 2 {
 		t.Errorf("inserted ids = %v", r.InsertedIDs)
 	}
-	if len(r.Added) == 0 || len(r.Removed) == 0 {
-		t.Errorf("diff = %+v", r)
+	wantAdded := "[[lastname, city] -> firstname [firstname, lastname] -> zip [firstname] -> city]"
+	wantRemoved := "[[lastname] -> firstname [firstname, city] -> zip]"
+	if fmt.Sprint(r.Added) != wantAdded || fmt.Sprint(r.Removed) != wantRemoved {
+		t.Errorf("diff = %+v, want added %s removed %s", r, wantAdded, wantRemoved)
 	}
 
 	c.send(`{"op":"fds"}`)
@@ -121,7 +144,7 @@ func TestServerPaperScenario(t *testing.T) {
 
 func TestServerAutoCommit(t *testing.T) {
 	t.Parallel()
-	addr, _ := startServer(t, nil, 2)
+	addr := startServer(t, nil, 2)
 	c := dial(t, addr)
 	c.send(`{"op":"insert","values":["a","b","c","d"]}`)
 	c.send(`{"op":"insert","values":["a","b","c","e"]}`) // second insert triggers the auto-commit
@@ -133,7 +156,7 @@ func TestServerAutoCommit(t *testing.T) {
 
 func TestServerRejectsBadBatchesAtomically(t *testing.T) {
 	t.Parallel()
-	addr, _ := startServer(t, paperRows, 100)
+	addr := startServer(t, paperRows, 100)
 	c := dial(t, addr)
 	// A batch with one good insert and one dangling delete must be
 	// rejected wholesale.
@@ -154,7 +177,7 @@ func TestServerRejectsBadBatchesAtomically(t *testing.T) {
 
 func TestServerProtocolErrors(t *testing.T) {
 	t.Parallel()
-	addr, _ := startServer(t, nil, 10)
+	addr := startServer(t, nil, 10)
 	c := dial(t, addr)
 	c.send(`not json`)
 	if r := c.recv(); r.OK || r.Error == "" {
@@ -175,9 +198,49 @@ func TestServerProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestServerBareCommitWritesNothing: a commit with nothing staged answers
+// OK without reaching the runtime, so it neither takes a sequence number
+// nor costs a WAL fsync (nor, on a primary, a replication frame).
+func TestServerBareCommitWritesNothing(t *testing.T) {
+	t.Parallel()
+	addr, rt := startTenant(t, runtime.Config{}, columns, paperRows, 10)
+	state := func() (uint64, int) {
+		t.Helper()
+		info, err := rt.Info("line")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := rt.TenantMetrics("line")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Seq, m.WALSyncs
+	}
+	seq0, syncs0 := state()
+	c := dial(t, addr)
+	for i := 0; i < 3; i++ {
+		c.send(`{"op":"commit"}`)
+		if r := c.recv(); !r.OK || r.Error != "" || len(r.InsertedIDs) != 0 {
+			t.Fatalf("bare commit %d = %+v", i, r)
+		}
+	}
+	if seq, syncs := state(); seq != seq0 || syncs != syncs0 {
+		t.Fatalf("bare commits moved seq %d -> %d and WAL syncs %d -> %d", seq0, seq, syncs0, syncs)
+	}
+	// A commit with staged changes still writes.
+	c.send(`{"op":"insert","values":["a","b","c","d"]}`)
+	c.send(`{"op":"commit"}`)
+	if r := c.recv(); !r.OK {
+		t.Fatalf("commit = %+v", r)
+	}
+	if seq, syncs := state(); seq != seq0+1 || syncs <= syncs0 {
+		t.Fatalf("commit left seq %d -> %d and WAL syncs %d -> %d", seq0, seq, syncs0, syncs)
+	}
+}
+
 func TestServerConcurrentClients(t *testing.T) {
 	t.Parallel()
-	addr, _ := startServer(t, nil, 1000)
+	addr := startServer(t, nil, 1000)
 	const clients = 4
 	const perClient = 25
 	var wg sync.WaitGroup
@@ -218,13 +281,25 @@ func TestServerConcurrentClients(t *testing.T) {
 
 func TestServerConstruction(t *testing.T) {
 	t.Parallel()
-	if _, err := New([]string{"a"}, nil, 0, core.DefaultConfig()); err == nil {
+	rt, err := runtime.Open(runtime.Config{DataRoot: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if err := rt.Create("line", []string{"a"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ForTenant(rt, "line", 0); err == nil {
 		t.Error("batch size 0 accepted")
 	}
-	if _, err := New([]string{"a", "a"}, nil, 10, core.DefaultConfig()); err == nil {
+	if _, err := ForTenant(rt, "absent", 10); err == nil {
+		t.Error("unknown tenant accepted")
+	}
+	// Schema and bootstrap rows are the runtime's to check.
+	if err := rt.Create("dup", []string{"a", "a"}, nil); err == nil {
 		t.Error("duplicate columns accepted")
 	}
-	if _, err := New([]string{"a"}, [][]string{{"1", "2"}}, 10, core.DefaultConfig()); err == nil {
+	if err := rt.Create("ragged", []string{"a"}, [][]string{{"1", "2"}}); err == nil {
 		t.Error("ragged initial rows accepted")
 	}
 }
