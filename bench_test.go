@@ -181,41 +181,37 @@ func BenchmarkApplyBatchParallel(b *testing.B) {
 }
 
 // BenchmarkScheduler measures the work-stealing pipelined scheduler on
-// the disease replay across worker counts, with delta pruning on and off;
-// the reported validations/op metric makes the candidate reduction visible
-// next to the wall-clock numbers. Baselines live in BENCH_parallel.json.
+// the disease replay across worker counts; the reported validations/op
+// metric sits next to the wall-clock numbers. Baselines live in
+// BENCH_parallel.json and BENCH_delta.json.
 func BenchmarkScheduler(b *testing.B) {
 	d := generated(b, "disease", 0.25)
 	batches := stream.FixedBatches(d.Changes, 50)
 	for _, workers := range []int{1, 2, 4} {
-		for _, delta := range []bool{false, true} {
-			onOff := map[bool]string{false: "off", true: "on"}[delta]
-			b.Run(fmt.Sprintf("workers=%d/delta=%s", workers, onOff), func(b *testing.B) {
-				cfg := core.DefaultConfig()
-				cfg.Workers = workers
-				cfg.DeltaPruning = delta
-				b.ReportAllocs()
-				var validations int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					eng, err := core.Bootstrap(d.Relation, cfg)
-					if err != nil {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := core.DefaultConfig()
+			cfg.Workers = workers
+			b.ReportAllocs()
+			var validations int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng, err := core.Bootstrap(d.Relation, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, batch := range batches {
+					if _, err := eng.ApplyBatch(batch); err != nil {
 						b.Fatal(err)
 					}
-					b.StartTimer()
-					for _, batch := range batches {
-						if _, err := eng.ApplyBatch(batch); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					validations += eng.Stats().Validations
-					b.StartTimer()
 				}
-				b.ReportMetric(float64(validations)/float64(b.N), "validations/op")
-			})
-		}
+				b.StopTimer()
+				validations += eng.Stats().Validations
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(validations)/float64(b.N), "validations/op")
+		})
 	}
 }
 

@@ -124,9 +124,10 @@ func TestSetupErrors(t *testing.T) {
 // TestSetupDurableResume covers the in-process durable path: the line
 // tenant created from -initial under a data root, batches committed over
 // the wire, the runtime abandoned without Close (kill -9 equivalent: no
-// final checkpoint), and a second start on the same root resuming with
-// identical FDs — including that the -initial rows are only bootstrapped
-// the first time.
+// final checkpoint), and a second start on the root as that crash left it
+// resuming with identical FDs — including that the -initial rows are only
+// bootstrapped the first time. The abandoned runtime keeps the root's
+// lock, so the second start runs on a copy of the root.
 func TestSetupDurableResume(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -157,8 +158,12 @@ func TestSetupDurableResume(t *testing.T) {
 	// No rt.Close() until the end: the daemon "died" without its final
 	// checkpoint.
 	defer rt.Close()
+	crashed := filepath.Join(dir, "crashed")
+	if err := os.CopyFS(crashed, os.DirFS(root)); err != nil {
+		t.Fatal(err)
+	}
 
-	addr2, rt2, stop2 := startLine(t, root, csv, "")
+	addr2, rt2, stop2 := startLine(t, crashed, csv, "")
 	defer func() { stop2(); rt2.Close() }()
 	conn2, err := net.Dial("tcp", addr2)
 	if err != nil {

@@ -82,18 +82,11 @@ type Pruning struct {
 	ViolationSearch  bool // progressive record-pair search for violations (§4.3)
 	Validation       bool // skip non-FD re-validation while a witness pair lives (§5.2)
 	DepthFirstSearch bool // optimistic depth-first generalization search (§5.3)
-	// Delta enables the EAIFD-style batch-delta pruning: insert batches
-	// skip every FD candidate whose left-hand side cannot agree with an
-	// existing record on any inserted tuple, and delete batches repair
-	// violation witnesses whose records were superseded by updates
-	// instead of re-validating from scratch.
-	Delta bool
 }
 
-// AllPruning enables every strategy — the paper's default configuration
-// plus the delta pruning.
+// AllPruning enables every strategy: the paper's default configuration.
 func AllPruning() Pruning {
-	return Pruning{Cluster: true, ViolationSearch: true, Validation: true, DepthFirstSearch: true, Delta: true}
+	return Pruning{Cluster: true, ViolationSearch: true, Validation: true, DepthFirstSearch: true}
 }
 
 // Option configures a Monitor.
@@ -243,7 +236,6 @@ func coreConfig(o options, colIndex map[string]int) (core.Config, error) {
 	cfg.ViolationSearch = o.pruning.ViolationSearch
 	cfg.ValidationPruning = o.pruning.Validation
 	cfg.DepthFirstSearch = o.pruning.DepthFirstSearch
-	cfg.DeltaPruning = o.pruning.Delta
 	cfg.Seed = o.seed
 	cfg.UpdateColumnPruning = o.updatePruning
 	cfg.Workers = o.workers
@@ -440,14 +432,6 @@ type Stats struct {
 	DepthFirstSearchRuns int
 	ParallelLevels       int
 
-	// DeltaPruned counts insert-phase candidate validations skipped
-	// because no inserted record could agree on the candidate's LHS;
-	// WitnessRepairs counts delete-phase validations avoided by rewriting
-	// a violation witness onto updated record versions (both require
-	// Pruning.Delta).
-	DeltaPruned    int
-	WitnessRepairs int
-
 	// AgreePairs counts the record pairs compared to build the insert
 	// phase's agree-mask indexes, which answer the cluster-pruned
 	// validations (DESIGN.md §9).
@@ -488,8 +472,6 @@ func (m *Monitor) Stats() Stats {
 		DepthFirstSearchRuns: s.DepthFirstSearchRuns,
 		ParallelLevels:       s.ParallelLevels,
 
-		DeltaPruned:            s.DeltaPruned,
-		WitnessRepairs:         s.WitnessRepairs,
 		AgreePairs:             s.AgreePairs,
 		ChunksStolen:           s.ChunksStolen,
 		SpeculativeValidations: s.SpeculativeValidations,

@@ -23,19 +23,6 @@ type Config struct {
 	// DepthFirstSearch enables the optimistic depth-first generalization
 	// search when many non-FDs of one level become valid (paper §5.3).
 	DepthFirstSearch bool
-	// DeltaPruning enables the EAIFD-style batch-delta candidate pruning
-	// (DESIGN.md §13). Insert side: a positive-cover candidate lhs → rhs
-	// can only have been invalidated by a pair involving a new record r
-	// with lhs ⊆ agreeMask(r), where agreeMask(r) is the set of attributes
-	// in which r's cluster has at least two members — candidates matching
-	// no new record's agree mask skip validation outright. Delete side: a
-	// non-FD whose annotated violating pair died with the batch is checked
-	// against the batch's update remap first — if both endpoints were
-	// merely rewritten (update = delete + insert of a new version) and the
-	// remapped pair still concretely violates, the witness is repaired in
-	// place and validation is skipped. Like the paper's own strategies,
-	// delta pruning trades work, never results.
-	DeltaPruning bool
 
 	// EfficiencyThreshold is the fraction of invalid (resp. valid)
 	// validations per lattice level that triggers the violation search
@@ -81,17 +68,14 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the paper's configuration — all four pruning
-// strategies enabled with 10% thresholds — plus the EAIFD-style delta
-// pruning, which is on by default for the same reason the paper's
-// strategies are: it only ever removes work.
+// DefaultConfig returns the paper's configuration: all four pruning
+// strategies enabled with 10% thresholds.
 func DefaultConfig() Config {
 	return Config{
 		ClusterPruning:      true,
 		ViolationSearch:     true,
 		ValidationPruning:   true,
 		DepthFirstSearch:    true,
-		DeltaPruning:        true,
 		EfficiencyThreshold: 0.1,
 		DFSSampleRate:       0.1,
 	}
@@ -120,8 +104,6 @@ type Stats struct {
 	ViolationSearchRuns    int // times the progressive search was triggered
 	DepthFirstSearchRuns   int // times the optimistic DFS was triggered
 	ParallelLevels         int // lattice levels whose validations went to the worker pool (Workers > 1)
-	DeltaPruned            int // insert-side validations skipped by agree-mask delta pruning
-	WitnessRepairs         int // delete-side witnesses remapped to live update versions
 	ChunksStolen           int // scheduler chunks taken from another worker's deque
 	SpeculativeValidations int // validations submitted ahead of their level's classification
 	SpeculativeHits        int // speculative validations whose result was consumed
@@ -136,4 +118,10 @@ type Stats struct {
 	StructureTime   time.Duration // Pli/record updates (Figure 1 step 1)
 	DeletePhaseTime time.Duration // negative-cover processing (step 2)
 	InsertPhaseTime time.Duration // positive-cover processing (step 3)
+
+	// DeltaPruned is always zero and nothing writes it. It counted the
+	// insert-side validations skipped by a retired batch-delta pruning;
+	// the ledger benchmark (bench/ledger/trace.go) still reads it, so it
+	// stays until that benchmark next changes.
+	DeltaPruned int
 }

@@ -38,9 +38,10 @@ func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 		eligible := 0
 		for i, cand := range candidates {
 			deps := cand.Lhs.With(cand.Rhs)
-			// Classification itself reads shard state (witness repair
-			// compares cluster ids), so it waits for the candidate's shards
-			// — helping with maintenance and chunks while it does.
+			// The sweep advances no faster than the maintenance its
+			// candidates need: it waits for the candidate's shards, helping
+			// with maintenance and chunks while it does. (Classification
+			// reads only record liveness, which StageBatch has settled.)
 			if err := ses.AwaitReady(deps); err != nil {
 				return err
 			}
@@ -111,9 +112,7 @@ func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 }
 
 // classifyDelete decides one negative-cover candidate's fate for the
-// delete sweep; the speculative previews use it too. The caller must have
-// awaited the candidate's Lhs∪{Rhs} shards: the witness repair inside
-// needsValidation reads their cluster ids.
+// delete sweep; the speculative previews use it too.
 func (e *Engine) classifyDelete(nonFd fd.FD, touched attrset.Set) scanKind {
 	if !e.nonFds.Contains(nonFd.Lhs, nonFd.Rhs) {
 		return scanStale // removed by a depth-first search in this level
@@ -155,9 +154,7 @@ func (e *Engine) applyDeleteOutcome(nonFd fd.FD, o scanOutcome) bool {
 // be skipped when its annotated violating record pair still exists, since
 // the violation then still disproves it. Non-FDs without an annotation —
 // freshly generalized candidates and the whole cover on the very first
-// batch — are always validated. With delta pruning, a witness pair that
-// died by update is first resolved onto its successor versions and
-// repaired in place if it still violates (delta.go).
+// batch — are always validated.
 func (e *Engine) needsValidation(nonFd fd.FD) bool {
 	if !e.cfg.ValidationPruning {
 		return true
@@ -168,13 +165,7 @@ func (e *Engine) needsValidation(nonFd fd.FD) bool {
 	}
 	_, aliveA := e.store.Record(v.A)
 	_, aliveB := e.store.Record(v.B)
-	if aliveA && aliveB {
-		return false
-	}
-	if e.cfg.DeltaPruning && e.repairWitness(nonFd, v, aliveA, aliveB) {
-		return false
-	}
-	return true
+	return !aliveA || !aliveB
 }
 
 // promoteNonFD moves a de-facto-valid non-FD into the positive cover and
@@ -204,7 +195,7 @@ func (e *Engine) promoteNonFD(f fd.FD) {
 // speculateDeleteLevel submits validations for the next level's existing
 // non-FDs ahead of their classification. Best-effort and strictly
 // non-blocking: only candidates whose shards are already published are
-// previewed, because delete-side classification reads shard state.
+// previewed, so no speculative chunk waits on maintenance.
 func (e *Engine) speculateDeleteLevel(ses *sched.Session, level int, touched attrset.Set) {
 	e.specBuf = e.nonFds.AppendLevel(e.specBuf[:0], level)
 	if len(e.specBuf) == 0 {
@@ -232,7 +223,7 @@ func (e *Engine) speculateDeleteLevel(ses *sched.Session, level int, touched att
 // speculatePromoted submits validations for the generalizations a
 // promotion just added to the negative cover — the next level's freshest
 // candidates. Their shards are a subset of the promoted FD's, which the
-// classification already awaited.
+// sweep already awaited.
 func (e *Engine) speculatePromoted(b *chunkBuilder, f fd.FD, touched attrset.Set) {
 	f.Lhs.ForEach(func(r int) bool {
 		gen := fd.FD{Lhs: f.Lhs.Without(r), Rhs: f.Rhs}

@@ -71,7 +71,6 @@ type Engine struct {
 	planDead     map[int64]bool       // ApplyBatch planner: ids deleted by the batch
 	planDeletes  []int64              // ApplyBatch planner: pre-existing ids to delete
 	planInserts  []pli.BatchInsert    // ApplyBatch planner: surviving inserts
-	planRemap    map[int64]int64      // ApplyBatch planner: updated id -> successor id (delta pruning)
 	levelBuf     []fd.FD              // lattice sweeps: current-level candidates
 	specBuf      []fd.FD              // lattice sweeps: next-level speculation preview
 	slotBuf      []chunkSlot          // lattice sweeps: candidate -> chunk outcome slot
@@ -84,12 +83,6 @@ type Engine struct {
 	// stealChunk fixes the scheduler's chunk size (0 = automatic, see
 	// chunkSize). A test seam: tests set it to 1 to force stealing.
 	stealChunk int
-
-	// Insert-phase delta pruning state (delta.go), rebuilt per batch.
-	deltaMasks    []attrset.Set // agree masks of the batch's new records (maximal, deduped)
-	deltaUnion    attrset.Set   // union of all masks (fast reject)
-	deltaOverflow bool          // mask cap exceeded: union reject only
-	deltaValid    bool          // masks computed for the current insert phase
 }
 
 // initExtras finishes construction: the cover journals that record each
@@ -364,12 +357,6 @@ func (e *Engine) planBatch(batch stream.Batch) (batchPlan, error) {
 	clear(e.planBorn)
 	clear(e.planDead)
 	e.planDeletes = e.planDeletes[:0]
-	if e.cfg.DeltaPruning {
-		if e.planRemap == nil {
-			e.planRemap = make(map[int64]int64)
-		}
-		clear(e.planRemap)
-	}
 	// planDelete records the death of id, routing pre-existing records to
 	// the store-level delete list and batch-born ones to the planner maps.
 	planDelete := func(id int64) error {
@@ -422,11 +409,6 @@ func (e *Engine) planBatch(batch stream.Batch) (batchPlan, error) {
 			nextID++
 			e.planBorn[id] = c.Values
 			ids = append(ids, id)
-			if e.cfg.DeltaPruning {
-				// Witness repair (delta.go) follows this chain from a dead
-				// witness endpoint to the record's current version.
-				e.planRemap[c.ID] = id
-			}
 		case stream.Insert:
 			id := nextID
 			nextID++

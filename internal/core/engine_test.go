@@ -257,8 +257,6 @@ func TestStatsAccumulate(t *testing.T) {
 	if e.Stats().Batches != 0 {
 		t.Error("fresh engine has batches")
 	}
-	// The inserted row shares values with existing records, so its agree
-	// mask is non-empty and delta pruning cannot discharge every level.
 	_, _ = e.ApplyBatch(stream.Batch{Changes: []stream.Change{
 		{Kind: stream.Insert, Values: []string{"Max", "Jones", "14482", "Berlin"}},
 	}})
@@ -266,35 +264,23 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.Batches != 1 || st.Validations == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-
-	// An all-new row agrees with nothing: every insert-side candidate is
-	// delta-pruned without validation.
-	e2 := mustBootstrap(t, DefaultConfig())
-	_, _ = e2.ApplyBatch(stream.Batch{Changes: []stream.Change{
-		{Kind: stream.Insert, Values: []string{"A", "B", "C", "D"}},
-	}})
-	if st2 := e2.Stats(); st2.Validations != 0 || st2.DeltaPruned == 0 {
-		t.Errorf("unique-row insert stats = %+v, want all candidates delta-pruned", st2)
-	}
 }
 
-// allConfigs enumerates all 32 pruning-strategy combinations, including
-// the EAIFD-style delta pruning.
+// allConfigs enumerates all 16 pruning-strategy combinations.
 func allConfigs() []Config {
 	var out []Config
-	for mask := 0; mask < 32; mask++ {
+	for mask := 0; mask < 16; mask++ {
 		out = append(out, Config{
 			ClusterPruning:    mask&1 != 0,
 			ViolationSearch:   mask&2 != 0,
 			ValidationPruning: mask&4 != 0,
 			DepthFirstSearch:  mask&8 != 0,
-			DeltaPruning:      mask&16 != 0,
 		})
 	}
 	return out
 }
 
-// TestPruningNeutralityPaperBatch asserts invariant 5 of DESIGN.md: all 32
+// TestPruningNeutralityPaperBatch asserts invariant 5 of DESIGN.md: all 16
 // strategy combinations produce identical covers on the paper's batch.
 func TestPruningNeutralityPaperBatch(t *testing.T) {
 	t.Parallel()

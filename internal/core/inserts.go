@@ -21,8 +21,8 @@ import (
 // Each level is classified on the engine goroutine, its eligible
 // candidates are validated (inline, or chunked across the scheduler's
 // workers), and the merge applies the cover updates in candidate order.
-// The sweep needs the whole store (delta masks and the violation search
-// read every attribute), so it waits for full maintenance once; with
+// The sweep needs the whole store (the agree-mask index and the violation
+// search read every attribute), so it waits for full maintenance once; with
 // background workers it then pipelines levels, validating the next level
 // speculatively while the current one merges (pipeline.go).
 //
@@ -33,7 +33,6 @@ func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int
 	if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
 		return err
 	}
-	e.computeDeltaMasks(newIDs)
 	clear(e.specCache)
 	// Cluster pruning (paper §4.2) answers every validation of the sweep
 	// from the batch's agree-mask index (validate/agree.go); without it
@@ -128,11 +127,6 @@ func (e *Engine) classifyInsert(cand fd.FD, touched attrset.Set) scanKind {
 		// have changed either (§8 ext. 3).
 		return scanSkipped
 	}
-	if e.deltaValid && !e.deltaMayViolate(cand.Lhs) {
-		// No new record agrees with anything on the whole Lhs, so the
-		// batch cannot have created a violating pair (delta.go).
-		return scanDeltaPruned
-	}
 	return scanEligible
 }
 
@@ -146,9 +140,6 @@ func (e *Engine) applyInsertOutcome(cand fd.FD, o scanOutcome) (invalid, special
 	switch o.kind {
 	case scanSkipped:
 		e.stats.SkippedValidations++
-	case scanDeltaPruned:
-		e.stats.SkippedValidations++
-		e.stats.DeltaPruned++
 	case scanValid:
 		e.stats.Validations++
 	case scanInvalid:

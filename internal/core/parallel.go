@@ -23,10 +23,6 @@ const (
 	scanValid
 	// scanInvalid: validation found a violating record pair.
 	scanInvalid
-	// scanDeltaPruned: the agree-mask delta pruning discharged the
-	// candidate without validating (counted as a skipped validation, and
-	// separately as a delta prune).
-	scanDeltaPruned
 )
 
 // scanOutcome is the per-candidate result of a level's classification and

@@ -425,37 +425,6 @@ func TestEquivalenceForcedStealing(t *testing.T) {
 	}
 }
 
-// TestDeltaPruningSoundness is the pruning oracle: a delta-pruned engine
-// and an unpruned engine fed identical batches must report identical FD
-// and non-FD covers and identical per-batch diffs — delta pruning trades
-// work, never results. Run inline (one worker) and with background
-// workers.
-func TestDeltaPruningSoundness(t *testing.T) {
-	t.Parallel()
-	for _, workers := range []int{1, 4} {
-		pruned := 0
-		for seed := int64(0); seed < 6; seed++ {
-			unprunedCfg := DefaultConfig()
-			unprunedCfg.DeltaPruning = false
-			unprunedCfg.Workers = workers
-			prunedCfg := DefaultConfig()
-			prunedCfg.Workers = workers
-			// Alternate tiny domains (dense agree masks, maximum FD churn)
-			// with wide domains (sparse masks, where pruning actually
-			// discharges candidates).
-			domain := 2 + int(seed%3)
-			if seed%2 == 1 {
-				domain = 12
-			}
-			e := runPairEquivalence(t, 4200+seed, 4+int(seed%3), 10, 5, 8, domain, unprunedCfg, prunedCfg)
-			pruned += e.Stats().DeltaPruned
-		}
-		if pruned == 0 {
-			t.Errorf("workers=%d: delta pruning never fired across the soundness sweep", workers)
-		}
-	}
-}
-
 // TestCoverDualityMaintained double-checks that the maintained negative
 // cover always equals the inversion of the maintained positive cover —
 // even in the middle of long workloads (CheckInvariants does this too; the

@@ -28,6 +28,7 @@ import (
 	"regexp"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dynfd"
@@ -198,6 +199,10 @@ type Runtime struct {
 	fence  atomic.Pointer[Fence]
 	roleMu sync.Mutex
 
+	// lock holds the data root's exclusive lock from Open to Close
+	// (lockRoot).
+	lock *os.File
+
 	mu       sync.Mutex
 	tenants  map[string]*tenant
 	inFlight int // batches admitted across all tenants
@@ -269,10 +274,35 @@ func (t *tenant) setQuarantine(err error) {
 	t.quarantine.CompareAndSwap(nil, &err)
 }
 
+// lockName is the lock file in a data root; see lockRoot.
+const lockName = "LOCK"
+
+// lockRoot takes an exclusive, non-blocking flock on the data root's lock
+// file. One runtime serves a root at a time: a second one (in this process
+// or another dynfdd) would append to the same WALs and rewrite the same
+// checkpoints. The lock lives as long as the returned file stays open, and
+// the kernel drops it when the process dies, so a crash leaves nothing to
+// clean up.
+func lockRoot(root string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(root, lockName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("runtime: data root %s is in use by another runtime", root)
+		}
+		return nil, fmt.Errorf("runtime: locking data root %s: %w", root, err)
+	}
+	return f, nil
+}
+
 // Open creates a runtime over cfg.DataRoot and recovers every tenant
 // directory found there. A tenant whose recovery fails is quarantined —
 // listed, read- and write-rejecting with its recovery error — instead of
-// failing the whole service.
+// failing the whole service. The runtime holds the root's lock until
+// Close; Open fails while another runtime holds it.
 func Open(cfg Config) (*Runtime, error) {
 	if cfg.DataRoot == "" {
 		return nil, fmt.Errorf("runtime: Config.DataRoot is required")
@@ -290,12 +320,17 @@ func Open(cfg Config) (*Runtime, error) {
 	if err := os.MkdirAll(cfg.DataRoot, 0o755); err != nil {
 		return nil, err
 	}
-	rt := &Runtime{cfg: cfg, logger: logger, tenants: make(map[string]*tenant)}
+	lock, err := lockRoot(cfg.DataRoot)
+	if err != nil {
+		return nil, err
+	}
+	rt := &Runtime{cfg: cfg, logger: logger, lock: lock, tenants: make(map[string]*tenant)}
 	if cfg.ReplicateFrom != "" {
 		rt.role.Store(int32(RoleFollower))
 	}
 	entries, err := os.ReadDir(cfg.DataRoot)
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
 	for _, ent := range entries {
@@ -751,8 +786,9 @@ func (rt *Runtime) Checkpoint(name string) (seq uint64, err error) {
 }
 
 // Close drains and shuts every tenant down: in-flight batches finish, each
-// healthy engine writes its final checkpoint, and the runtime refuses all
-// further work with ErrClosed. The first close error is returned.
+// healthy engine writes its final checkpoint, the data root's lock is
+// released, and the runtime refuses all further work with ErrClosed. The
+// first close error is returned.
 func (rt *Runtime) Close() error {
 	// Followers first: stop replaying before the engines close underneath.
 	rt.stopFollowing()
@@ -787,6 +823,9 @@ func (rt *Runtime) Close() error {
 			}
 		}
 		t.mu.Unlock()
+	}
+	if err := rt.lock.Close(); err != nil && first == nil {
+		first = fmt.Errorf("runtime: releasing data root lock: %w", err)
 	}
 	return first
 }

@@ -403,3 +403,31 @@ func TestPerTenantWorkersOverride(t *testing.T) {
 		t.Fatalf("apply after recovery with workers override: %v", err)
 	}
 }
+
+// TestOpenLocksDataRoot: a data root serves one runtime at a time. A
+// second Open over a live root fails with an error naming the root, and
+// once the first runtime closes, the root opens again with its tenants.
+func TestOpenLocksDataRoot(t *testing.T) {
+	t.Parallel()
+	root := t.TempDir()
+	rt, err := Open(Config{DataRoot: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Create("alpha", []string{"zip", "city"}, [][]string{{"14482", "Potsdam"}}); err != nil {
+		t.Fatal(err)
+	}
+	if rt2, err := Open(Config{DataRoot: root}); err == nil {
+		rt2.Close()
+		t.Fatal("second Open over a live data root succeeded")
+	} else if !strings.Contains(err.Error(), root) {
+		t.Fatalf("second Open error = %v, want it to name %s", err, root)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rt3 := openTestRuntime(t, Config{DataRoot: root})
+	if info, err := rt3.Info("alpha"); err != nil || info.Records != 1 {
+		t.Fatalf("reopened tenant = %+v, %v; want alpha with 1 record", info, err)
+	}
+}

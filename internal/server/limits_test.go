@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -121,10 +123,15 @@ func TestServerOnDurableBackend(t *testing.T) {
 		t.Fatalf("acked batch at seq %d after %d WAL syncs, want seq 1 and a sync", m.Seq, m.WALSyncs)
 	}
 
-	// Crash: recover the data root as a fresh process would find it —
+	// Crash: recover a copy of the data root, taken while the runtime
+	// still holds it, as a fresh process would find it after a kill -9 —
 	// no final checkpoint, only the WAL — and the acked batch must be
 	// there.
-	rec, err := runtime.Open(runtime.Config{DataRoot: rt.DataRoot()})
+	crashed := filepath.Join(t.TempDir(), "root")
+	if err := os.CopyFS(crashed, os.DirFS(rt.DataRoot())); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := runtime.Open(runtime.Config{DataRoot: crashed})
 	if err != nil {
 		t.Fatal(err)
 	}

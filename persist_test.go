@@ -148,11 +148,13 @@ func TestSaveLoadPreservesWitnesses(t *testing.T) {
 }
 
 // retiredConfigKeys puts the engine-config keys that older releases wrote
-// ("DisableStealing", "StealChunk") back into a JSON-decoded config
-// object, as a file from such a release would carry them.
+// ("DisableStealing", "StealChunk", "DeltaPruning") back into a
+// JSON-decoded config object, as a file from such a release would carry
+// them.
 func retiredConfigKeys(cfg map[string]any) {
 	cfg["DisableStealing"] = true
 	cfg["StealChunk"] = 1
+	cfg["DeltaPruning"] = true
 }
 
 // decodeJSONDoc decodes a JSON object keeping numbers exact.
@@ -246,8 +248,8 @@ func binaryWithRetiredConfigKeys(t *testing.T, blob []byte) []byte {
 
 // TestRestoreIgnoresRetiredConfigKeys pins that monitor snapshots and
 // durable checkpoints written while the engine config still had the
-// stealing knobs keep loading, with identical covers: the decoders ignore
-// unknown fields.
+// stealing and delta-pruning knobs keep loading, with identical covers:
+// the decoders ignore unknown fields.
 func TestRestoreIgnoresRetiredConfigKeys(t *testing.T) {
 	t.Parallel()
 	t.Run("snapshot", func(t *testing.T) {
