@@ -148,42 +148,12 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyBatchParallel measures the disease workload of
-// BenchmarkApplyBatch under increasing scheduler worker budgets
-// (Config.Workers). workers=1 runs like the default configuration above,
-// inline on the calling goroutine; higher budgets show the parallel
-// headroom on multi-core machines. Baseline numbers are recorded in
-// BENCH_parallel.json.
-func BenchmarkApplyBatchParallel(b *testing.B) {
-	d := generated(b, "disease", 0.25)
-	batches := stream.FixedBatches(d.Changes, 50)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng, err := core.Bootstrap(d.Relation, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, batch := range batches {
-					if _, err := eng.ApplyBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScheduler measures the work-stealing pipelined scheduler on
-// the disease replay across worker counts; the reported validations/op
-// metric sits next to the wall-clock numbers. Baselines live in
-// BENCH_parallel.json and BENCH_delta.json.
+// BenchmarkScheduler measures the disease replay (scale 0.25, 50-change
+// batches) through core.Engine.ApplyBatch across worker counts; workers=1
+// runs like BenchmarkApplyBatch/disease, inline on the calling goroutine.
+// The reported validations/op metric sits next to the wall-clock numbers.
+// Baselines live in BENCH_parallel.json, BENCH_delta.json and
+// BENCH_pipeline.json.
 func BenchmarkScheduler(b *testing.B) {
 	d := generated(b, "disease", 0.25)
 	batches := stream.FixedBatches(d.Changes, 50)

@@ -128,11 +128,11 @@ func WithUpdateColumnPruning() Option {
 	return func(o *options) { o.updatePruning = true }
 }
 
-// WithWorkers sets how many workers the work-stealing batch scheduler
-// uses. 0 (the default) and 1 keep all work on the calling goroutine;
-// n > 1 runs n workers, overlapping Pli maintenance, candidate validation,
-// and speculative validation of the next lattice level; n < 0 uses one
-// worker per available CPU. Worker count affects wall-clock time only: all
+// WithWorkers sets how many workers a batch uses. 0 (the default) and 1
+// keep all work on the calling goroutine; n > 1 maintains up to n Pli
+// attributes at once and then spreads candidate validation, and
+// speculative validation of the next lattice level, across n work-stealing
+// workers; n < 0 uses one worker per available CPU. Worker count affects wall-clock time only: all
 // configurations are guaranteed to report identical FDs after every
 // batch. The Monitor itself remains single-caller — the parallelism never
 // escapes an Apply call.

@@ -50,14 +50,13 @@ type Config struct {
 	// 3 of the paper's §8.
 	UpdateColumnPruning bool
 
-	// Workers sets the scheduler's worker-slot budget (DESIGN.md §13).
-	// Every batch runs as one pipelined scheduler session. 0 (the
-	// default) and 1 mean one slot, the engine goroutine itself: Pli
-	// maintenance runs first and every validation runs inline, with no
-	// extra goroutines. n > 1 chunks candidate validations across n
-	// worker slots' deques, overlaps per-attribute store maintenance with
-	// validation through readiness gating, and validates the next lattice
-	// level speculatively while the current one merges. n < 0 uses one
+	// Workers sets the engine's worker budget (DESIGN.md §13). At every
+	// setting Pli maintenance runs to completion before either lattice
+	// sweep. 0 (the default) and 1 mean one slot, the engine goroutine
+	// itself: maintenance and every validation run inline, with no extra
+	// goroutines. n > 1 maintains up to n attribute shards at once, chunks
+	// candidate validations across n worker slots' deques, and validates
+	// the next lattice level speculatively while the current one merges. n < 0 uses one
 	// slot per available CPU (GOMAXPROCS). All settings produce identical
 	// FD and non-FD covers after every batch, asserted by the equivalence
 	// property tests. The knob changes wall-clock time only. (At one slot

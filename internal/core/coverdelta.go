@@ -260,17 +260,9 @@ func (e *Engine) ApplyPatched(batch stream.Batch, d *CoverDelta) (res Result, er
 		return Result{}, fmt.Errorf("%w: negative cover: %v", ErrDeltaMismatch, err)
 	}
 
-	if err := e.store.ApplyBatch(e.planDeletes, p.ins, e.pool.Workers()); err != nil {
-		e.poisoned = err
-		return Result{}, fmt.Errorf("core: applying batch: %w", err)
+	if err := e.maintainStore(p, structStart); err != nil {
+		return Result{}, err
 	}
-	if p.nextID > e.store.NextID() {
-		if err := e.store.SetNextID(p.nextID); err != nil {
-			e.poisoned = err
-			return Result{}, fmt.Errorf("core: applying batch: %w", err)
-		}
-	}
-	e.stats.StructureTime += time.Since(structStart)
 
 	e.fds.ResetJournal()
 	e.nonFds.ResetJournal()

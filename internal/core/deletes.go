@@ -21,9 +21,10 @@ import (
 //
 // Like the insert side, each level is classified on the engine goroutine,
 // validated inline or in chunks across the scheduler's workers, and merged
-// in candidate order. Candidates are gated on the readiness of their own
-// shards, so with background workers the sweep starts while Pli
-// maintenance of other attributes is still running (pipeline.go).
+// in candidate order. The sweep starts after the whole store is maintained
+// (Figure 1 step 1, pipeline.go), so every candidate is runnable as soon as
+// it is classified; with background workers the next level is previewed
+// speculatively while the current one merges.
 func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 	clear(e.specCache)
 	for level := e.numAttrs; level >= 0; level-- {
@@ -37,14 +38,6 @@ func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates))}
 		eligible := 0
 		for i, cand := range candidates {
-			deps := cand.Lhs.With(cand.Rhs)
-			// The sweep advances no faster than the maintenance its
-			// candidates need: it waits for the candidate's shards, helping
-			// with maintenance and chunks while it does. (Classification
-			// reads only record liveness, which StageBatch has settled.)
-			if err := ses.AwaitReady(deps); err != nil {
-				return err
-			}
 			kind := e.classifyDelete(cand, touched)
 			outcomes[i] = scanOutcome{kind: kind}
 			if kind != scanEligible {
@@ -64,7 +57,7 @@ func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 				e.stats.SpeculativeHits++
 				continue
 			}
-			slots[i] = b.add(cand, deps)
+			slots[i] = b.add(cand)
 		}
 		b.flush()
 		if eligible > 0 && e.pool.Background() > 0 {
@@ -193,28 +186,21 @@ func (e *Engine) promoteNonFD(f fd.FD) {
 }
 
 // speculateDeleteLevel submits validations for the next level's existing
-// non-FDs ahead of their classification. Best-effort and strictly
-// non-blocking: only candidates whose shards are already published are
-// previewed, so no speculative chunk waits on maintenance.
+// non-FDs ahead of their classification.
 func (e *Engine) speculateDeleteLevel(ses *sched.Session, level int, touched attrset.Set) {
 	e.specBuf = e.nonFds.AppendLevel(e.specBuf[:0], level)
 	if len(e.specBuf) == 0 {
 		return
 	}
-	ready := ses.Ready()
 	b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(e.specBuf))}
 	for _, cand := range e.specBuf {
 		if _, ok := e.specCache[cand]; ok {
 			continue
 		}
-		deps := cand.Lhs.With(cand.Rhs)
-		if !deps.IsSubsetOf(ready) {
-			continue
-		}
 		if e.classifyDelete(cand, touched) != scanEligible {
 			continue
 		}
-		e.specCache[cand] = b.add(cand, deps)
+		e.specCache[cand] = b.add(cand)
 		e.stats.SpeculativeValidations++
 	}
 	b.flush()
@@ -222,8 +208,7 @@ func (e *Engine) speculateDeleteLevel(ses *sched.Session, level int, touched att
 
 // speculatePromoted submits validations for the generalizations a
 // promotion just added to the negative cover — the next level's freshest
-// candidates. Their shards are a subset of the promoted FD's, which the
-// sweep already awaited.
+// candidates.
 func (e *Engine) speculatePromoted(b *chunkBuilder, f fd.FD, touched attrset.Set) {
 	f.Lhs.ForEach(func(r int) bool {
 		gen := fd.FD{Lhs: f.Lhs.Without(r), Rhs: f.Rhs}
@@ -233,7 +218,7 @@ func (e *Engine) speculatePromoted(b *chunkBuilder, f fd.FD, touched attrset.Set
 		if e.classifyDelete(gen, touched) != scanEligible {
 			return true
 		}
-		e.specCache[gen] = b.add(gen, gen.Lhs.With(gen.Rhs))
+		e.specCache[gen] = b.add(gen)
 		e.stats.SpeculativeValidations++
 		return true
 	})

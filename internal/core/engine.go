@@ -36,9 +36,9 @@ import (
 // Engine maintains the exact set of minimal, non-trivial FDs of a single
 // relation under batches of inserts, updates, and deletes. An Engine is not
 // safe for concurrent use: callers must serialize access. Internally,
-// ApplyBatch may spread candidate validations across a bounded worker
-// pool (Config.Workers, see pipeline.go); that parallelism never escapes a
-// call.
+// ApplyBatch may spread Pli maintenance and candidate validations across a
+// bounded worker pool (Config.Workers, see pipeline.go); that parallelism
+// never escapes a call.
 type Engine struct {
 	cfg      Config
 	numAttrs int
@@ -311,10 +311,12 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 	}
 	e.fds.ResetJournal()
 	e.nonFds.ResetJournal()
-	// Steps 1-3 run as one scheduler session (DESIGN.md §13): staging,
-	// per-attribute maintenance, and both sweeps, overlapped through
-	// readiness gating when the pool has background workers.
-	if err := e.applyPipelined(structStart, p.minNewID, p.nextID, p.deletes, p.ids, p.ins, p.touched); err != nil {
+	// Step 1 maintains the whole store; steps 2 and 3 then sweep it on one
+	// scheduler session (DESIGN.md §13).
+	if err := e.maintainStore(p, structStart); err != nil {
+		return Result{}, err
+	}
+	if err := e.runSweeps(p); err != nil {
 		return Result{}, err
 	}
 	// Step 4: signal the changed FDs.
@@ -335,9 +337,9 @@ type batchPlan struct {
 // planBatch runs step 1's planning: the batch is reduced, in batch order,
 // to its net effect — the set of pre-existing records it deletes (left in
 // e.planDeletes) and the surviving new tuples with their pre-assigned ids —
-// which the caller then stages in one store batch, compacting each
-// touched cluster once and maintaining each attribute's index as its own
-// task (DESIGN.md §10, §13). Planning in batch order keeps the original
+// which maintainStore then applies as one store batch, compacting each
+// touched cluster once and maintaining each attribute's index on its own
+// worker (DESIGN.md §10, §13). Planning in batch order keeps the original
 // semantics: changes may reference records born earlier in the same
 // batch, and a tuple born and deleted within the batch consumes its
 // surrogate id without ever entering the store. The FD reasoning in steps

@@ -21,18 +21,15 @@ import (
 // Each level is classified on the engine goroutine, its eligible
 // candidates are validated (inline, or chunked across the scheduler's
 // workers), and the merge applies the cover updates in candidate order.
-// The sweep needs the whole store (the agree-mask index and the violation
-// search read every attribute), so it waits for full maintenance once; with
-// background workers it then pipelines levels, validating the next level
-// speculatively while the current one merges (pipeline.go).
+// The agree-mask index and the violation search read every attribute of
+// the maintained store. With background workers the sweep pipelines
+// levels, validating the next level speculatively while the current one
+// merges (pipeline.go).
 //
 // minNewID is the smallest surrogate id assigned in this batch; newIDs are
 // all ids inserted by the batch; touched holds the columns the batch may
 // have changed (all columns unless update-column pruning narrowed it).
 func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int64, touched attrset.Set) error {
-	if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
-		return err
-	}
 	clear(e.specCache)
 	// Cluster pruning (paper §4.2) answers every validation of the sweep
 	// from the batch's agree-mask index (validate/agree.go); without it
@@ -72,7 +69,7 @@ func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int
 				e.stats.SpeculativeHits++
 				continue
 			}
-			slots[i] = b.add(cand, attrset.Set{})
+			slots[i] = b.add(cand)
 		}
 		b.flush()
 		if eligible > 0 && e.pool.Background() > 0 {
@@ -164,8 +161,7 @@ func (e *Engine) addNonFD(lhs attrset.Set, rhs int, v lattice.Violation) {
 }
 
 // speculateInsertLevel submits validations for the next level's existing
-// positive-cover members ahead of their classification. The store is fully
-// maintained during the insert sweep, so no readiness check is needed.
+// positive-cover members ahead of their classification.
 func (e *Engine) speculateInsertLevel(ses *sched.Session, level int, agree *validate.AgreeIndex, touched attrset.Set) {
 	e.specBuf = e.fds.AppendLevel(e.specBuf[:0], level)
 	if len(e.specBuf) == 0 {
@@ -179,7 +175,7 @@ func (e *Engine) speculateInsertLevel(ses *sched.Session, level int, agree *vali
 		if e.classifyInsert(cand, touched) != scanEligible {
 			continue
 		}
-		e.specCache[cand] = b.add(cand, attrset.Set{})
+		e.specCache[cand] = b.add(cand)
 		e.stats.SpeculativeValidations++
 	}
 	b.flush()
@@ -200,7 +196,7 @@ func (e *Engine) speculateSpecialized(b *chunkBuilder, cand fd.FD, touched attrs
 		if e.classifyInsert(spec, touched) != scanEligible {
 			continue
 		}
-		e.specCache[spec] = b.add(spec, attrset.Set{})
+		e.specCache[spec] = b.add(spec)
 		e.stats.SpeculativeValidations++
 	}
 }

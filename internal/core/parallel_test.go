@@ -1,11 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"dynfd/internal/dataset"
 	"dynfd/internal/fd"
+	"dynfd/internal/pli"
 	"dynfd/internal/stream"
+	"dynfd/internal/validate"
 )
 
 func TestResolveWorkers(t *testing.T) {
@@ -97,4 +104,65 @@ func TestWorkersSurviveSnapshot(t *testing.T) {
 func TestParallelEngineRepeatedBatches(t *testing.T) {
 	t.Parallel()
 	runWorkload(t, parallelConfig(4), 11, 5, 20, 10, 8, 3)
+}
+
+// TestMaintenanceBeforeValidation pins Figure 1's order at Workers 4: every
+// attribute's Pli maintenance has run, and the store's batch is fully
+// applied, before the batch's first validation starts. Column k is unique,
+// so no maximal non-FD involves it and the delete sweep's candidates never
+// read its shard; its maintenance sleeps, so a sweep that started on
+// candidates whose own shards were ready would validate while k is still
+// pending. The hooks are process-wide, so the test does not run in
+// parallel.
+func TestMaintenanceBeforeValidation(t *testing.T) {
+	const k = 3
+	rel := dataset.New("r", []string{"a", "b", "c", "k"})
+	for i, row := range [][]string{
+		{"1", "x", "p"}, {"1", "x", "q"}, {"2", "y", "p"}, {"3", "y", "q"}, {"3", "z", "r"},
+	} {
+		if err := rel.Append(append(row, fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := Bootstrap(rel, parallelConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maintained atomic.Int32
+	pli.SetApplyAttrTestHook(func(a int) {
+		if a == k {
+			time.Sleep(20 * time.Millisecond)
+		}
+		maintained.Add(1)
+	})
+	defer pli.SetApplyAttrTestHook(nil)
+	var (
+		once        sync.Once
+		validations atomic.Int32
+		atFirst     int32
+		storeErr    error
+	)
+	validate.SetTestHook(func(validate.Request) {
+		validations.Add(1)
+		once.Do(func() {
+			atFirst = maintained.Load()
+			storeErr = e.store.CheckConsistency()
+		})
+	})
+	defer validate.SetTestHook(nil)
+	if _, err := e.ApplyBatch(stream.Batch{Changes: []stream.Change{
+		{Kind: stream.Delete, ID: 1},
+		{Kind: stream.Insert, Values: []string{"2", "x", "q", "9"}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if validations.Load() == 0 || e.Stats().ParallelLevels == 0 {
+		t.Fatalf("precondition: %d validations, %d parallel levels", validations.Load(), e.Stats().ParallelLevels)
+	}
+	if atFirst != int32(e.NumAttrs()) {
+		t.Errorf("first validation ran after %d of %d attributes were maintained", atFirst, e.NumAttrs())
+	}
+	if storeErr != nil {
+		t.Errorf("first validation ran on a store mid-batch: %v", storeErr)
+	}
 }

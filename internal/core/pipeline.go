@@ -1,11 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"time"
 
-	"dynfd/internal/attrset"
 	"dynfd/internal/fanout"
 	"dynfd/internal/fd"
 	"dynfd/internal/pli"
@@ -13,20 +13,17 @@ import (
 	"dynfd/internal/validate"
 )
 
-// Batch execution on the work-stealing scheduler (DESIGN.md §13).
+// Batch execution (DESIGN.md §13).
 //
-// Every batch runs as one sched.Session spanning Pli maintenance and both
-// lattice sweeps (inserts.go, deletes.go). With Config.Workers 0 or 1 the
-// pool has no background workers: maintenance runs first and every
+// Every batch first maintains the whole Pli store (paper Figure 1 step 1,
+// maintainStore): pli.Store.ApplyBatch fans the per-attribute shards out
+// across the engine's worker budget and joins before it returns, at every
+// worker count. Both lattice sweeps (deletes.go, inserts.go) then run as
+// one sched.Session over the maintained, read-only store. With
+// Config.Workers 0 or 1 the pool has no background workers and every
 // validation runs inline on the engine goroutine, so each sweep is the
-// paper's plain level-wise loop. With more worker slots the stages
-// overlap:
+// paper's plain level-wise loop. With more worker slots:
 //
-//   - Per-attribute Pli maintenance is submitted as tasks that publish
-//     their attribute's readiness bit when done. Validations only ever read
-//     the shards of their candidate's Lhs∪{Rhs}, so the delete sweep starts
-//     classifying and validating as soon as those shards are maintained —
-//     maintenance of the remaining attributes overlaps validation.
 //   - A level's eligible candidates are bundled into stealable chunks
 //     (chunkSize) spread across the worker deques; the coordinator resolves
 //     them in candidate order during the merge, claiming directly or
@@ -44,37 +41,18 @@ import (
 // the covers after every batch are identical for every Workers setting
 // (asserted by the equivalence property tests).
 
-// maintTask maintains one Pli shard and publishes its readiness bit, which
-// un-gates every validation chunk waiting on the attribute.
-type maintTask struct {
-	sched.Handle
-	store *pli.Store
-	ses   *sched.Session
-	attr  int
-}
-
-func (t *maintTask) Deps() attrset.Set { return attrset.Set{} }
-
-func (t *maintTask) Run(int) {
-	t.store.RunAttr(t.attr)
-	t.ses.MarkReady(attrset.Of(t.attr))
-}
-
 // valChunk is one stealable bundle of candidate validations. Run validates
 // every request with the worker slot's scratch; outcomes land in per-
 // request slots, read by the coordinator only after Await(chunk) — the
 // task-done edge orders the writes before the reads.
 type valChunk struct {
 	sched.Handle
-	deps    attrset.Set
 	store   *pli.Store
 	scratch *validate.Scratches
 	agree   *validate.AgreeIndex // pruned insert-phase chunk; nil validates in full
 	reqs    []validate.Request
 	outs    []validate.Outcome
 }
-
-func (c *valChunk) Deps() attrset.Set { return c.deps }
 
 func (c *valChunk) Run(worker int) {
 	sc := c.scratch.At(worker)
@@ -99,13 +77,12 @@ type chunkBuilder struct {
 	cur   *valChunk
 }
 
-func (b *chunkBuilder) add(cand fd.FD, deps attrset.Set) chunkSlot {
+func (b *chunkBuilder) add(cand fd.FD) chunkSlot {
 	if b.cur == nil {
 		b.cur = &valChunk{store: b.e.store, scratch: b.e.scratch, agree: b.agree}
 	}
 	b.cur.reqs = append(b.cur.reqs, validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs})
 	b.cur.outs = append(b.cur.outs, validate.Outcome{})
-	b.cur.deps = b.cur.deps.Union(deps)
 	sl := chunkSlot{ch: b.cur, idx: len(b.cur.reqs) - 1}
 	if len(b.cur.reqs) >= b.size {
 		b.flush()
@@ -191,16 +168,38 @@ func (e *Engine) validateInline(r validate.Request, agree *validate.AgreeIndex) 
 	return validate.One(e.scratch.At(0), e.store, agree, r), nil
 }
 
-// applyPipelined runs steps 1-3 of ApplyBatch on the scheduler: stage the
-// batch, maintain the per-attribute indexes (overlapped with the two
-// sweeps when the pool has background workers), run the sweeps, and seal
-// the store. Called with the planner's outputs; on return either the batch
-// is fully applied or the engine is poisoned (except for StageBatch
-// validation failures, which leave the store and engine untouched).
-func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, deletes int, ids []int64, ins []pli.BatchInsert, touched attrset.Set) error {
-	if err := e.store.StageBatch(e.planDeletes, ins); err != nil {
+// maintainStore runs Figure 1 step 1 for a planned batch: it applies the
+// batch's net deletes and inserts to every Pli shard, fanned out across the
+// engine's worker budget inside pli.Store.ApplyBatch, and moves the id
+// horizon past ids the batch consumed without keeping. ApplyBatch and
+// ApplyPatched both call it before their sweeps or patches; the time since
+// structStart, planning included, is billed to StructureTime. A batch the
+// store rejects leaves it unchanged and the engine usable. Once the store
+// has changed, its only error is a captured maintenance panic, which
+// poisons the engine, as does a failure to move the id horizon.
+func (e *Engine) maintainStore(p batchPlan, structStart time.Time) error {
+	if err := e.store.ApplyBatch(e.planDeletes, p.ins, e.pool.Workers()); err != nil {
+		var pe *fanout.PanicError
+		if errors.As(err, &pe) {
+			e.poisoned = err
+		}
 		return fmt.Errorf("core: applying batch: %w", err)
 	}
+	if p.nextID > e.store.NextID() {
+		if err := e.store.SetNextID(p.nextID); err != nil {
+			e.poisoned = err
+			return fmt.Errorf("core: applying batch: %w", err)
+		}
+	}
+	e.stats.StructureTime += time.Since(structStart)
+	return nil
+}
+
+// runSweeps runs steps 2 and 3 of ApplyBatch over the maintained store as
+// one scheduler session: the delete sweep if the batch deletes, then the
+// insert sweep if it inserts. On return either both sweeps completed or
+// the engine is poisoned.
+func (e *Engine) runSweeps(p batchPlan) error {
 	e.scratch.Ensure(e.pool.Workers())
 	ses := e.pool.Begin()
 	ended := false
@@ -212,41 +211,21 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 			_ = ses.End()
 		}
 	}()
-	for a := 0; a < e.numAttrs; a++ {
-		ses.Submit(&maintTask{store: e.store, ses: ses, attr: a})
-	}
-	if e.pool.Background() == 0 {
-		// One goroutine gains nothing from overlap: maintain every shard
-		// now, so the Figure 1 breakdown bills maintenance to the
-		// structure phase rather than to the first sweep that waits on it.
-		if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
-			e.poisoned = err
-			return fmt.Errorf("core: applying batch: %w", err)
-		}
-	}
-	e.stats.StructureTime += time.Since(structStart)
-
-	if deletes > 0 {
+	if p.deletes > 0 {
 		start := time.Now()
-		if err := e.processDeletes(ses, touched); err != nil {
+		if err := e.processDeletes(ses, p.touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: delete phase: %w", err)
 		}
 		e.stats.DeletePhaseTime += time.Since(start)
 	}
-	if len(ids) > 0 {
+	if len(p.ids) > 0 {
 		start := time.Now()
-		if err := e.processInserts(ses, minNewID, ids, touched); err != nil {
+		if err := e.processInserts(ses, p.minNewID, p.ids, p.touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: insert phase: %w", err)
 		}
 		e.stats.InsertPhaseTime += time.Since(start)
-	}
-
-	finishStart := time.Now()
-	if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
-		e.poisoned = err
-		return fmt.Errorf("core: applying batch: %w", err)
 	}
 	e.stats.ChunksStolen += int(ses.Stolen())
 	ended = true
@@ -254,21 +233,10 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 		e.poisoned = err
 		return fmt.Errorf("core: applying batch: %w", err)
 	}
-	if len(ids) > 0 {
+	if len(p.ids) > 0 {
 		// Read after End: leftover speculative chunks may still have
 		// queried the index until the workers were joined.
 		e.stats.AgreePairs += e.agree.Counters().Pairs
 	}
-	if err := e.store.Finish(); err != nil {
-		e.poisoned = err
-		return fmt.Errorf("core: applying batch: %w", err)
-	}
-	if nextID > e.store.NextID() {
-		if err := e.store.SetNextID(nextID); err != nil {
-			e.poisoned = err
-			return fmt.Errorf("core: applying batch: %w", err)
-		}
-	}
-	e.stats.StructureTime += time.Since(finishStart)
 	return nil
 }

@@ -1,16 +1,14 @@
-// Package fanout provides the bounded worker-pool fan-out primitive shared
-// by DynFD's parallel subsystems: the level-synchronized validation engine
-// (internal/validate, DESIGN.md §8) and the batch-parallel Pli maintenance
-// (internal/pli, DESIGN.md §10). It lives below both so the Pli store can
-// fan per-attribute index updates across workers without importing the
-// validation layer (which imports the store).
+// Package fanout provides the bounded worker-pool fan-out primitive behind
+// the Pli store's per-attribute work: batch maintenance (pli.Store.ApplyBatch,
+// DESIGN.md §10) and the bulk loader. It also defines PanicError, the one
+// captured-panic error that the store, the scheduler (internal/sched) and
+// the engine share.
 //
 // Determinism contract: work items are distributed through an atomic
 // cursor, so the assignment of items to workers is scheduling-dependent,
 // but callers that give each item (or each worker) exclusive state observe
-// results independent of that assignment. Both call sites rely on this:
-// validation writes per-item outcome slots, maintenance gives each worker
-// a disjoint set of per-attribute structures.
+// results independent of that assignment. The store relies on this: each
+// worker maintains a disjoint set of per-attribute structures.
 //
 // Failure contract: a panic in any call is captured — never re-raised — and
 // surfaced as a *PanicError from Run/ForEach, carrying the worker slot and
@@ -48,8 +46,7 @@ func (e *PanicError) Error() string {
 // as a validation Scratch. Work is distributed through an atomic cursor, so
 // expensive items do not stall a static partition. With workers <= 1 (or
 // n <= 1) the calls run inline on the caller's goroutine as worker 0, in
-// index order, and fanned is false; otherwise Run blocks until all workers
-// finished and fanned is true.
+// index order; otherwise Run blocks until all workers finished.
 //
 // fn must be safe to call from multiple goroutines for distinct i. A panic
 // in any call — fanned or inline — is captured and returned as the first
@@ -57,17 +54,17 @@ func (e *PanicError) Error() string {
 // remaining workers drain. On a non-nil error the set of completed calls is
 // unspecified and any state fn was mutating must be considered
 // inconsistent.
-func Run(n, workers int, fn func(worker, i int)) (fanned bool, err error) {
+func Run(n, workers int, fn func(worker, i int)) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if pe := protect(0, i, fn); pe != nil {
-				return false, pe
+				return pe
 			}
 		}
-		return false, nil
+		return nil
 	}
 	var (
 		cursor   atomic.Int64
@@ -92,14 +89,14 @@ func Run(n, workers int, fn func(worker, i int)) (fanned bool, err error) {
 	}
 	wg.Wait()
 	if pe := panicked.Load(); pe != nil {
-		return true, pe
+		return pe
 	}
-	return true, nil
+	return nil
 }
 
 // ForEach runs fn(i) for every i in [0, n), fanning the calls across at
 // most workers goroutines. See Run for the full contract.
-func ForEach(n, workers int, fn func(i int)) (fanned bool, err error) {
+func ForEach(n, workers int, fn func(i int)) error {
 	return Run(n, workers, func(_, i int) { fn(i) })
 }
 

@@ -1,23 +1,55 @@
 package fanout
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine N [running]:"), so tests can tell inline calls from fanned
+// ones.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// inlineRecorder returns a ForEach callback that records the call order
+// and fails the test if a call runs on another goroutine than the caller.
+func inlineRecorder(t *testing.T, order *[]int) func(i int) {
+	t.Helper()
+	caller := goid()
+	return func(i int) {
+		if g := goid(); g != caller {
+			t.Errorf("item %d ran on goroutine %s, want the caller's %s", i, g, caller)
+		}
+		*order = append(*order, i)
+	}
+}
 
 func TestForEachCoversAllItems(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{0, 1, 3, 16} {
 		const n = 100
 		var hits [n]atomic.Int32
-		fanned, err := ForEach(n, workers, func(i int) { hits[i].Add(1) })
-		if err != nil {
+		fn := func(i int) { hits[i].Add(1) }
+		var order []int
+		if workers <= 1 {
+			// workers <= 1 runs inline, in index order.
+			rec := inlineRecorder(t, &order)
+			fn = func(i int) { rec(i); hits[i].Add(1) }
+		}
+		if err := ForEach(n, workers, fn); err != nil {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
-		if want := workers > 1; fanned != want {
-			t.Errorf("workers=%d: fanned = %v, want %v", workers, fanned, want)
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("workers=%d: inline ForEach out of order: %v", workers, order)
+			}
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
@@ -31,7 +63,7 @@ func TestRunSlotBounds(t *testing.T) {
 	t.Parallel()
 	const n, workers = 64, 4
 	var bad atomic.Int32
-	if _, err := Run(n, workers, func(w, i int) {
+	if err := Run(n, workers, func(w, i int) {
 		if w < 0 || w >= workers {
 			bad.Add(1)
 		}
@@ -45,14 +77,11 @@ func TestRunSlotBounds(t *testing.T) {
 
 func TestRunCapturesWorkerPanic(t *testing.T) {
 	t.Parallel()
-	fanned, err := Run(8, 4, func(_, i int) {
+	err := Run(8, 4, func(_, i int) {
 		if i == 3 {
 			panic("boom")
 		}
 	})
-	if !fanned {
-		t.Error("fanned = false, want true")
-	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -71,15 +100,16 @@ func TestRunCapturesWorkerPanic(t *testing.T) {
 func TestRunCapturesInlinePanic(t *testing.T) {
 	t.Parallel()
 	ran := 0
-	fanned, err := Run(8, 1, func(_, i int) {
+	caller := goid()
+	err := Run(8, 1, func(_, i int) {
+		if g := goid(); g != caller {
+			t.Errorf("serial run called item %d on goroutine %s, want the caller's %s", i, g, caller)
+		}
 		ran++
 		if i == 2 {
 			panic("serial boom")
 		}
 	})
-	if fanned {
-		t.Error("fanned = true for serial run")
-	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -96,7 +126,7 @@ func TestRunRemainingWorkersDrain(t *testing.T) {
 	t.Parallel()
 	const n = 200
 	var hits atomic.Int32
-	if _, err := Run(n, 4, func(_, i int) {
+	if err := Run(n, 4, func(_, i int) {
 		if i == 0 {
 			panic("early")
 		}
@@ -114,8 +144,11 @@ func TestRunRemainingWorkersDrain(t *testing.T) {
 func TestForEachSerialOrder(t *testing.T) {
 	t.Parallel()
 	var order []int
-	if _, err := ForEach(5, 1, func(i int) { order = append(order, i) }); err != nil {
+	if err := ForEach(5, 1, inlineRecorder(t, &order)); err != nil {
 		t.Fatal(err)
+	}
+	if len(order) != 5 {
+		t.Fatalf("serial ForEach ran %d of 5 items", len(order))
 	}
 	for i, v := range order {
 		if v != i {
@@ -126,14 +159,15 @@ func TestForEachSerialOrder(t *testing.T) {
 
 func TestForEachEmptyAndTiny(t *testing.T) {
 	t.Parallel()
-	if fanned, err := ForEach(0, 8, func(int) { t.Error("called for n=0") }); fanned || err != nil {
-		t.Errorf("n=0: fanned=%v err=%v", fanned, err)
+	if err := ForEach(0, 8, func(int) { t.Error("called for n=0") }); err != nil {
+		t.Errorf("n=0: err=%v", err)
 	}
-	calls := 0
-	if fanned, err := ForEach(1, 8, func(i int) { calls++ }); fanned || err != nil {
-		t.Errorf("n=1: fanned=%v err=%v (workers clamp to n)", fanned, err)
+	// Workers clamp to n, so one item runs inline.
+	var order []int
+	if err := ForEach(1, 8, inlineRecorder(t, &order)); err != nil {
+		t.Errorf("n=1: err=%v", err)
 	}
-	if calls != 1 {
-		t.Errorf("n=1: %d calls", calls)
+	if len(order) != 1 {
+		t.Errorf("n=1: %d calls", len(order))
 	}
 }

@@ -121,7 +121,7 @@ func (s *Store) loadIDs(ids []int64) error {
 // depend on the worker count either.
 func (s *Store) loadAttrs(workers int, load func(a int) error) error {
 	errs := make([]error, s.numAttrs)
-	if _, err := fanout.ForEach(s.numAttrs, workers, func(a int) { errs[a] = load(a) }); err != nil {
+	if err := fanout.ForEach(s.numAttrs, workers, func(a int) { errs[a] = load(a) }); err != nil {
 		return fmt.Errorf("pli: loading: %w", err)
 	}
 	for _, err := range errs {

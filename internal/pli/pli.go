@@ -290,10 +290,8 @@ const (
 // value dictionary) plus an epoch counting the staged batches fully applied
 // to it. Everything a maintenance worker writes for attribute a — the
 // shard's Index and the records' column a in the arena — lives behind this
-// per-attribute ownership boundary, so staged maintenance needs no locks at
-// all: distinct attributes never share mutable state, and readers of
-// attribute a synchronize with its maintenance through the scheduler's
-// readiness bits (internal/sched), not through the store.
+// per-attribute ownership boundary, so ApplyBatch's per-attribute fan-out
+// needs no locks at all: distinct attributes never share mutable state.
 type shard struct {
 	ix    *Index
 	epoch atomic.Uint64 // staged batches fully applied to this shard
@@ -306,26 +304,17 @@ type shard struct {
 // readers (Record, Rec, Values, Lookup, AppendLookup, Index and the cluster
 // accessors, ForEachRecord, CheckConsistency) as long as no goroutine
 // mutates it; Insert, InsertWithID, SetNextID, Delete, and ApplyBatch
-// require exclusive access. The parallel validation engine relies on this
-// reader-only window: the engine applies all structural mutations first and
-// only then fans read-only candidate validations out across workers (see
-// internal/core/parallel.go). The contract is exercised under the race
-// detector by TestStoreConcurrentReaders. ApplyBatch's internal
-// per-attribute fan-out never escapes the call.
-//
-// Staged maintenance (DESIGN.md §13) relaxes the exclusive window per
-// attribute: between StageBatch and Finish, RunAttr(a) may run concurrently
-// for distinct attributes, and readers may access attribute a's shard —
-// Index(a), column a of Rec, the liveness bitmap — as soon as RunAttr(a)
-// has returned AND a happens-before edge orders that return before the
-// read (the engine publishes it via sched.Session.MarkReady). Whole-store
-// readers (ForEachRecord, Values, Lookup) must wait until every shard is
-// maintained.
+// require exclusive access. The engine relies on this reader-only window:
+// it applies each batch's structural changes first and only then validates
+// candidates, read-only, on its scheduler's workers (internal/core,
+// pipeline.go). The contract is exercised under the race detector by
+// TestStoreConcurrentReaders. ApplyBatch's internal per-attribute fan-out
+// never escapes the call.
 type Store struct {
 	numAttrs int
 	shards   []shard
 
-	// staged is the open staged batch (StageBatch..Finish), nil otherwise;
+	// staged is the open staged batch (stageBatch..finish), nil otherwise;
 	// batchEpoch counts finished staged batches. Outside a staging window
 	// every shard epoch equals batchEpoch — skew means a batch was applied
 	// to only some shards (e.g. a panicked worker) and CheckConsistency
@@ -446,11 +435,11 @@ func (s *Store) ForEachRecord(fn func(id int64, rec Record) bool) {
 // AppendLiveFrom appends the ids of all live records with id >= from to dst
 // in ascending order and returns the extended slice. It walks the liveness
 // bitmaps from from's page on, so the cost follows the id range [from, end
-// of arena), not the store size. Between StageBatch and Finish the staged
-// inserts are already live and the staged deletes already dead, so inside a
-// staging window it returns the batch's surviving new records; ids born and
-// deleted within one batch never become live and never appear. A from
-// beyond every allocated page yields dst unchanged.
+// of arena), not the store size. From a batch's first new id it returns
+// the batch's surviving new records (ApplyBatch flips liveness before it
+// maintains a shard, so this holds inside the staging window too); ids
+// born and deleted within one batch never become live and never appear. A
+// from beyond every allocated page yields dst unchanged.
 func (s *Store) AppendLiveFrom(dst []int64, from int64) []int64 {
 	if from < 0 {
 		from = 0
@@ -642,23 +631,19 @@ type BatchInsert struct {
 // error the store is unchanged. A panic in a fanned-out worker is captured
 // and returned as a *fanout.PanicError-wrapped error instead; the store is
 // then possibly inconsistent (the staged batch stays open, so further
-// mutators are rejected) and must not be used further.
-//
-// ApplyBatch is the barrier form of the staged API (staged.go): StageBatch,
-// RunAttr for every attribute over the fixed fan-out, Finish. The pipelined
-// engine drives the three steps itself so per-attribute maintenance can
-// overlap candidate validation instead of joining here.
+// mutators are rejected) and must not be used further. The three steps
+// behind the fan-out are in staged.go.
 func (s *Store) ApplyBatch(deletes []int64, inserts []BatchInsert, workers int) error {
-	if err := s.StageBatch(deletes, inserts); err != nil {
+	if err := s.stageBatch(deletes, inserts); err != nil {
 		return err
 	}
-	if _, err := fanout.ForEach(s.numAttrs, workers, func(a int) { s.RunAttr(a) }); err != nil {
+	if err := fanout.ForEach(s.numAttrs, workers, func(a int) { s.runAttr(a) }); err != nil {
 		// A panicking worker leaves an unknown subset of the per-attribute
 		// shards updated; the store is inconsistent and the caller must
 		// stop using it (core.Engine poisons itself on this error).
 		return fmt.Errorf("pli: applying batch: %w", err)
 	}
-	return s.Finish()
+	return s.finish()
 }
 
 // applyAttr applies one batch's deletes and inserts to attribute a:
@@ -803,7 +788,7 @@ func mustCid(ix *Index, value string) int32 {
 // reported as inconsistent.
 func (s *Store) CheckConsistency() error {
 	if s.staged != nil {
-		return fmt.Errorf("pli: staged batch open (Finish not called)")
+		return errStagedOpen
 	}
 	if len(s.shards) != s.numAttrs {
 		return fmt.Errorf("pli: %d shards for %d attributes", len(s.shards), s.numAttrs)

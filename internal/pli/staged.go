@@ -5,42 +5,39 @@ import (
 	"fmt"
 )
 
-// errStagedOpen rejects exclusive-access mutators while a staged batch is
-// open: between StageBatch and Finish the only legal mutations are RunAttr
-// calls, one per attribute.
-var errStagedOpen = errors.New("pli: staged batch open (Finish not called)")
+// errStagedOpen rejects mutators while a staged batch is open: between
+// stageBatch and finish the only legal mutations are runAttr calls, one per
+// attribute. Outside ApplyBatch the window stays open only after a
+// maintenance panic, so the store refuses further use.
+var errStagedOpen = errors.New("pli: staged batch open (maintenance did not finish)")
 
 // stagedBatch is the open staged batch: the normal-form change lists that
-// every RunAttr call reads. The slices are the caller's; they must not be
-// mutated until Finish.
+// every runAttr call reads. The slices are the caller's; they must not be
+// mutated until finish.
 type stagedBatch struct {
 	deletes []int64
 	inserts []BatchInsert
 }
 
-// StageBatch opens a staged batch application: the decomposed, overlappable
-// form of ApplyBatch used by the pipelined engine (DESIGN.md §13).
+// ApplyBatch runs in three steps:
 //
-//	StageBatch(deletes, inserts)   — validate, flip liveness, stage (serial)
-//	RunAttr(a) for every attribute — per-shard maintenance (parallel)
-//	Finish()                       — free pages, advance the id horizon
+//	stageBatch(deletes, inserts)   — validate, flip liveness, stage (serial)
+//	runAttr(a) for every attribute — per-shard maintenance (fanned out)
+//	finish()                       — free pages, advance the id horizon
 //
-// StageBatch performs all of ApplyBatch's validation up front (on error the
+// stageBatch performs all of ApplyBatch's validation up front (on error the
 // store is unchanged and no batch is staged) and then flips liveness
 // serially: deletes are marked dead (their pages and cluster ids stay
 // readable for the compactions), inserts are marked live with their arena
-// pages allocated, and NumRecords is final. After StageBatch returns,
-// RunAttr(a) may be called concurrently for distinct attributes; each call
+// pages allocated, and NumRecords is final. After stageBatch returns,
+// runAttr(a) may be called concurrently for distinct attributes; each call
 // owns shard a and arena column a exclusively, so the shards need no locks.
-// Readers of attribute a must order themselves after RunAttr(a) through an
-// external happens-before edge (the engine uses sched.Session.MarkReady);
-// whole-store reads need every attribute maintained. The deletes and
-// inserts slices are retained and read by RunAttr until Finish; the caller
-// must not mutate them.
+// The deletes and inserts slices are retained and read by runAttr until
+// finish.
 //
-// Until Finish closes the staging window, all other mutators and
+// Until finish closes the staging window, all other mutators and
 // CheckConsistency report the store as staged-open.
-func (s *Store) StageBatch(deletes []int64, inserts []BatchInsert) error {
+func (s *Store) stageBatch(deletes []int64, inserts []BatchInsert) error {
 	if s.staged != nil {
 		return errStagedOpen
 	}
@@ -73,8 +70,8 @@ func (s *Store) StageBatch(deletes []int64, inserts []BatchInsert) error {
 	}
 
 	// Flip liveness serially — mark the deletes dead (their pages and
-	// cluster ids stay readable for the compaction in RunAttr) and the
-	// inserts live, allocating their arena pages. RunAttr workers only read
+	// cluster ids stay readable for the compaction in runAttr) and the
+	// inserts live, allocating their arena pages. runAttr workers only read
 	// the bitmaps.
 	for _, id := range deletes {
 		s.clearLive(id)
@@ -86,45 +83,42 @@ func (s *Store) StageBatch(deletes []int64, inserts []BatchInsert) error {
 	return nil
 }
 
-// RunAttr applies the staged batch to attribute a's shard: compaction of
+// runAttr applies the staged batch to attribute a's shard: compaction of
 // the touched clusters, then appends for the inserts (see applyAttr). Calls
 // for distinct attributes may run concurrently; each writes only shard a
 // and the records' column a. Misuse — no staged batch, attribute out of
 // range, or a second call for the same attribute in one staging window —
-// is a scheduling bug and panics (the engine's task runner converts panics
-// into poisoning, the same contract as a panic inside the maintenance
-// itself).
-func (s *Store) RunAttr(a int) {
+// panics, and ApplyBatch's fan-out returns the panic as an error.
+func (s *Store) runAttr(a int) {
 	st := s.staged
 	if st == nil {
-		panic("pli: RunAttr without a staged batch")
+		panic("pli: runAttr without a staged batch")
 	}
 	if a < 0 || a >= s.numAttrs {
-		panic(fmt.Sprintf("pli: RunAttr attribute %d out of range (%d attrs)", a, s.numAttrs))
+		panic(fmt.Sprintf("pli: runAttr attribute %d out of range (%d attrs)", a, s.numAttrs))
 	}
 	if got := s.shards[a].epoch.Load(); got != s.batchEpoch {
-		panic(fmt.Sprintf("pli: RunAttr(%d) called twice in one staged batch (epoch %d, batch %d)",
+		panic(fmt.Sprintf("pli: runAttr(%d) called twice in one staged batch (epoch %d, batch %d)",
 			a, got, s.batchEpoch))
 	}
 	s.applyAttr(a, st.deletes, st.inserts)
-	// The increment is the shard-local "maintained" marker; the
-	// happens-before edge readers need is published by the caller.
+	// The increment is the shard-local "maintained" marker.
 	s.shards[a].epoch.Add(1)
 }
 
-// Finish closes the staging window: frees arena pages whose last record
+// finish closes the staging window: frees arena pages whose last record
 // died, advances the id horizon past the batch's inserts, and re-enables
 // the ordinary mutators. It errors — leaving the window open, since the
 // store is not in a consistent state — if any attribute was not maintained
-// by a RunAttr call.
-func (s *Store) Finish() error {
+// by a runAttr call.
+func (s *Store) finish() error {
 	st := s.staged
 	if st == nil {
-		return errors.New("pli: Finish without a staged batch")
+		return errors.New("pli: finish without a staged batch")
 	}
 	for a := range s.shards {
 		if got := s.shards[a].epoch.Load(); got != s.batchEpoch+1 {
-			return fmt.Errorf("pli: Finish with attribute %d not maintained (epoch %d, want %d)",
+			return fmt.Errorf("pli: finish with attribute %d not maintained (epoch %d, want %d)",
 				a, got, s.batchEpoch+1)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -62,10 +61,11 @@ func dumpStore(t *testing.T, s *Store) string {
 	return b.String()
 }
 
-// TestStagedEquivalence drives the same random batches through ApplyBatch
-// and through StageBatch + concurrent RunAttr + Finish, comparing the full
-// store content after every batch. Run under -race in CI, this is also the
-// proof that concurrent per-shard maintenance is data-race free.
+// TestStagedEquivalence drives the same random batches through a serial
+// ApplyBatch and through ApplyBatch's per-attribute fan-out (one goroutine
+// per attribute), comparing the full store content after every batch. Run
+// under -race in CI, this is also the proof that concurrent per-shard
+// maintenance is data-race free.
 func TestStagedEquivalence(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 10; seed++ {
@@ -80,19 +80,7 @@ func TestStagedEquivalence(t *testing.T) {
 			if err := ref.ApplyBatch(deletes, inserts, 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.StageBatch(deletesB, insertsB); err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for a := 0; a < w; a++ {
-				wg.Add(1)
-				go func(a int) {
-					defer wg.Done()
-					st.RunAttr(a)
-				}(a)
-			}
-			wg.Wait()
-			if err := st.Finish(); err != nil {
+			if err := st.ApplyBatch(deletesB, insertsB, w); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.CheckConsistency(); err != nil {
@@ -106,9 +94,10 @@ func TestStagedEquivalence(t *testing.T) {
 	}
 }
 
-// TestStagedGuards covers the staging-window protocol errors: mutators and
-// CheckConsistency rejected while open, Finish with unmaintained shards,
-// RunAttr misuse panics, and the epoch-skew invariant.
+// TestStagedGuards covers the staging-window protocol errors behind
+// ApplyBatch: mutators and CheckConsistency rejected while open (the state
+// a maintenance panic leaves), finish with unmaintained shards, runAttr
+// misuse panics, and the epoch-skew invariant.
 func TestStagedGuards(t *testing.T) {
 	t.Parallel()
 	s := NewStore(3)
@@ -118,9 +107,9 @@ func TestStagedGuards(t *testing.T) {
 		}
 	}
 
-	s.RunAttrMustPanic(t, 0)
+	s.runAttrMustPanic(t, 0)
 
-	if err := s.StageBatch([]int64{0}, nil); err != nil {
+	if err := s.stageBatch([]int64{0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Insert([]string{"x", "y", "z"}); err == nil {
@@ -135,8 +124,8 @@ func TestStagedGuards(t *testing.T) {
 	if err := s.SetNextID(99); err == nil {
 		t.Error("SetNextID accepted during staging")
 	}
-	if err := s.StageBatch(nil, nil); err == nil {
-		t.Error("second StageBatch accepted during staging")
+	if err := s.stageBatch(nil, nil); err == nil {
+		t.Error("second stageBatch accepted during staging")
 	}
 	if err := s.ApplyBatch(nil, nil, 0); err == nil {
 		t.Error("ApplyBatch accepted during staging")
@@ -145,28 +134,28 @@ func TestStagedGuards(t *testing.T) {
 		t.Errorf("CheckConsistency during staging = %v", err)
 	}
 
-	s.RunAttr(0)
-	s.RunAttr(1)
-	if err := s.Finish(); err == nil || !strings.Contains(err.Error(), "attribute 2 not maintained") {
-		t.Errorf("Finish with unmaintained shard = %v", err)
+	s.runAttr(0)
+	s.runAttr(1)
+	if err := s.finish(); err == nil || !strings.Contains(err.Error(), "attribute 2 not maintained") {
+		t.Errorf("finish with unmaintained shard = %v", err)
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("second RunAttr(0) in one staging window did not panic")
+				t.Error("second runAttr(0) in one staging window did not panic")
 			}
 		}()
-		s.RunAttr(0)
+		s.runAttr(0)
 	}()
-	s.RunAttr(2)
-	if err := s.Finish(); err != nil {
+	s.runAttr(2)
+	if err := s.finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Finish(); err == nil {
-		t.Error("Finish without staged batch accepted")
+	if err := s.finish(); err == nil {
+		t.Error("finish without staged batch accepted")
 	}
 
 	// Epoch skew: simulate a batch that reached only some shards.
@@ -176,21 +165,21 @@ func TestStagedGuards(t *testing.T) {
 	}
 }
 
-// RunAttrMustPanic asserts RunAttr panics without a staged batch.
-func (s *Store) RunAttrMustPanic(t *testing.T, a int) {
+// runAttrMustPanic asserts runAttr panics without a staged batch.
+func (s *Store) runAttrMustPanic(t *testing.T, a int) {
 	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Error("RunAttr without staged batch did not panic")
+			t.Error("runAttr without staged batch did not panic")
 		}
 	}()
-	s.RunAttr(a)
+	s.runAttr(a)
 }
 
 // TestAppendLiveFrom checks the live-id walk that cluster pruning uses to
 // find a batch's new records: ids come out ascending, dead ids and freed
 // pages are skipped, a staged batch's inserts are included (and its
-// deletes excluded) before Finish, and a start beyond the arena yields
+// deletes excluded) before finish, and a start beyond the arena yields
 // nothing. Starts on word and page boundaries and inside words are
 // compared against a filter over ForEachRecord.
 func TestAppendLiveFrom(t *testing.T) {
@@ -249,7 +238,7 @@ func TestAppendLiveFrom(t *testing.T) {
 		{ID: minNew + pageSize, Values: []string{"1", "1"}},
 	}
 	last := want(0)[len(want(0))-1]
-	if err := s.StageBatch([]int64{last}, ins); err != nil {
+	if err := s.stageBatch([]int64{last}, ins); err != nil {
 		t.Fatal(err)
 	}
 	got := s.AppendLiveFrom(nil, last)
@@ -257,9 +246,9 @@ func TestAppendLiveFrom(t *testing.T) {
 		t.Fatalf("staged: AppendLiveFrom(%d) = %v, want the staged inserts only", last, got)
 	}
 	for a := 0; a < w; a++ {
-		s.RunAttr(a)
+		s.runAttr(a)
 	}
-	if err := s.Finish(); err != nil {
+	if err := s.finish(); err != nil {
 		t.Fatal(err)
 	}
 	check("after finish")

@@ -12,20 +12,15 @@
 // the coordinator will Await results in, while thieves take the most
 // speculative work from the back.
 //
-// Dependency gating: a task may declare a set of attribute indexes that
-// must be published (MarkReady) before it can run — DynFD uses this to
-// start candidate validations as soon as the per-attribute Pli shards they
-// read are maintained, without waiting for the whole store. Gated tasks
-// are parked until their attributes are ready and then pushed to a deque.
-// Readiness bits are published with atomic operations, so a task observing
-// its dependencies met also observes all memory written before the
-// publication (the happens-before edge the race detector recognizes).
+// Every submitted task is runnable at once: the engine maintains the whole
+// Pli store before it submits any validation, so tasks carry no
+// dependencies.
 //
 // Claiming: execution rights are resolved by a compare-and-swap on the
 // task's Handle, not by deque membership. The coordinator's Await may
-// claim and run a task directly — even one still parked or sitting in
-// another worker's deque — and stale deque entries that lost the race are
-// simply discarded on pop. This keeps Await latency-optimal (never waits
+// claim and run a task directly — even one sitting in another worker's
+// deque — and stale deque entries that lost the race are simply discarded
+// on pop. This keeps Await latency-optimal (never waits
 // for a queue position) and makes unflushed, never-submitted tasks legal:
 // Await runs them inline.
 //
@@ -41,19 +36,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dynfd/internal/attrset"
 	"dynfd/internal/fanout"
 )
 
 // Task is one schedulable unit of work. Implementations embed a Handle and
 // return it from H. Run is called exactly once, on whichever goroutine
 // wins the claim; worker is that goroutine's slot index (0 is the
-// coordinator), usable to select per-worker scratch space. Deps returns
-// the attribute bits that must be ready before Run may start; the zero Set
-// means the task is immediately runnable.
+// coordinator), usable to select per-worker scratch space.
 type Task interface {
 	H() *Handle
-	Deps() attrset.Set
 	Run(worker int)
 }
 
@@ -157,20 +148,18 @@ func clearTasks(ts []Task) {
 	}
 }
 
-// Session is one scheduling episode: Begin, Submit/MarkReady/Await from
-// the coordinator (and MarkReady from inside tasks), then End. Submit and
-// Await must only be called from the coordinator goroutine.
+// Session is one scheduling episode: Begin, Submit/Await from the
+// coordinator, then End. Submit and Await must only be called from the
+// coordinator goroutine.
 type Session struct {
 	pool   *Pool
 	deques []deque
 	next   int // round-robin submission cursor (coordinator only)
 
-	ready [len(attrset.Set{})]atomic.Uint64
 	stole atomic.Int64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	parked   []Task
 	sleepers int
 	seq      uint64 // bumped under mu on every wake-worthy event
 	err      error
@@ -217,10 +206,10 @@ func (s *Session) Fail(err error) {
 	s.mu.Unlock()
 }
 
-// bump records a wake-worthy event (task dispatched, task finished,
-// readiness published) and wakes every sleeper. Sleep sites capture seq
-// before probing for work and only block if it is still unchanged, so an
-// event firing between a failed probe and the Wait is never lost.
+// bump records a wake-worthy event (task submitted, task finished) and
+// wakes every sleeper. Sleep sites capture seq before probing for work and
+// only block if it is still unchanged, so an event firing between a failed
+// probe and the Wait is never lost.
 func (s *Session) bump() {
 	s.mu.Lock()
 	s.seq++
@@ -236,80 +225,13 @@ func (s *Session) snap() uint64 {
 	return v
 }
 
-// Ready returns the currently published attribute bits.
-func (s *Session) Ready() attrset.Set {
-	var r attrset.Set
-	for w := range s.ready {
-		r[w] = s.ready[w].Load()
-	}
-	return r
-}
-
-func (s *Session) readyMet(deps attrset.Set) bool {
-	for w, bits := range deps {
-		if bits != 0 && s.ready[w].Load()&bits != bits {
-			return false
-		}
-	}
-	return true
-}
-
-// MarkReady publishes attribute bits: parked tasks whose dependencies are
-// now met move to the deques, and sleeping workers are woken. Safe to call
-// from inside a running task (this is how per-attribute Pli maintenance
-// hands validation work its go signal).
-func (s *Session) MarkReady(attrs attrset.Set) {
-	for w, bits := range attrs {
-		if bits != 0 {
-			s.ready[w].Or(bits)
-		}
-	}
-	s.mu.Lock()
-	kept := s.parked[:0]
-	var unparked []Task
-	for _, t := range s.parked {
-		if s.readyMet(t.Deps()) {
-			unparked = append(unparked, t)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	clearTasks(s.parked[len(kept):])
-	s.parked = kept
-	s.seq++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, t := range unparked {
-		s.dispatch(t)
-	}
-}
-
-// dispatch pushes a runnable task to the next deque, round-robin. Safe
-// from any goroutine (MarkReady inside a task races with Submit).
-func (s *Session) dispatch(t Task) {
-	s.mu.Lock()
+// Submit hands a task to the session, pushing it to the next deque
+// round-robin. Coordinator goroutine only.
+func (s *Session) Submit(t Task) {
 	w := s.next
 	s.next = (s.next + 1) % len(s.deques)
-	s.mu.Unlock()
 	s.deques[w].push(t)
 	s.bump()
-}
-
-// Submit hands a task to the session. Tasks with unmet dependencies are
-// parked until MarkReady satisfies them. Coordinator goroutine only.
-func (s *Session) Submit(t Task) {
-	if !s.readyMet(t.Deps()) {
-		s.mu.Lock()
-		// Re-check under the lock: a MarkReady racing with the check above
-		// must not strand the task in parked with its bits already set.
-		if !s.readyMet(t.Deps()) {
-			s.parked = append(s.parked, t)
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-	}
-	s.dispatch(t)
 }
 
 // grab returns a runnable task for the given slot: its own deque's front
@@ -389,9 +311,9 @@ func (s *Session) worker(w int) {
 
 // Await drives the session until t has run (returning nil) or the session
 // failed (returning the poisoning error). While waiting it helps: it
-// claims t directly when runnable — even if t was never submitted or sits
-// in another worker's deque — and otherwise runs whatever other task it
-// can grab. Coordinator goroutine only.
+// claims t directly when it is still queued — even if t was never
+// submitted or sits in another worker's deque — and otherwise runs
+// whatever other task it can grab. Coordinator goroutine only.
 func (s *Session) Await(t Task) error {
 	h := t.H()
 	for {
@@ -404,7 +326,7 @@ func (s *Session) Await(t Task) error {
 		if err := s.Err(); err != nil {
 			return err
 		}
-		if s.readyMet(t.Deps()) && h.state.CompareAndSwap(taskQueued, taskRunning) {
+		if h.state.CompareAndSwap(taskQueued, taskRunning) {
 			s.run(t, 0)
 			continue
 		}
@@ -418,31 +340,10 @@ func (s *Session) Await(t Task) error {
 	}
 }
 
-// AwaitReady drives the session until the given attribute bits are
-// published, helping like Await. Coordinator goroutine only.
-func (s *Session) AwaitReady(attrs attrset.Set) error {
-	for {
-		seq := s.snap()
-		if s.readyMet(attrs) {
-			return nil
-		}
-		if err := s.Err(); err != nil {
-			return err
-		}
-		if u := s.grab(0); u != nil {
-			s.run(u, 0)
-			continue
-		}
-		if err := s.sleep(seq, func() bool { return s.readyMet(attrs) }); err != nil {
-			return err
-		}
-	}
-}
-
 // sleep blocks the coordinator until a broadcast, with a deadlock guard:
 // when the pool has no background workers, nothing can make progress while
 // the coordinator sleeps, so waiting would hang forever — that is a
-// scheduling bug (a dependency no submitted task publishes) and is
+// scheduling bug (a task awaiting itself from inside its own Run) and is
 // surfaced as an error instead.
 func (s *Session) sleep(seq uint64, done func() bool) error {
 	s.mu.Lock()

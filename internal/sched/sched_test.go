@@ -6,26 +6,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dynfd/internal/attrset"
 )
 
-// testTask is a minimal Task: a closure plus optional deps.
+// testTask is a minimal Task: a closure.
 type testTask struct {
 	Handle
-	deps attrset.Set
-	fn   func(worker int)
+	fn func(worker int)
 }
 
-func (t *testTask) Deps() attrset.Set { return t.deps }
 func (t *testTask) Run(worker int) {
 	if t.fn != nil {
 		t.fn(worker)
 	}
 }
 
-func newTask(deps attrset.Set, fn func(worker int)) *testTask {
-	return &testTask{deps: deps, fn: fn}
+func newTask(fn func(worker int)) *testTask {
+	return &testTask{fn: fn}
 }
 
 func TestRunsEverySubmittedTaskOnce(t *testing.T) {
@@ -37,7 +33,7 @@ func TestRunsEverySubmittedTaskOnce(t *testing.T) {
 		tasks := make([]*testTask, n)
 		for i := range tasks {
 			i := i
-			tasks[i] = newTask(attrset.Set{}, func(int) { runs[i].Add(1) })
+			tasks[i] = newTask(func(int) { runs[i].Add(1) })
 			s.Submit(tasks[i])
 		}
 		for _, tk := range tasks {
@@ -62,7 +58,7 @@ func TestAwaitRunsUnsubmittedTaskInline(t *testing.T) {
 	s := NewPool(1).Begin()
 	defer s.End()
 	var ran atomic.Bool
-	tk := newTask(attrset.Set{}, func(worker int) {
+	tk := newTask(func(worker int) {
 		if worker != 0 {
 			t.Errorf("inline task ran on worker %d", worker)
 		}
@@ -85,7 +81,7 @@ func TestSingleSlotInlineExecution(t *testing.T) {
 	tasks := make([]*testTask, 10)
 	for i := range tasks {
 		i := i
-		tasks[i] = newTask(attrset.Set{}, func(int) { order = append(order, i) })
+		tasks[i] = newTask(func(int) { order = append(order, i) })
 		s.Submit(tasks[i])
 	}
 	for _, tk := range tasks {
@@ -112,7 +108,7 @@ func TestStealingHappens(t *testing.T) {
 	t.Parallel()
 	s := NewPool(2).Begin()
 	done := make(chan int, 1)
-	tk := newTask(attrset.Set{}, func(worker int) { done <- worker })
+	tk := newTask(func(worker int) { done <- worker })
 	s.Submit(tk) // lands in deque 0, owned by the (idle) coordinator
 	select {
 	case worker := <-done:
@@ -133,87 +129,18 @@ func TestStealingHappens(t *testing.T) {
 	}
 }
 
-// Dependency gating: a task must not run before MarkReady publishes its
-// attributes, and the publishing side's writes must be visible to it.
-func TestDependencyGating(t *testing.T) {
-	t.Parallel()
-	s := NewPool(4).Begin()
-	defer s.End()
-
-	var published [8]int // written before MarkReady, read by gated tasks
-	gated := make([]*testTask, 8)
-	for a := range gated {
-		a := a
-		gated[a] = newTask(attrset.Of(a), func(int) {
-			if published[a] != a+1 {
-				t.Errorf("attr %d: gated task saw unpublished value %d", a, published[a])
-			}
-		})
-		s.Submit(gated[a])
-	}
-	// Publish one attribute at a time from producer tasks.
-	for a := 0; a < 8; a++ {
-		a := a
-		s.Submit(newTask(attrset.Set{}, func(int) {
-			published[a] = a + 1
-			s.MarkReady(attrset.Of(a))
-		}))
-	}
-	for _, tk := range gated {
-		if err := s.Await(tk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := attrset.Of(0, 1, 2, 3, 4, 5, 6, 7)
-	if got := s.Ready(); got != want {
-		t.Fatalf("Ready() = %v, want %v", got, want)
-	}
-}
-
-// Awaiting a gated task whose deps are already published must claim it
-// directly even though it is still parked (never dispatched).
-func TestAwaitClaimsParkedTask(t *testing.T) {
-	t.Parallel()
-	s := NewPool(1).Begin()
-	defer s.End()
-	var ran atomic.Bool
-	tk := newTask(attrset.Of(3), func(int) { ran.Store(true) })
-	s.Submit(tk) // parks: attr 3 not ready
-	s.MarkReady(attrset.Of(3))
-	if err := s.Await(tk); err != nil {
-		t.Fatal(err)
-	}
-	if !ran.Load() {
-		t.Fatal("parked task never ran")
-	}
-}
-
-// AwaitReady helps until the bits are published by a running task.
-func TestAwaitReadyHelps(t *testing.T) {
-	t.Parallel()
-	s := NewPool(1).Begin()
-	defer s.End()
-	for a := 0; a < 5; a++ {
-		a := a
-		s.Submit(newTask(attrset.Set{}, func(int) { s.MarkReady(attrset.Of(a)) }))
-	}
-	if err := s.AwaitReady(attrset.Of(0, 1, 2, 3, 4)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A panic in a task poisons the session: Await and End surface it, and the
 // process does not crash.
 func TestPanicPoisonsSession(t *testing.T) {
 	t.Parallel()
 	s := NewPool(2).Begin()
-	bad := newTask(attrset.Set{}, func(int) { panic("kaboom") })
+	bad := newTask(func(int) { panic("kaboom") })
 	s.Submit(bad)
 	err := s.Await(bad)
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("Await error = %v, want panic capture", err)
 	}
-	tk := newTask(attrset.Set{}, nil)
+	tk := newTask(nil)
 	s.Submit(tk)
 	if err := s.Await(tk); err == nil {
 		t.Fatal("Await after poisoning should fail")
@@ -228,7 +155,7 @@ func TestFailPoisonsSession(t *testing.T) {
 	s := NewPool(2).Begin()
 	sentinel := errors.New("boom")
 	s.Fail(sentinel)
-	tk := newTask(attrset.Set{}, nil)
+	tk := newTask(nil)
 	s.Submit(tk)
 	if err := s.Await(tk); !errors.Is(err, sentinel) {
 		t.Fatalf("Await = %v, want %v", err, sentinel)
@@ -244,7 +171,7 @@ func TestEndDiscardsUnawaitedTasks(t *testing.T) {
 	s := NewPool(1).Begin() // no background workers: nothing drains the deque
 	var ran atomic.Int32
 	for i := 0; i < 50; i++ {
-		s.Submit(newTask(attrset.Set{}, func(int) { ran.Add(1) }))
+		s.Submit(newTask(func(int) { ran.Add(1) }))
 	}
 	if err := s.End(); err != nil {
 		t.Fatal(err)
@@ -254,24 +181,28 @@ func TestEndDiscardsUnawaitedTasks(t *testing.T) {
 	}
 }
 
-// Awaiting a gated task whose deps nothing will publish must error (not
-// hang) when there are no background workers.
+// A task that awaits itself from inside its own Run can never finish;
+// without background workers that must error (not hang).
 func TestAwaitDeadlockGuard(t *testing.T) {
 	t.Parallel()
 	s := NewPool(1).Begin()
 	defer s.End()
-	tk := newTask(attrset.Of(7), nil)
+	var tk *testTask
+	var inner error
+	tk = newTask(func(int) { inner = s.Await(tk) })
 	s.Submit(tk)
-	err := s.Await(tk)
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+	if err := s.Await(tk); err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("Await = %v, want deadlock guard error", err)
+	}
+	if inner == nil || !strings.Contains(inner.Error(), "deadlock") {
+		t.Fatalf("inner Await = %v, want deadlock guard error", inner)
 	}
 }
 
 // Handles can be reset and reused across sessions.
 func TestHandleReset(t *testing.T) {
 	t.Parallel()
-	tk := newTask(attrset.Set{}, nil)
+	tk := newTask(nil)
 	for i := 0; i < 3; i++ {
 		s := NewPool(2).Begin()
 		s.Submit(tk)
@@ -288,32 +219,41 @@ func TestHandleReset(t *testing.T) {
 	}
 }
 
-// Hammer: many tasks with random deps published incrementally, workers
-// stealing, coordinator awaiting in order — run under -race in CI.
+// Hammer: many tasks submitted in waves between awaits, workers stealing,
+// coordinator awaiting in order; each task reads a value the coordinator
+// wrote before submitting it, and the coordinator reads each task's write
+// after Await — run under -race in CI.
 func TestSchedulerStress(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 2, 4} {
 		s := NewPool(workers).Begin()
-		const attrs = 16
+		const n, wave = 300, 16
 		var sum atomic.Int64
-		tasks := make([]*testTask, 300)
-		for i := range tasks {
-			i := i
-			deps := attrset.Of(i % attrs)
-			if i%3 == 0 {
-				deps = deps.With((i / 3) % attrs)
-			}
-			tasks[i] = newTask(deps, func(int) { sum.Add(int64(i)) })
+		inputs := make([]int64, n)
+		outputs := make([]int64, n)
+		tasks := make([]*testTask, n)
+		submit := func(i int) {
+			inputs[i] = int64(i)
+			tasks[i] = newTask(func(int) {
+				outputs[i] = inputs[i] + 1
+				sum.Add(inputs[i])
+			})
 			s.Submit(tasks[i])
 		}
-		for a := 0; a < attrs; a++ {
-			a := a
-			s.Submit(newTask(attrset.Set{}, func(int) { s.MarkReady(attrset.Of(a)) }))
+		for i := 0; i < wave; i++ {
+			submit(i)
 		}
 		want := int64(0)
 		for i, tk := range tasks {
+			// Keep a wave of tasks in flight ahead of the awaited one.
+			if next := i + wave; next < n {
+				submit(next)
+			}
 			if err := s.Await(tk); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if outputs[i] != int64(i)+1 {
+				t.Fatalf("workers=%d: task %d output %d not visible after Await", workers, i, outputs[i])
 			}
 			want += int64(i)
 		}

@@ -33,13 +33,12 @@ func agreeRow(r *rand.Rand, attrs, domain int) []string {
 	return row
 }
 
-// stageMixedBatch opens a staged batch on s that mixes deletes, inserts
-// and updates (an update deletes a record and inserts a copy with a few
-// values redrawn, often breaking a planted dependency), and skips some
-// ids as records born and deleted within the batch. Every attribute is
-// maintained; the store stays inside its staging window. It returns the
-// batch's first new id.
-func stageMixedBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int64 {
+// applyMixedBatch applies a batch to s that mixes deletes, inserts and
+// updates (an update deletes a record and inserts a copy with a few values
+// redrawn, often breaking a planted dependency), and skips some ids as
+// records born and deleted within the batch. It returns the batch's first
+// new id.
+func applyMixedBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int64 {
 	t.Helper()
 	attrs := s.NumAttrs()
 	var live []int64
@@ -84,11 +83,8 @@ func stageMixedBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int64
 		}
 		id++
 	}
-	if err := s.StageBatch(deletes, inserts); err != nil {
+	if err := s.ApplyBatch(deletes, inserts, 1); err != nil {
 		t.Fatal(err)
-	}
-	for a := 0; a < attrs; a++ {
-		s.RunAttr(a)
 	}
 	return minNew
 }
@@ -202,7 +198,7 @@ func checkAgreeIndex(t *testing.T, attrs int, seed int64) {
 			cands = append(cands, Request{Lhs: lhs, Rhs: rhs})
 		}
 	}
-	minNew := stageMixedBatch(t, r, s, domain)
+	minNew := applyMixedBatch(t, r, s, domain)
 
 	want := make([]Outcome, len(cands))
 	for i, q := range cands {
@@ -275,8 +271,4 @@ func checkAgreeIndex(t *testing.T, attrs int, seed int64) {
 	}
 	wg.Wait()
 	check("concurrent", &ix, got, true)
-
-	if err := s.Finish(); err != nil {
-		t.Fatal(err)
-	}
 }

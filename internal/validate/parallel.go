@@ -5,8 +5,8 @@
 // walks clusters and compressed records and mutates nothing — so any
 // number of candidate validations may run concurrently, each on its own
 // Scratch, as long as no goroutine mutates the shards they read. The
-// engine guarantees that through the scheduler's attribute-readiness
-// gating. Outcomes land in per-request slots that the engine merges in
+// engine guarantees that by maintaining the whole store before it submits
+// any validation. Outcomes land in per-request slots that the engine merges in
 // candidate order, so results never depend on which worker ran a request.
 package validate
 

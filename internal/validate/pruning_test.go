@@ -27,13 +27,12 @@ func plantedRow(r *rand.Rand, domain int, noisy bool) []string {
 	return row
 }
 
-// stageRandomBatch opens a staged batch on s and maintains every
-// attribute, leaving the store inside its staging window (Finish not yet
-// called). The batch deletes a random share of the live records and
-// inserts fresh planted rows, a few of them noisy; some ids in the insert
-// range are skipped, which is how a record born and deleted within the
-// same batch looks to the store. It returns the batch's first new id.
-func stageRandomBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int64 {
+// applyRandomBatch applies a batch to s that deletes a random share of the
+// live records and inserts fresh planted rows, a few of them noisy; some
+// ids in the insert range are skipped, which is how a record born and
+// deleted within the same batch looks to the store. It returns the batch's
+// first new id.
+func applyRandomBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int64 {
 	t.Helper()
 	var deletes []int64
 	s.ForEachRecord(func(id int64, _ pli.Record) bool {
@@ -52,11 +51,8 @@ func stageRandomBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int6
 		inserts = append(inserts, pli.BatchInsert{ID: id, Values: plantedRow(r, domain, r.Intn(4) == 0)})
 		id++
 	}
-	if err := s.StageBatch(deletes, inserts); err != nil {
+	if err := s.ApplyBatch(deletes, inserts, 1); err != nil {
 		t.Fatal(err)
-	}
-	for a := 0; a < s.NumAttrs(); a++ {
-		s.RunAttr(a)
 	}
 	return minNew
 }
@@ -83,9 +79,8 @@ func checkNewWitness(t *testing.T, s *pli.Store, lhs attrset.Set, rhs int, minNe
 // TestPrunedMatchesUnpruned is the equivalence property of cluster
 // pruning: for every candidate that was valid before a batch, pruned
 // validation at the batch's first new id reports exactly the validity of
-// full validation, both inside the staging window and after Finish, and a
-// failing pruned check names a real violating pair that involves a new
-// record. A bound beyond the id horizon selects no cluster, so it reports
+// full validation after the batch is applied, and a failing pruned check
+// names a real violating pair that involves a new record. A bound beyond the id horizon selects no cluster, so it reports
 // valid for every candidate with a non-empty Lhs. Unique is held to the
 // same properties.
 func TestPrunedMatchesUnpruned(t *testing.T) {
@@ -124,50 +119,42 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 				uniqueCols = append(uniqueCols, cols)
 			}
 		}
-		minNew := stageRandomBatch(t, r, s, domain)
-		check := func(phase string) {
-			t.Helper()
-			horizon := minNew + 1<<20
-			for _, q := range validFDs {
-				want, _ := sc.FD(s, q.Lhs, q.Rhs, NoPruning)
-				got, w := sc.FD(s, q.Lhs, q.Rhs, minNew)
-				if got != want {
-					t.Fatalf("seed %d %s: FD(%v -> %d) pruned = %v, full = %v",
-						seed, phase, q.Lhs.Slice(), q.Rhs, got, want)
-				}
-				if !got {
-					checkNewWitness(t, s, q.Lhs, q.Rhs, minNew, w)
-				}
+		minNew := applyRandomBatch(t, r, s, domain)
+		horizon := minNew + 1<<20
+		for _, q := range validFDs {
+			want, _ := sc.FD(s, q.Lhs, q.Rhs, NoPruning)
+			got, w := sc.FD(s, q.Lhs, q.Rhs, minNew)
+			if got != want {
+				t.Fatalf("seed %d: FD(%v -> %d) pruned = %v, full = %v",
+					seed, q.Lhs.Slice(), q.Rhs, got, want)
 			}
-			for _, q := range reqs {
-				if ok, _ := sc.FD(s, q.Lhs, q.Rhs, horizon); !ok && !q.Lhs.IsEmpty() {
-					t.Fatalf("seed %d %s: FD(%v -> %d) beyond the horizon = invalid",
-						seed, phase, q.Lhs.Slice(), q.Rhs)
-				}
-			}
-			for _, cols := range uniqueCols {
-				want, _ := sc.Unique(s, cols, NoPruning)
-				got, w := sc.Unique(s, cols, minNew)
-				if got != want {
-					t.Fatalf("seed %d %s: Unique(%v) pruned = %v, full = %v",
-						seed, phase, cols.Slice(), got, want)
-				}
-				if !got {
-					checkNewWitness(t, s, cols, -1, minNew, w)
-				}
-			}
-			for _, cols := range colSets {
-				if ok, _ := sc.Unique(s, cols, horizon); !ok {
-					t.Fatalf("seed %d %s: Unique(%v) beyond the horizon = not unique",
-						seed, phase, cols.Slice())
-				}
+			if !got {
+				checkNewWitness(t, s, q.Lhs, q.Rhs, minNew, w)
 			}
 		}
-		check("staged")
-		if err := s.Finish(); err != nil {
-			t.Fatal(err)
+		for _, q := range reqs {
+			if ok, _ := sc.FD(s, q.Lhs, q.Rhs, horizon); !ok && !q.Lhs.IsEmpty() {
+				t.Fatalf("seed %d: FD(%v -> %d) beyond the horizon = invalid",
+					seed, q.Lhs.Slice(), q.Rhs)
+			}
 		}
-		check("finished")
+		for _, cols := range uniqueCols {
+			want, _ := sc.Unique(s, cols, NoPruning)
+			got, w := sc.Unique(s, cols, minNew)
+			if got != want {
+				t.Fatalf("seed %d: Unique(%v) pruned = %v, full = %v",
+					seed, cols.Slice(), got, want)
+			}
+			if !got {
+				checkNewWitness(t, s, cols, -1, minNew, w)
+			}
+		}
+		for _, cols := range colSets {
+			if ok, _ := sc.Unique(s, cols, horizon); !ok {
+				t.Fatalf("seed %d: Unique(%v) beyond the horizon = not unique",
+					seed, cols.Slice())
+			}
+		}
 	}
 }
 
