@@ -97,7 +97,7 @@ func (c Config) normalize() Config {
 type Stats struct {
 	Batches                int // batches processed
 	Validations            int // full candidate validations executed
-	SkippedValidations     int // delete-side validations skipped via annotations
+	SkippedValidations     int // validations skipped by either sweep: untouched columns, delete-side annotations, insert-side declared keys
 	Comparisons            int // record pairs compared by the violation search
 	AgreePairs             int // record pairs compared to build the insert phase's agree-mask index
 	ViolationSearchRuns    int // times the progressive search was triggered

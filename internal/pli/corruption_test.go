@@ -135,7 +135,7 @@ func TestDetectsUnfreedEmptyPage(t *testing.T) {
 	s.numRecs -= n
 	for a := range s.shards {
 		ix := s.shards[a].ix
-		ix.dir, ix.dirN, ix.dirShared = nil, nil, nil
+		ix.dir, ix.dirN, ix.dirShared, ix.dirDead = nil, nil, nil, nil
 		ix.inverted = map[string]int32{}
 	}
 	err := s.CheckConsistency()
@@ -180,6 +180,7 @@ func TestDetectsUnfreedEmptyDirectoryPage(t *testing.T) {
 	ix.dir = append(ix.dir, make([]*Cluster, dirPageSize))
 	ix.dirN = append(ix.dirN, 0)
 	ix.dirShared = append(ix.dirShared, false)
+	ix.dirDead = append(ix.dirDead, 0)
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "empty directory page 1 not freed") {
 		t.Errorf("CheckConsistency = %v", err)
@@ -224,6 +225,97 @@ func TestDetectsClusterBeyondCidHorizon(t *testing.T) {
 	ix.inverted["b"] = ix.next
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "beyond cid horizon") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+// The pending dead-cluster invariants of a shared directory page.
+
+// pendingStore returns a consistent store whose only directory page is
+// shared with a frozen view and keeps one pending dead cluster (cid 0)
+// beside nine live ones.
+func pendingStore(t *testing.T) *Store {
+	t.Helper()
+	s := NewStore(1)
+	for i := 0; i < 10; i++ {
+		if _, err := s.Insert([]string{string(rune('a' + i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Freeze()
+	if err := s.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	ix := s.Index(0)
+	if c := ix.dir[0][0]; c == nil || c.Size() != 0 || ix.dirDead[0] != 1 {
+		t.Fatalf("precondition: slot 0 %v, pending %d", c, ix.dirDead[0])
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatalf("precondition: %v", err)
+	}
+	return s
+}
+
+func TestDetectsPendingCountDrift(t *testing.T) {
+	t.Parallel()
+	s := pendingStore(t)
+	s.Index(0).dirDead[0]++
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "pending count 2, slots hold 1 dead") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsPendingClusterInInvertedIndex(t *testing.T) {
+	t.Parallel()
+	s := pendingStore(t)
+	// The dead cluster's value still maps to it: it is an empty live
+	// cluster, not a pending one.
+	s.Index(0).inverted["a"] = 0
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "cluster 0 is empty") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsRecordNamingPendingCluster(t *testing.T) {
+	t.Parallel()
+	s := pendingStore(t)
+	// Move record 1 from its own cluster into the dead one: record and
+	// clusters disagree.
+	s.Rec(1)[0] = 0
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "record 1 attr 0 points to cluster 0") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsPendingOnUnsharedPage(t *testing.T) {
+	t.Parallel()
+	s := pendingStore(t)
+	// Only a page a frozen view shares may keep a dead cluster: an
+	// unshared one clears the slot.
+	s.Index(0).dirShared[0] = false
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "unshared directory page 0 keeps 1 dead") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsPendingPastShare(t *testing.T) {
+	t.Parallel()
+	s := pendingStore(t)
+	// Kill a second cluster while the page is briefly unshared, so it is
+	// cleared in place and no renewal runs: one pending cluster is left
+	// beside eight live ones, which is 1/8.
+	ix := s.Index(0)
+	ix.dirShared[0] = false
+	if err := s.Delete(9); err != nil {
+		t.Fatal(err)
+	}
+	ix.dirShared[0] = true
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "keeps 1 dead clusters for 8 live") {
 		t.Errorf("CheckConsistency = %v", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // them.
 func frozenValues(f *Frozen, a int) []string {
 	var out []string
-	f.ForEachValue(a, func(v string) bool {
+	f.ForEachValue(a, &GroupBuf{}, func(v string) bool {
 		out = append(out, v)
 		return true
 	})
@@ -117,4 +117,93 @@ func TestDirectoryUpdateChurn(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedPageKeepsDeadClustersUntilRenewal kills one cluster per batch on
+// a directory page of 100 live clusters, freezing the store after every
+// batch, so every kill lands on a shared page. A kill that leaves the
+// page's pending dead clusters under 1/dirDeadShare of its live ones must
+// keep the page's backing array and the dead cluster in its slot; the kill
+// that reaches the share must renew the page once: a new array with every
+// dead slot cleared and nothing pending. Every kept view must still list
+// the values it saw. An unshared page clears the slot in place.
+func TestSharedPageKeepsDeadClustersUntilRenewal(t *testing.T) {
+	t.Parallel()
+	const rows = 100
+	s := NewStore(1)
+	var inserts []BatchInsert
+	for i := 0; i < rows; i++ {
+		inserts = append(inserts, BatchInsert{ID: int64(i), Values: []string{fmt.Sprint("v", i)}})
+	}
+	if err := s.ApplyBatch(nil, inserts, 1); err != nil {
+		t.Fatal(err)
+	}
+	ix := s.Index(0)
+
+	// Not yet frozen: the slot is cleared in place, nothing is pending.
+	before := &ix.dir[0][0]
+	if err := s.ApplyBatch([]int64{0}, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if &ix.dir[0][0] != before || ix.dir[0][0] != nil || ix.dirDead[0] != 0 {
+		t.Fatalf("unshared kill: page moved %v, slot %v, pending %d", &ix.dir[0][0] != before, ix.dir[0][0], ix.dirDead[0])
+	}
+
+	type kept struct {
+		f    *Frozen
+		want []string
+	}
+	views := []kept{{s.Freeze(), liveValues(ix)}}
+	renewals := 0
+	for id := int64(1); id < rows-1; id++ {
+		before := &ix.dir[0][0]
+		if err := s.ApplyBatch([]int64{id}, nil, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Fatalf("kill %d: %v", id, err)
+		}
+		live, pending := ix.dirN[0], ix.dirDead[0]
+		if &ix.dir[0][0] == before {
+			// Kept in place: the dead cluster stays, emptied and pending.
+			if c := ix.dir[0][id]; c == nil || c.Size() != 0 || pending == 0 || pending*dirDeadShare >= live {
+				t.Fatalf("kill %d kept the page: slot %v, %d pending for %d live", id, c, pending, live)
+			}
+		} else {
+			// Renewed: had the dead cluster stayed, the pending ones would
+			// have reached the share.
+			renewals++
+			if ix.dirShared[0] || pending != 0 {
+				t.Fatalf("kill %d renewed the page: shared %v, pending %d", id, ix.dirShared[0], pending)
+			}
+			if dead := countEmpty(views[len(views)-1].f.attrs[0].dir[0]); dead*dirDeadShare < int(live) {
+				t.Fatalf("kill %d renewed with %d dead clusters for %d live", id, dead, live)
+			}
+			for cid := int32(0); cid <= int32(id); cid++ {
+				if ix.dir[0][cid] != nil {
+					t.Fatalf("kill %d: renewed page keeps dead cluster %d", id, cid)
+				}
+			}
+		}
+		views = append(views, kept{s.Freeze(), liveValues(ix)})
+	}
+	if renewals < 2 {
+		t.Fatalf("%d renewals over %d kills, want several", renewals, rows-2)
+	}
+	for i, v := range views {
+		if got := frozenValues(v.f, 0); !slices.Equal(got, v.want) {
+			t.Fatalf("view %d values moved:\n got  %v\n want %v", i, got, v.want)
+		}
+	}
+}
+
+// countEmpty counts a directory page's emptied (dead, not cleared) slots.
+func countEmpty(page []*Cluster) int {
+	n := 0
+	for _, c := range page {
+		if c != nil && c.Size() == 0 {
+			n++
+		}
+	}
+	return n
 }

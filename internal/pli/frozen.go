@@ -20,19 +20,23 @@ import (
 // flip and allocates fresh slabs for new pages, leaving the frozen memory
 // untouched.
 //
-// The cluster directories are shared the same way, with one difference:
-// the Store writes fresh cluster ids into a shared directory page in place
-// (it clones a shared page only before clearing a slot). A fresh cid is at
-// or above the horizon the view recorded (Index.next at freeze time), so a
-// frozen reader checks the horizon before it loads a slot and never loads
-// one the Store may still write. Of a frozen cluster only the immutable
-// Value may be read: its IDs keep changing with the live store.
+// The cluster directories are shared the same way, with two differences.
+// The Store writes fresh cluster ids into a shared directory page in place;
+// a fresh cid is at or above the horizon the view recorded (Index.next at
+// freeze time), so a frozen reader checks the horizon before it loads a
+// slot and never loads one the Store may still write. And a cluster that
+// dies on a shared page stays in its slot (Index.kill) until the page is
+// renewed, so a frozen page may hold clusters that were already dead at
+// freeze time: slot occupancy does not say which clusters were live. Of a
+// frozen cluster only the immutable Value may be read: its IDs keep
+// changing with the live store.
 //
 // Within one attribute, equal cluster ids mean equal values among the
 // records live at freeze time, which is exactly what key and violation
 // queries need: ForEachGroup rebuilds an attribute's cluster membership
-// from the frozen records alone. Value-set queries (INDs) read the
-// directory.
+// from the frozen records alone. Value-set queries (INDs) take the cids
+// live at freeze from the frozen records too, and read only their values
+// from the directory.
 type Frozen struct {
 	numAttrs int
 	pages    [][]int32
@@ -133,31 +137,23 @@ func (f *Frozen) ForEachRecord(fn func(id int64, rec Record) bool) {
 }
 
 // ForEachValue calls fn for every distinct value attribute a held at freeze
-// time, in ascending cluster-id order. It costs O(directory pages below the
-// horizon) and allocates nothing.
-func (f *Frozen) ForEachValue(a int, fn func(v string) bool) {
-	h := int(f.attrs[a].horizon)
-	for p, page := range f.attrs[a].dir {
-		base := p << dirBits
-		if base >= h {
+// time, in ascending cluster-id order. It finds the cids live at freeze
+// with ForEachGroup's counting pass over the frozen records and reads only
+// their slots, so it costs O(live records + horizon) and allocates nothing
+// once g is warm. A frozen record names only cids below the view's horizon,
+// so no slot the live store may still write is loaded.
+func (f *Frozen) ForEachValue(a int, g *GroupBuf, fn func(v string) bool) {
+	dir := f.attrs[a].dir
+	for cid, n := range f.count(a, g) {
+		if n > 0 && !fn(dir[cid>>dirBits][cid&dirMask].Value) {
 			return
-		}
-		if page == nil {
-			continue
-		}
-		// Bound the slots by the horizon before loading any: slots at or
-		// above it may be written concurrently by the live store.
-		for _, c := range page[:min(dirPageSize, h-base)] {
-			if c != nil && !fn(c.Value) {
-				return
-			}
 		}
 	}
 }
 
-// GroupBuf is the reusable working memory of Frozen.ForEachGroup. The zero
-// value is ready to use; it grows to the largest attribute horizon and
-// relation it has grouped.
+// GroupBuf is the reusable working memory of Frozen.ForEachGroup and
+// Frozen.ForEachValue. The zero value is ready to use; it grows to the
+// largest attribute horizon and relation it has grouped.
 type GroupBuf struct {
 	ends []int32 // per cid: member count, then end offset in ids (-1: fewer than two members)
 	cids []int32 // per live record, in id order: its cid
@@ -179,18 +175,8 @@ type GroupBuf struct {
 // O(live records + horizon); only the members of multi-record clusters
 // are stored, and it allocates nothing once g is warm.
 func (f *Frozen) ForEachGroup(a int, g *GroupBuf, fn func(ids []int64) bool) {
-	h := int(f.attrs[a].horizon)
-	if cap(g.ends) < h {
-		g.ends = make([]int32, h)
-	}
-	ends := g.ends[:h]
-	clear(ends)
-	cids := g.cids[:0]
-	f.forEachLive(func(id int64) {
-		cid := f.Rec(id)[a]
-		ends[cid]++
-		cids = append(cids, cid)
-	})
+	ends := f.count(a, g)
+	cids := g.cids
 	total := int32(0)
 	for cid, n := range ends {
 		if n < 2 {
@@ -212,7 +198,6 @@ func (f *Frozen) ForEachGroup(a int, g *GroupBuf, fn func(ids []int64) bool) {
 		}
 		k++
 	})
-	g.cids = cids
 	start := int32(0)
 	for _, end := range ends {
 		if end < 0 {
@@ -223,6 +208,27 @@ func (f *Frozen) ForEachGroup(a int, g *GroupBuf, fn func(ids []int64) bool) {
 		}
 		start = end
 	}
+}
+
+// count is the counting pass of ForEachGroup and ForEachValue: it returns
+// g.ends sized to attribute a's horizon, holding each cid's member count
+// among the records live at freeze time, and leaves each of those records'
+// cid, in id order, in g.cids.
+func (f *Frozen) count(a int, g *GroupBuf) []int32 {
+	h := int(f.attrs[a].horizon)
+	if cap(g.ends) < h {
+		g.ends = make([]int32, h)
+	}
+	ends := g.ends[:h]
+	clear(ends)
+	cids := g.cids[:0]
+	f.forEachLive(func(id int64) {
+		cid := f.Rec(id)[a]
+		ends[cid]++
+		cids = append(cids, cid)
+	})
+	g.cids = cids
+	return ends
 }
 
 // forEachLive calls fn for every id live at freeze time, ascending.

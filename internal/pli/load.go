@@ -179,6 +179,7 @@ func (s *Store) loadAttr(a int, ids []int64, codes []int32, dict []string, inv m
 	ix.dir = make([][]*Cluster, pages)
 	ix.dirN = make([]int32, pages)
 	ix.dirShared = make([]bool, pages)
+	ix.dirDead = make([]int32, pages)
 	for p := range ix.dir {
 		ix.dir[p] = make([]*Cluster, dirPageSize)
 		ix.dirN[p] = int32(min(dirPageSize, len(dict)-p<<dirBits))

@@ -132,7 +132,7 @@ func (c *Cluster) remove(id int64) bool {
 }
 
 // Cluster directory page geometry: dirPageSize cluster slots per page.
-// 256 slots keep a page at 2 KiB, so a copy-on-write clone (see
+// 256 slots keep a page at 2 KiB, so a copy-on-write renewal (see
 // Index.dirShared) stays cheap and a page empties, and is freed, at a useful
 // granularity under value churn.
 const (
@@ -141,14 +141,19 @@ const (
 	dirMask     = dirPageSize - 1
 )
 
+// dirDeadShare bounds the dead clusters a shared directory page keeps in
+// place: a page is renewed once its pending dead clusters reach
+// 1/dirDeadShare of its live ones, so they stay below that share.
+const dirDeadShare = 8
+
 // Index is the Pli of a single attribute plus its inverted value index.
 //
 // Cluster ids are dense and never reused, so the Pli is a cid-indexed
 // paged directory: cluster cid sits at
-// dir[cid>>dirBits][cid&dirMask]. A nil slot is a dead cluster; a nil page
-// holds no live cluster (never allocated, or freed when its last cluster
-// died, as the record arena frees pages). Lookups are two array loads and
-// ForEachCluster walks the clusters in ascending cid order.
+// dir[cid>>dirBits][cid&dirMask]. A nil slot or an empty cluster is a dead
+// cluster; a nil page holds no live cluster (never allocated, or freed when
+// its last cluster died, as the record arena frees pages). Lookups are two
+// array loads and ForEachCluster walks the clusters in ascending cid order.
 type Index struct {
 	dir      [][]*Cluster
 	dirN     []int32 // live clusters per directory page
@@ -156,12 +161,17 @@ type Index struct {
 	next     int32 // cid horizon: every cid ever minted is below it
 
 	// dirShared[p] marks directory page p as shared with one or more Frozen
-	// views (Store.Freeze). Clearing a slot of a shared page clones the page
-	// first (copy-on-write), so frozen readers keep the clusters they
-	// captured. Fresh cids are written in place even on a shared page: a
-	// fresh cid is at or above every frozen view's horizon, and frozen
-	// readers never load a slot at or above their horizon.
+	// views (Store.Freeze). A cluster that dies on a shared page stays in
+	// its slot, emptied and out of the inverted index, and is counted in
+	// dirDead[p] (pending); frozen readers keep the clusters they captured
+	// without a clone per death. Once a page's pending clusters reach
+	// 1/dirDeadShare of its live ones, kill renews the page: it clones it
+	// once, clears the dead slots in the copy and unshares it. Fresh cids
+	// are written in place even on a shared page: a fresh cid is at or
+	// above every frozen view's horizon, and frozen readers never load a
+	// slot at or above their horizon.
 	dirShared []bool
+	dirDead   []int32 // pending dead clusters per directory page
 
 	// batchCids is the reusable touched-cluster scratch of ApplyBatch.
 	// During a batch the owning maintenance worker uses it exclusively.
@@ -185,7 +195,10 @@ func (ix *Index) Cluster(cid int32) *Cluster {
 	if cid < 0 || p >= len(ix.dir) || ix.dir[p] == nil {
 		return nil
 	}
-	return ix.dir[p][cid&dirMask]
+	if c := ix.dir[p][cid&dirMask]; c != nil && len(c.IDs) > 0 {
+		return c
+	}
+	return nil
 }
 
 // ClusterOf returns the cluster id for a value via the inverted index.
@@ -198,7 +211,7 @@ func (ix *Index) ClusterOf(value string) (int32, bool) {
 func (ix *Index) ForEachCluster(fn func(cid int32, c *Cluster) bool) {
 	for p, page := range ix.dir {
 		for i, c := range page {
-			if c != nil && !fn(int32(p<<dirBits|i), c) {
+			if c != nil && len(c.IDs) > 0 && !fn(int32(p<<dirBits|i), c) {
 				return
 			}
 		}
@@ -231,6 +244,7 @@ func (ix *Index) setSlot(cid int32, c *Cluster) {
 		ix.dir = append(ix.dir, nil)
 		ix.dirN = append(ix.dirN, 0)
 		ix.dirShared = append(ix.dirShared, false)
+		ix.dirDead = append(ix.dirDead, 0)
 	}
 	if ix.dir[p] == nil {
 		ix.dir[p] = make([]*Cluster, dirPageSize)
@@ -240,24 +254,44 @@ func (ix *Index) setSlot(cid int32, c *Cluster) {
 	ix.dirN[p]++
 }
 
-// kill deletes the emptied cluster c at cid: its inverted-index entry and
-// its directory slot. A page whose last cluster died is freed (a frozen
-// view sharing it keeps its own reference); otherwise a shared page is
-// cloned before the slot is cleared.
+// kill deletes the emptied cluster c at cid: its ids and its
+// inverted-index entry. A page whose last cluster died is freed (a frozen
+// view sharing it keeps its own reference), and an unshared page clears the
+// slot. A shared page keeps c in its slot as a pending dead cluster until
+// the pending ones reach 1/dirDeadShare of the live ones; then the page is
+// renewed.
 func (ix *Index) kill(cid int32, c *Cluster) {
 	delete(ix.inverted, c.Value)
+	c.IDs = nil
 	p := int(cid >> dirBits)
 	ix.dirN[p]--
-	if ix.dirN[p] == 0 {
+	switch {
+	case ix.dirN[p] == 0:
 		ix.dir[p] = nil
 		ix.dirShared[p] = false
-		return
+		ix.dirDead[p] = 0
+	case !ix.dirShared[p]:
+		ix.dir[p][cid&dirMask] = nil
+	default:
+		ix.dirDead[p]++
+		if ix.dirDead[p]*dirDeadShare >= ix.dirN[p] {
+			ix.renew(p)
+		}
 	}
-	if ix.dirShared[p] {
-		ix.dir[p] = slices.Clone(ix.dir[p])
-		ix.dirShared[p] = false
+}
+
+// renew replaces shared directory page p with a private copy whose dead
+// slots are cleared. The frozen views sharing p keep the old page.
+func (ix *Index) renew(p int) {
+	page := slices.Clone(ix.dir[p])
+	for i, c := range page {
+		if c != nil && len(c.IDs) == 0 {
+			page[i] = nil
+		}
 	}
-	ix.dir[p][cid&dirMask] = nil
+	ix.dir[p] = page
+	ix.dirShared[p] = false
+	ix.dirDead[p] = 0
 }
 
 // drop removes id from cluster cid, deleting the cluster when it empties.
@@ -858,44 +892,54 @@ func (s *Store) CheckConsistency() error {
 
 // checkIndex verifies attribute a's cluster directory and clusters: the
 // directory slices have equal length, every page has dirPageSize slots and
-// its live count matches its non-nil slots, no empty page stays allocated,
+// its live count matches its live slots, no empty page stays allocated,
 // the live clusters total len(inverted), every slot's cluster sits at its
-// own cid below the cid horizon (the inverted index maps its value back to
-// the slot), and every cluster is non-empty, strictly ascending, and holds
-// only live records whose compressed record points back at it.
+// own cid below the cid horizon (the inverted index maps a live cluster's
+// value back to the slot), and every live cluster is strictly ascending and
+// holds only live records whose compressed record points back at it. An
+// empty cluster is a pending dead one: absent from the inverted index (one
+// it still maps to is reported as empty), counted in its page's pending
+// count, on a shared page only, and below 1/dirDeadShare of the page's live
+// clusters. (CheckConsistency's record sweep finds any record naming one.)
 func (s *Store) checkIndex(a int) error {
 	ix := s.shards[a].ix
-	if len(ix.dir) != len(ix.dirN) || len(ix.dir) != len(ix.dirShared) {
-		return fmt.Errorf("pli: attr %d cluster directory skewed: %d pages, %d counts, %d share flags",
-			a, len(ix.dir), len(ix.dirN), len(ix.dirShared))
+	if len(ix.dir) != len(ix.dirN) || len(ix.dir) != len(ix.dirShared) || len(ix.dir) != len(ix.dirDead) {
+		return fmt.Errorf("pli: attr %d cluster directory skewed: %d pages, %d counts, %d share flags, %d pending counts",
+			a, len(ix.dir), len(ix.dirN), len(ix.dirShared), len(ix.dirDead))
 	}
 	total := 0
 	for p, page := range ix.dir {
 		if page == nil {
-			if ix.dirN[p] != 0 {
-				return fmt.Errorf("pli: attr %d freed directory page %d has live count %d", a, p, ix.dirN[p])
+			if ix.dirN[p] != 0 || ix.dirDead[p] != 0 {
+				return fmt.Errorf("pli: attr %d freed directory page %d has live count %d, pending count %d",
+					a, p, ix.dirN[p], ix.dirDead[p])
 			}
 			continue
 		}
 		if len(page) != dirPageSize {
 			return fmt.Errorf("pli: attr %d directory page %d has %d slots", a, p, len(page))
 		}
-		n := 0
+		n, dead := 0, 0
 		for i, c := range page {
 			if c == nil {
 				continue
 			}
-			n++
 			cid := int32(p<<dirBits | i)
 			if cid >= ix.next {
 				return fmt.Errorf("pli: attr %d cluster %d beyond cid horizon %d", a, cid, ix.next)
 			}
-			if got, ok := ix.inverted[c.Value]; !ok || got != cid {
+			got, ok := ix.inverted[c.Value]
+			if c.Size() == 0 {
+				if ok && got == cid {
+					return fmt.Errorf("pli: attr %d cluster %d is empty", a, cid)
+				}
+				dead++
+				continue
+			}
+			n++
+			if !ok || got != cid {
 				return fmt.Errorf("pli: attr %d slot %d holds value %q, inverted index has %d (present %v)",
 					a, cid, c.Value, got, ok)
-			}
-			if c.Size() == 0 {
-				return fmt.Errorf("pli: attr %d cluster %d is empty", a, cid)
 			}
 			for j, id := range c.IDs {
 				if j > 0 && c.IDs[j-1] >= id {
@@ -914,6 +958,17 @@ func (s *Store) checkIndex(a int) error {
 		}
 		if n == 0 {
 			return fmt.Errorf("pli: attr %d empty directory page %d not freed", a, p)
+		}
+		if dead != int(ix.dirDead[p]) {
+			return fmt.Errorf("pli: attr %d directory page %d pending count %d, slots hold %d dead clusters",
+				a, p, ix.dirDead[p], dead)
+		}
+		if dead > 0 && !ix.dirShared[p] {
+			return fmt.Errorf("pli: attr %d unshared directory page %d keeps %d dead clusters", a, p, dead)
+		}
+		if dead*dirDeadShare >= n {
+			return fmt.Errorf("pli: attr %d directory page %d keeps %d dead clusters for %d live, want under 1/%d",
+				a, p, dead, n, dirDeadShare)
 		}
 		total += n
 	}

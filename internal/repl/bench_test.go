@@ -122,6 +122,7 @@ func BenchmarkFollowerApply(b *testing.B) {
 				}
 			}
 			restart()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % len(payloads)

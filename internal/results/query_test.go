@@ -39,8 +39,10 @@ func replayed(tb testing.TB, name string, factor float64, batches, batchSize int
 
 // BenchmarkSnapshotQueries measures the three queries the service ledger
 // reads after every write — the FD listing, the key check Unique(c0, c1)
-// and Violations(c1 → c2, max 10) — each on a fresh, never-queried
-// snapshot per iteration, as a read that follows a commit sees it. The
+// and Violations(c1 → c2, max 10) — and the unary IND listing, each on a
+// fresh, never-queried snapshot per iteration, as a read that follows a
+// commit sees it. INDs is the first, memoizing call: it reads every
+// attribute's value set from the frozen records and directory. The
 // tenants are artist ×0.2 after 50 100-change batches (artist-ingest) and
 // disease ×4 after 300 20-change batches (disease-serve). The snapshot
 // build is outside the timer. Run with -benchmem.
@@ -62,6 +64,7 @@ func BenchmarkSnapshotQueries(b *testing.B) {
 			{"FDs", func(s *results.Snapshot) { s.FDs() }},
 			{"Unique", func(s *results.Snapshot) { s.Unique(attrset.Of(0, 1)) }},
 			{"Violations", func(s *results.Snapshot) { s.Violations(attrset.Of(1), 2, 10) }},
+			{"INDs", func(s *results.Snapshot) { s.INDs() }},
 		}
 		for _, q := range queries {
 			b.Run(tc.name+"/"+q.name, func(b *testing.B) {

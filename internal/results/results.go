@@ -197,8 +197,8 @@ func (s *Snapshot) Unique(cols attrset.Set) bool {
 // INDs returns all unary inclusion dependencies between distinct
 // attributes at the snapshot's sequence, in (Lhs, Rhs) column order —
 // identical to a value-set scan over the live relation. The listing is
-// computed once per snapshot, from the value sets of the frozen cluster
-// directories, and memoized.
+// computed once per snapshot, from the value sets the frozen records name
+// in the frozen cluster directories, and memoized.
 func (s *Snapshot) INDs() []UnaryIND {
 	s.mu.Lock()
 	if s.indsSet {
@@ -209,8 +209,9 @@ func (s *Snapshot) INDs() []UnaryIND {
 	s.mu.Unlock()
 
 	values := make([][]string, s.numAttrs)
+	var g pli.GroupBuf
 	for a := range values {
-		s.frozen.ForEachValue(a, func(v string) bool {
+		s.frozen.ForEachValue(a, &g, func(v string) bool {
 			values[a] = append(values[a], v)
 			return true
 		})
