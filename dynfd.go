@@ -417,9 +417,13 @@ func (m *Monitor) Violations(lhsColumns []string, rhsColumn string, max int) ([]
 
 // FormatFD renders an FD with the monitor's column names,
 // e.g. "[zip] -> city".
-func (m *Monitor) FormatFD(f FD) string {
-	internal := fromPublic(f)
-	return internal.Names(m.columns)
+func (m *Monitor) FormatFD(f FD) string { return formatFD(f, m.columns) }
+
+// formatFD renders f with cols into a stack buffer, so that the returned
+// string is the only allocation of a typical rendering.
+func formatFD(f FD, cols []string) string {
+	var buf [128]byte
+	return string(fromPublic(f).AppendNames(buf[:0], cols))
 }
 
 // Stats summarizes the work performed so far.
@@ -434,7 +438,9 @@ type Stats struct {
 
 	// AgreePairs counts the record pairs compared to build the insert
 	// phase's agree-mask indexes, which answer the cluster-pruned
-	// validations (DESIGN.md §9).
+	// validations (DESIGN.md §9). It repeats exactly for equal histories
+	// only with one worker (WithWorkers(1) or 0): with more, speculative
+	// validations may build indexes the sequential order would not.
 	AgreePairs int
 
 	// Scheduler telemetry, nonzero only with more than one worker (as

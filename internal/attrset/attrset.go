@@ -10,6 +10,7 @@ package attrset
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -206,21 +207,27 @@ func (s Set) String() string {
 }
 
 // Names renders s using the given column names, e.g. "[zip, city]".
-func (s Set) Names(cols []string) string {
-	var b strings.Builder
-	b.WriteByte('[')
+func (s Set) Names(cols []string) string { return string(s.AppendNames(nil, cols)) }
+
+// AppendNames appends Names(cols) to dst and returns the extended slice.
+func (s Set) AppendNames(dst []byte, cols []string) []byte {
+	dst = append(dst, '[')
 	first := true
 	for a := s.First(); a >= 0; a = s.Next(a) {
 		if !first {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		if a < len(cols) {
-			b.WriteString(cols[a])
-		} else {
-			fmt.Fprintf(&b, "col%d", a)
-		}
+		dst = AppendName(dst, cols, a)
 		first = false
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(dst, ']')
+}
+
+// AppendName appends the name of attribute a to dst: cols[a], or
+// "col<a>" when cols has no name for it.
+func AppendName(dst []byte, cols []string, a int) []byte {
+	if a < len(cols) {
+		return append(dst, cols[a]...)
+	}
+	return strconv.AppendInt(append(dst, "col"...), int64(a), 10)
 }

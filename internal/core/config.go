@@ -95,11 +95,17 @@ func (c Config) normalize() Config {
 // in-depth performance analysis of the benchmark harness (§6.5) and are
 // not needed for correctness.
 type Stats struct {
-	Batches                int // batches processed
-	Validations            int // full candidate validations executed
-	SkippedValidations     int // validations skipped by either sweep: untouched columns, delete-side annotations, insert-side declared keys
-	Comparisons            int // record pairs compared by the violation search
-	AgreePairs             int // record pairs compared to build the insert phase's agree-mask index
+	Batches            int // batches processed
+	Validations        int // full candidate validations executed
+	SkippedValidations int // validations skipped by either sweep: untouched columns, delete-side annotations, insert-side declared keys
+	Comparisons        int // record pairs compared by the violation search
+	// AgreePairs counts the record pairs compared to build the insert
+	// phase's agree-mask indexes. It repeats exactly for equal histories
+	// only at Workers 0 or 1: with more workers, speculative validations may
+	// build indexes the sequential order would not, so two runs of one
+	// history differ by a fraction of a percent. Compare it across runs
+	// or nodes only at Workers 0 or 1.
+	AgreePairs             int
 	ViolationSearchRuns    int // times the progressive search was triggered
 	DepthFirstSearchRuns   int // times the optimistic DFS was triggered
 	ParallelLevels         int // lattice levels whose validations went to the worker pool (Workers > 1)

@@ -23,12 +23,12 @@ func (f FD) String() string {
 }
 
 // Names renders the FD with column names, e.g. "[zip] -> city".
-func (f FD) Names(cols []string) string {
-	rhs := fmt.Sprintf("col%d", f.Rhs)
-	if f.Rhs < len(cols) {
-		rhs = cols[f.Rhs]
-	}
-	return fmt.Sprintf("%s -> %s", f.Lhs.Names(cols), rhs)
+func (f FD) Names(cols []string) string { return string(f.AppendNames(nil, cols)) }
+
+// AppendNames appends Names(cols) to dst and returns the extended slice.
+func (f FD) AppendNames(dst []byte, cols []string) []byte {
+	dst = append(f.Lhs.AppendNames(dst, cols), " -> "...)
+	return attrset.AppendName(dst, cols, f.Rhs)
 }
 
 // Less defines a total order over FDs: by Rhs, then by Lhs size, then by

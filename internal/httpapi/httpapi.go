@@ -56,7 +56,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"dynfd"
 	"dynfd/internal/runtime"
@@ -352,14 +351,6 @@ func (s *Server) createTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
-// batchResponse acknowledges one durably applied batch.
-type batchResponse struct {
-	Seq         uint64   `json:"seq"`
-	InsertedIDs []int64  `json:"inserted_ids,omitempty"`
-	Added       []string `json:"added,omitempty"`
-	Removed     []string `json:"removed,omitempty"`
-}
-
 // unmarshalStrict decodes JSON rejecting unknown fields and trailing data,
 // so a typoed field name fails loudly instead of applying a half-read
 // request.
@@ -396,12 +387,7 @@ func (s *Server) applyBatch(w http.ResponseWriter, r *http.Request, name string)
 		s.runtimeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{
-		Seq:         res.Seq,
-		InsertedIDs: res.InsertedIDs,
-		Added:       res.Added,
-		Removed:     res.Removed,
-	})
+	writeBatchAck(w, res)
 }
 
 // isLifecycleErr reports whether err is one of the runtime's lifecycle or
@@ -420,94 +406,72 @@ func isLifecycleErr(err error) bool {
 		errors.As(err, &q)
 }
 
-// fdJSON is one rendered functional dependency.
-type fdJSON struct {
-	Lhs      []string `json:"lhs"`
-	Rhs      string   `json:"rhs"`
-	Rendered string   `json:"rendered"`
-}
-
 // readSnapshot resolves the tenant's published result snapshot plus the
 // staleness fields every read response carries. All read endpoints go
 // through it: they never take the tenant mutation lock, so queries stay
 // fast while a writer streams batches. The bool reports whether the
 // caller may proceed.
 //
-// The fields map always holds "seq" (the snapshot's sequence) and
-// "staleness" (local batches staged but not yet reflected). On a follower
+// The envelope always holds "seq" (the snapshot's sequence),
+// "staleness" (local batches staged but not yet reflected) and "role",
+// and "epoch" when the tenant's fencing epoch is readable. On a follower
 // it additionally holds "primary_seq" (the primary's durable sequence as
 // last observed on the replication stream), "lag" (primary_seq minus seq
-// — how many primary batches this snapshot is missing), and "connected".
+// — how many primary batches this snapshot is missing), "connected", and
+// "last_frame_at" once a frame arrived.
 // A request may bound its tolerated lag with ?max_lag=N: when the
 // snapshot is further behind, the response is 503 with a Retry-After (or,
 // with ?redirect=1 and a known primary URL, a 307 to the primary).
-func (s *Server) readSnapshot(w http.ResponseWriter, r *http.Request, name string) (*dynfd.ResultSnapshot, map[string]any, bool) {
+func (s *Server) readSnapshot(w http.ResponseWriter, r *http.Request, name string) (*dynfd.ResultSnapshot, envelope, bool) {
 	snap, staged, err := s.rt.Snapshot(name)
 	if err != nil {
 		s.runtimeError(w, err)
-		return nil, nil, false
+		return nil, envelope{}, false
 	}
-	fields := map[string]any{
-		"seq":       snap.Seq(),
-		"staleness": staged - snap.Seq(),
-		"role":      s.rt.Role().String(),
+	env := envelope{
+		seq:       snap.Seq(),
+		staleness: staged - snap.Seq(),
+		role:      s.rt.Role().String(),
 	}
 	if epoch, _, err := s.rt.ReplEpoch(name); err == nil {
-		fields["epoch"] = epoch
+		env.epoch, env.hasEpoch = epoch, true
 	}
-	lag := staged - snap.Seq()
-	advertise := ""
+	lag, advertise := env.staleness, ""
 	if rs, follower := s.rt.ReplStatus(name); follower {
-		lag = 0
-		if rs.PrimarySeq > snap.Seq() {
-			lag = rs.PrimarySeq - snap.Seq()
-		}
-		fields["primary_seq"] = rs.PrimarySeq
-		fields["lag"] = lag
-		fields["connected"] = rs.Connected
-		if !rs.LastFrameAt.IsZero() {
-			fields["last_frame_at"] = rs.LastFrameAt.UTC().Format(time.RFC3339Nano)
-		}
-		advertise = rs.Advertise
+		env.setFollower(rs)
+		lag, advertise = env.lag, rs.Advertise
 	}
 	if rawMax := r.URL.Query().Get("max_lag"); rawMax != "" {
 		maxLag, err := strconv.ParseUint(rawMax, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad max_lag %q: %v", rawMax, err)
-			return nil, nil, false
+			return nil, envelope{}, false
 		}
 		if lag > maxLag {
 			if r.URL.Query().Get("redirect") != "" && advertise != "" {
 				w.Header().Set("Location", strings.TrimRight(advertise, "/")+r.URL.RequestURI())
 				writeError(w, http.StatusTemporaryRedirect,
 					"snapshot lags %d batches behind the primary (max_lag %d); redirecting", lag, maxLag)
-				return nil, nil, false
+				return nil, envelope{}, false
 			}
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable,
 				"snapshot lags %d batches behind (max_lag %d)", lag, maxLag)
-			return nil, nil, false
+			return nil, envelope{}, false
 		}
 	}
-	return snap, fields, true
+	return snap, env, true
 }
 
 func (s *Server) fds(w http.ResponseWriter, r *http.Request, name string) {
-	snap, fields, ok := s.readSnapshot(w, r, name)
+	snap, env, ok := s.readSnapshot(w, r, name)
 	if !ok {
 		return
 	}
-	cols := snap.Columns()
-	out := []fdJSON{}
-	for _, f := range snap.FDs() {
-		j := fdJSON{Rhs: cols[f.Rhs], Rendered: snap.FormatFD(f), Lhs: []string{}}
-		for _, a := range f.Lhs {
-			j.Lhs = append(j.Lhs, cols[a])
-		}
-		out = append(out, j)
-	}
-	fields["fds"] = out
-	writeJSON(w, http.StatusOK, fields)
+	writeAppended(w, http.StatusOK, func(dst []byte) []byte {
+		return appendEnvelope(dst, &env,
+			member{"fds", func(dst []byte) []byte { return appendFDs(dst, snap) }})
+	})
 }
 
 func (s *Server) keys(w http.ResponseWriter, r *http.Request, name string) {
@@ -517,7 +481,7 @@ func (s *Server) keys(w http.ResponseWriter, r *http.Request, name string) {
 		return
 	}
 	columns := strings.Split(raw, ",")
-	snap, fields, ok := s.readSnapshot(w, r, name)
+	snap, env, ok := s.readSnapshot(w, r, name)
 	if !ok {
 		return
 	}
@@ -526,29 +490,23 @@ func (s *Server) keys(w http.ResponseWriter, r *http.Request, name string) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	fields["columns"] = columns
-	fields["unique"] = unique
-	writeJSON(w, http.StatusOK, fields)
+	writeAppended(w, http.StatusOK, func(dst []byte) []byte {
+		return appendEnvelope(dst, &env,
+			member{"columns", func(dst []byte) []byte { return appendStrings(dst, columns) }},
+			member{"unique", func(dst []byte) []byte { return strconv.AppendBool(dst, unique) }})
+	})
 }
 
 func (s *Server) inds(w http.ResponseWriter, r *http.Request, name string) {
-	snap, fields, ok := s.readSnapshot(w, r, name)
+	snap, env, ok := s.readSnapshot(w, r, name)
 	if !ok {
 		return
 	}
-	cols := snap.Columns()
-	inds := []runtime.UnaryIND{}
-	for _, d := range snap.INDs() {
-		inds = append(inds, runtime.UnaryIND{Lhs: cols[d.Lhs], Rhs: cols[d.Rhs]})
-	}
-	fields["inds"] = inds
-	writeJSON(w, http.StatusOK, fields)
-}
-
-// violationGroupJSON is one violating record group.
-type violationGroupJSON struct {
-	IDs       []int64 `json:"ids"`
-	RhsValues int     `json:"rhs_values"`
+	cols, inds := snap.Columns(), snap.INDs()
+	writeAppended(w, http.StatusOK, func(dst []byte) []byte {
+		return appendEnvelope(dst, &env,
+			member{"inds", func(dst []byte) []byte { return appendINDs(dst, cols, inds) }})
+	})
 }
 
 func (s *Server) violations(w http.ResponseWriter, r *http.Request, name string) {
@@ -570,20 +528,18 @@ func (s *Server) violations(w http.ResponseWriter, r *http.Request, name string)
 			return
 		}
 	}
-	snap, fields, ok := s.readSnapshot(w, r, name)
+	snap, env, ok := s.readSnapshot(w, r, name)
 	if !ok {
 		return
 	}
-	gs, g3, err := snap.Violations(lhs, rhs, max)
+	groups, g3, err := snap.Violations(lhs, rhs, max)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	groups := []violationGroupJSON{}
-	for _, g := range gs {
-		groups = append(groups, violationGroupJSON{IDs: g.IDs, RhsValues: g.RhsValues})
-	}
-	fields["groups"] = groups
-	fields["g3"] = g3
-	writeJSON(w, http.StatusOK, fields)
+	writeAppended(w, http.StatusOK, func(dst []byte) []byte {
+		return appendEnvelope(dst, &env,
+			member{"g3", func(dst []byte) []byte { return appendFloat(dst, g3) }},
+			member{"groups", func(dst []byte) []byte { return appendGroups(dst, groups) }})
+	})
 }

@@ -144,7 +144,7 @@ func (f *Frozen) ForEachRecord(fn func(id int64, rec Record) bool) {
 // so no slot the live store may still write is loaded.
 func (f *Frozen) ForEachValue(a int, g *GroupBuf, fn func(v string) bool) {
 	dir := f.attrs[a].dir
-	for cid, n := range f.count(a, g) {
+	for cid, n := range f.count(a, g, false) {
 		if n > 0 && !fn(dir[cid>>dirBits][cid&dirMask].Value) {
 			return
 		}
@@ -175,7 +175,7 @@ type GroupBuf struct {
 // O(live records + horizon); only the members of multi-record clusters
 // are stored, and it allocates nothing once g is warm.
 func (f *Frozen) ForEachGroup(a int, g *GroupBuf, fn func(ids []int64) bool) {
-	ends := f.count(a, g)
+	ends := f.count(a, g, true)
 	cids := g.cids
 	total := int32(0)
 	for cid, n := range ends {
@@ -191,13 +191,20 @@ func (f *Frozen) ForEachGroup(a int, g *GroupBuf, fn func(ids []int64) bool) {
 	}
 	ids := g.ids[:total]
 	k := 0
-	f.forEachLive(func(id int64) {
-		if cid := cids[k]; ends[cid] >= 0 {
-			ids[ends[cid]] = id
-			ends[cid]++
+	for pg, bm := range f.live {
+		base := int64(pg) << pageBits
+		for w, word := range bm {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << b
+				if cid := cids[k]; ends[cid] >= 0 {
+					ids[ends[cid]] = base + int64(w<<6+b)
+					ends[cid]++
+				}
+				k++
+			}
 		}
-		k++
-	})
+	}
 	start := int32(0)
 	for _, end := range ends {
 		if end < 0 {
@@ -212,9 +219,11 @@ func (f *Frozen) ForEachGroup(a int, g *GroupBuf, fn func(ids []int64) bool) {
 
 // count is the counting pass of ForEachGroup and ForEachValue: it returns
 // g.ends sized to attribute a's horizon, holding each cid's member count
-// among the records live at freeze time, and leaves each of those records'
-// cid, in id order, in g.cids.
-func (f *Frozen) count(a int, g *GroupBuf) []int32 {
+// among the records live at freeze time. With keepCids it also leaves
+// each of those records' cid, in id order, in g.cids, for ForEachGroup's
+// placement pass. It walks the liveness bitmaps and reads column a
+// straight from each record's arena page.
+func (f *Frozen) count(a int, g *GroupBuf, keepCids bool) []int32 {
 	h := int(f.attrs[a].horizon)
 	if cap(g.ends) < h {
 		g.ends = make([]int32, h)
@@ -222,25 +231,20 @@ func (f *Frozen) count(a int, g *GroupBuf) []int32 {
 	ends := g.ends[:h]
 	clear(ends)
 	cids := g.cids[:0]
-	f.forEachLive(func(id int64) {
-		cid := f.Rec(id)[a]
-		ends[cid]++
-		cids = append(cids, cid)
-	})
-	g.cids = cids
-	return ends
-}
-
-// forEachLive calls fn for every id live at freeze time, ascending.
-func (f *Frozen) forEachLive(fn func(id int64)) {
 	for pg, bm := range f.live {
-		base := int64(pg) << pageBits
+		page := f.pages[pg]
 		for w, word := range bm {
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &^= 1 << b
-				fn(base + int64(w<<6+b))
+				cid := page[(w<<6+b)*f.numAttrs+a]
+				ends[cid]++
+				if keepCids {
+					cids = append(cids, cid)
+				}
 			}
 		}
 	}
+	g.cids = cids
+	return ends
 }

@@ -145,9 +145,26 @@ func (s *ResultSnapshot) Violations(lhsColumns []string, rhsColumn string, max i
 	return out, g3, nil
 }
 
+// ForEachFD calls fn for every FD that FDs returns, in the same order,
+// without allocating per FD: f.Lhs is reused from one call to the next,
+// so fn must copy it to keep it.
+func (s *ResultSnapshot) ForEachFD(fn func(f FD)) {
+	lhs := make([]int, 0, len(s.columns))
+	for _, f := range s.s.FDs() {
+		lhs = lhs[:0]
+		for a := f.Lhs.First(); a >= 0; a = f.Lhs.Next(a) {
+			lhs = append(lhs, a)
+		}
+		fn(FD{Lhs: lhs, Rhs: f.Rhs})
+	}
+}
+
 // FormatFD renders an FD with the snapshot's column names.
-func (s *ResultSnapshot) FormatFD(f FD) string {
-	return fromPublic(f).Names(s.columns)
+func (s *ResultSnapshot) FormatFD(f FD) string { return formatFD(f, s.columns) }
+
+// AppendFD appends FormatFD(f) to dst and returns the extended slice.
+func (s *ResultSnapshot) AppendFD(dst []byte, f FD) []byte {
+	return fromPublic(f).AppendNames(dst, s.columns)
 }
 
 func (s *ResultSnapshot) attr(column string) (int, error) {
