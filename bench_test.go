@@ -148,13 +148,14 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduler measures the disease replay (scale 0.25, 50-change
-// batches) through core.Engine.ApplyBatch across worker counts; workers=1
-// runs like BenchmarkApplyBatch/disease, inline on the calling goroutine.
-// The reported validations/op metric sits next to the wall-clock numbers.
-// Baselines live in BENCH_parallel.json, BENCH_delta.json and
-// BENCH_pipeline.json.
-func BenchmarkScheduler(b *testing.B) {
+// BenchmarkApplyBatchWorkers measures the disease replay (scale 0.25,
+// 50-change batches) through core.Engine.ApplyBatch across worker counts;
+// workers=1 runs like BenchmarkApplyBatch/disease, inline on the calling
+// goroutine. The worker count only fans out Pli maintenance; the sweeps
+// run inline at every count. The reported validations/op metric sits next
+// to the wall-clock numbers. Baselines live in BENCH_parallel.json,
+// BENCH_delta.json, BENCH_pipeline.json and BENCH_sweeps.json.
+func BenchmarkApplyBatchWorkers(b *testing.B) {
 	d := generated(b, "disease", 0.25)
 	batches := stream.FixedBatches(d.Changes, 50)
 	for _, workers := range []int{1, 2, 4} {
@@ -186,7 +187,8 @@ func BenchmarkScheduler(b *testing.B) {
 }
 
 // BenchmarkInsertPhase replays the artist history (scale 0.2, 100-change
-// batches, one scheduler worker per CPU) and reports the insert phase
+// batches, Workers -1: Pli maintenance fanned out across the CPUs, the
+// sweep inline) and reports the insert phase
 // (paper Fig. 1 step 3), where the agree-mask index answers the pruned
 // validations: insert-ms/op is its wall-clock time per replay,
 // agree-pairs/op the record pairs compared to build the indexes, and

@@ -44,7 +44,7 @@ func main() {
 	columns := flag.String("columns", "", "comma-separated schema when no -initial file is given")
 	quiet := flag.Bool("quiet", false, "suppress per-batch FD changes; print only the final FDs")
 	snapReport := flag.Bool("snapshot", false, "after the replay, report single-column keys and unary INDs from the final result snapshot")
-	workersFlag := flag.String("workers", "auto", `maintenance parallelism: "auto" = one scheduler worker per CPU, 0 or 1 = inline on one goroutine, n > 1 = scheduler with n workers`)
+	workersFlag := flag.String("workers", "auto", `Pli maintenance parallelism: "auto" = one attribute per CPU at once, 0 or 1 = inline on one goroutine, n > 1 = n attributes at once; lattice sweeps always run inline`)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the replay, post-GC) to this file")
 	flag.Usage = func() {
@@ -71,7 +71,7 @@ func main() {
 }
 
 // parseWorkers resolves the -workers flag: "auto" (the default) means one
-// scheduler worker per available CPU; any integer passes through with
+// maintenance worker per available CPU; any integer passes through with
 // dynfd.WithWorkers semantics (0 or 1 = inline on one goroutine).
 func parseWorkers(s string) (int, error) {
 	if s == "auto" {

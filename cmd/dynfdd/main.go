@@ -74,10 +74,10 @@
 // hands a node the winning epoch and addresses explicitly. See the
 // README's "Failover" section for the full three-node walkthrough.
 //
-// Engines default to -workers auto (one scheduler worker per CPU);
-// tenants may override it at create time. -pprof-addr serves
-// net/http/pprof on a separate listener for profiling a live daemon,
-// e.g. scheduler contention:
+// Engines default to -workers auto (Pli maintenance fanned out across
+// one goroutine per CPU; the lattice sweeps always run inline); tenants
+// may override it at create time. -pprof-addr serves net/http/pprof on a
+// separate listener for profiling a live daemon:
 //
 //	dynfdd -http :8080 -data-root /var/lib/dynfd -pprof-addr 127.0.0.1:6060
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=30
@@ -119,11 +119,11 @@ func main() {
 	initial := flag.String("initial", "", "line protocol: CSV file (header = schema) to create the tenant \"line\" from when it is absent")
 	columns := flag.String("columns", "", "line protocol: comma-separated schema to create the tenant \"line\" with when it is absent and no -initial file is given")
 	batch := flag.Int("batch", 100, "line protocol: auto-commit batch size")
-	workersFlag := flag.String("workers", "auto", `default maintenance parallelism per engine: "auto" = one scheduler worker per CPU, 0 or 1 = inline on one goroutine, n > 1 = scheduler with n workers (tenants may override at create time)`)
+	workersFlag := flag.String("workers", "auto", `default Pli maintenance parallelism per engine: "auto" = one attribute per CPU at once, 0 or 1 = inline on one goroutine, n > 1 = n attributes at once; lattice sweeps always run inline (tenants may override at create time)`)
 	checkpointEvery := flag.Int("checkpoint-every", durable.DefaultCheckpointEvery, "batches between checkpoints (negative disables)")
 	syncMaxDelay := flag.Duration("sync-max-delay", 0, "group-commit linger: how long a commit leader waits before the shared WAL fsync so concurrent batches coalesce (0 = sync immediately; try 1ms under heavy concurrent write load)")
 	commitQueue := flag.Int("commit-queue", 0, "per-tenant bound on batches staged but not yet fsynced; overflow answers 503 before anything is logged (0 = unbounded)")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling scheduler contention; empty disables")
+	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling a live daemon; empty disables")
 	replAddr := flag.String("repl-addr", "", "serve the WAL-shipping replication protocol on this address so followers can stream this daemon's tenants; empty disables")
 	replicateFrom := flag.String("replicate-from", "", "run as a read-only follower of the primary whose -repl-addr is at this base URL (e.g. http://10.0.0.1:7071); mirrors its tenants and serves all reads with bounded staleness")
 	advertise := flag.String("advertise", "", "public base URL of this daemon's -http API, handed to followers for write/stale-read redirects (with -repl-addr)")
@@ -349,7 +349,7 @@ func promoteNode(base string) error {
 }
 
 // parseWorkers resolves the -workers flag: "auto" (the default) means one
-// scheduler worker per available CPU; any integer passes through with
+// maintenance worker per available CPU; any integer passes through with
 // dynfd.WithWorkers semantics (0 or 1 = inline on one goroutine).
 func parseWorkers(s string) (int, error) {
 	if s == "auto" {

@@ -128,14 +128,14 @@ func WithUpdateColumnPruning() Option {
 	return func(o *options) { o.updatePruning = true }
 }
 
-// WithWorkers sets how many workers a batch uses. 0 (the default) and 1
-// keep all work on the calling goroutine; n > 1 maintains up to n Pli
-// attributes at once and then spreads candidate validation, and
-// speculative validation of the next lattice level, across n work-stealing
-// workers; n < 0 uses one worker per available CPU. Worker count affects wall-clock time only: all
-// configurations are guaranteed to report identical FDs after every
-// batch. The Monitor itself remains single-caller — the parallelism never
-// escapes an Apply call.
+// WithWorkers sets how many Pli attributes a batch maintains at once, and
+// how many a bootstrap or snapshot load builds at once. 0 (the default)
+// and 1 keep all work on the calling goroutine; n > 1 allows n attributes
+// at once; n < 0 uses one per available CPU. Candidate validation always
+// runs on the calling goroutine. Worker count affects wall-clock time
+// only: all configurations report identical FDs and work counters after
+// every batch. The Monitor itself remains single-caller — the parallelism
+// never escapes an Apply call.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -434,22 +434,12 @@ type Stats struct {
 	Comparisons          int
 	ViolationSearchRuns  int
 	DepthFirstSearchRuns int
-	ParallelLevels       int
 
 	// AgreePairs counts the record pairs compared to build the insert
 	// phase's agree-mask indexes, which answer the cluster-pruned
-	// validations (DESIGN.md §9). It repeats exactly for equal histories
-	// only with one worker (WithWorkers(1) or 0): with more, speculative
-	// validations may build indexes the sequential order would not.
+	// validations (DESIGN.md §9). Like every work counter, it repeats
+	// exactly for equal histories at every worker count.
 	AgreePairs int
-
-	// Scheduler telemetry, nonzero only with more than one worker (as
-	// is ParallelLevels): validation chunks executed by a worker other
-	// than the submitter, speculative validations issued ahead of the
-	// merge, and how many of those were consumed.
-	ChunksStolen           int
-	SpeculativeValidations int
-	SpeculativeHits        int
 
 	FDsAdded   int
 	FDsRemoved int
@@ -476,12 +466,7 @@ func (m *Monitor) Stats() Stats {
 		Comparisons:          s.Comparisons,
 		ViolationSearchRuns:  s.ViolationSearchRuns,
 		DepthFirstSearchRuns: s.DepthFirstSearchRuns,
-		ParallelLevels:       s.ParallelLevels,
-
-		AgreePairs:             s.AgreePairs,
-		ChunksStolen:           s.ChunksStolen,
-		SpeculativeValidations: s.SpeculativeValidations,
-		SpeculativeHits:        s.SpeculativeHits,
+		AgreePairs:           s.AgreePairs,
 
 		FDsAdded:        s.FDsAdded,
 		FDsRemoved:      s.FDsRemoved,

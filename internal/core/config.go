@@ -50,20 +50,16 @@ type Config struct {
 	// 3 of the paper's §8.
 	UpdateColumnPruning bool
 
-	// Workers sets the engine's worker budget (DESIGN.md §13). At every
-	// setting Pli maintenance runs to completion before either lattice
-	// sweep. 0 (the default) and 1 mean one slot, the engine goroutine
-	// itself: maintenance and every validation run inline, with no extra
-	// goroutines. n > 1 maintains up to n attribute shards at once, chunks
-	// candidate validations across n worker slots' deques, and validates
-	// the next lattice level speculatively while the current one merges. n < 0 uses one
-	// slot per available CPU (GOMAXPROCS). All settings produce identical
-	// FD and non-FD covers after every batch, asserted by the equivalence
-	// property tests. The knob changes wall-clock time only. (At one slot
-	// the work counters repeat exactly from run to run, since validation
-	// witnesses are a pure function of the store; with more slots the
-	// counters that follow scheduling, such as stolen chunks and
-	// speculation, may differ between runs.)
+	// Workers sets how many attribute shards the engine maintains at
+	// once (DESIGN.md §13): each batch's Pli maintenance, snapshot
+	// loading and bootstrap fan out across that many goroutines and join
+	// before the lattice sweeps, which always run on the engine goroutine.
+	// 0 (the default) and 1 mean inline on the engine goroutine, n > 1
+	// allows n shards at once, and n < 0 uses one per available CPU
+	// (GOMAXPROCS). The knob changes wall-clock time only: the FD and
+	// non-FD covers and the work counters after every batch are
+	// identical at every setting, asserted by the equivalence property
+	// tests and TestReplayWorkCountersDeterministic.
 	Workers int
 }
 
@@ -100,21 +96,14 @@ type Stats struct {
 	SkippedValidations int // validations skipped by either sweep: untouched columns, delete-side annotations, insert-side declared keys
 	Comparisons        int // record pairs compared by the violation search
 	// AgreePairs counts the record pairs compared to build the insert
-	// phase's agree-mask indexes. It repeats exactly for equal histories
-	// only at Workers 0 or 1: with more workers, speculative validations may
-	// build indexes the sequential order would not, so two runs of one
-	// history differ by a fraction of a percent. Compare it across runs
-	// or nodes only at Workers 0 or 1.
-	AgreePairs             int
-	ViolationSearchRuns    int // times the progressive search was triggered
-	DepthFirstSearchRuns   int // times the optimistic DFS was triggered
-	ParallelLevels         int // lattice levels whose validations went to the worker pool (Workers > 1)
-	ChunksStolen           int // scheduler chunks taken from another worker's deque
-	SpeculativeValidations int // validations submitted ahead of their level's classification
-	SpeculativeHits        int // speculative validations whose result was consumed
-	FDsAdded               int // cumulative minimal FDs added
-	FDsRemoved             int // cumulative minimal FDs removed
-	CoverPatches           int // batches applied by patching a cover delta (ApplyPatched) instead of the sweeps
+	// phase's agree-mask indexes. Like every work counter, it repeats
+	// exactly for equal histories at every Workers setting.
+	AgreePairs           int
+	ViolationSearchRuns  int // times the progressive search was triggered
+	DepthFirstSearchRuns int // times the optimistic DFS was triggered
+	FDsAdded             int // cumulative minimal FDs added
+	FDsRemoved           int // cumulative minimal FDs removed
+	CoverPatches         int // batches applied by patching a cover delta (ApplyPatched) instead of the sweeps
 
 	// Wall-clock breakdown of ApplyBatch, cumulative across batches. A
 	// patched batch (ApplyPatched) bills its store maintenance to
@@ -129,4 +118,13 @@ type Stats struct {
 	// the ledger benchmark (bench/ledger/trace.go) still reads it, so it
 	// stays until that benchmark next changes.
 	DeltaPruned int
+
+	// ChunksStolen, SpeculativeValidations and SpeculativeHits are always
+	// zero and nothing writes them. They counted the work stealing and
+	// the speculative next-level validations of a retired sweep
+	// scheduler; the ledger benchmark (bench/ledger/trace.go) still reads
+	// them, so they stay until that benchmark next changes.
+	ChunksStolen           int
+	SpeculativeValidations int
+	SpeculativeHits        int
 }

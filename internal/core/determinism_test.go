@@ -7,13 +7,14 @@ import (
 	"dynfd/internal/stream"
 )
 
-// replayStats bootstraps an engine on ds at Workers 1, replays its change
-// history in batches of batchSize, and returns the final Stats with the
-// wall-clock fields zeroed, leaving only the work counters.
-func replayStats(t *testing.T, ds *datagen.Dataset, batchSize int) Stats {
+// replayStats bootstraps an engine on ds at the given Workers setting,
+// replays its change history in batches of batchSize, and returns the
+// final Stats with the wall-clock fields zeroed, leaving only the work
+// counters.
+func replayStats(t *testing.T, ds *datagen.Dataset, batchSize, workers int) Stats {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Workers = 1
+	cfg.Workers = workers
 	e, err := Bootstrap(ds.Relation, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +31,8 @@ func replayStats(t *testing.T, ds *datagen.Dataset, batchSize int) Stats {
 }
 
 // TestReplayWorkCountersDeterministic replays one history three times at
-// Workers 1 and requires identical work counters. Full validations walk
+// Workers 1 and once at Workers 4, and requires identical work counters.
+// Maintenance fans out, but the sweeps run inline. Full validations walk
 // pivot clusters in ascending cluster-id order and pruned ones report the
 // canonical witness, so every witness, and with it every annotation-driven
 // skip and depth-first search, is a pure function of the history. The
@@ -48,7 +50,7 @@ func TestReplayWorkCountersDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first := replayStats(t, ds, 100)
+			first := replayStats(t, ds, 100, 1)
 			if first.Validations == 0 {
 				t.Fatal("replay ran no validations")
 			}
@@ -56,9 +58,12 @@ func TestReplayWorkCountersDeterministic(t *testing.T) {
 				t.Fatal("artist replay built no agree-mask index")
 			}
 			for run := 2; run <= 3; run++ {
-				if got := replayStats(t, ds, 100); got != first {
+				if got := replayStats(t, ds, 100, 1); got != first {
 					t.Fatalf("replay %d work counters differ:\n first %+v\n got   %+v", run, first, got)
 				}
+			}
+			if got := replayStats(t, ds, 100, 4); got != first {
+				t.Fatalf("Workers 4 work counters differ from Workers 1:\n workers=1 %+v\n workers=4 %+v", first, got)
 			}
 		})
 	}

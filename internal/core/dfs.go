@@ -50,7 +50,7 @@ func (e *Engine) depthFirst(f fd.FD, visited map[fd.FD]bool) {
 			e.stats.Validations++
 			// Depth-first searches run on the engine goroutine (merge
 			// phase), so the serial slot-0 scratch is free to reuse.
-			valid, _ = e.scratch.Serial().FD(e.store, gen.Lhs, gen.Rhs, validate.NoPruning)
+			valid, _ = e.scratch.FD(e.store, gen.Lhs, gen.Rhs, validate.NoPruning)
 		}
 		if valid {
 			e.depthFirst(gen, visited)

@@ -28,7 +28,6 @@ import (
 	"dynfd/internal/induct"
 	"dynfd/internal/lattice"
 	"dynfd/internal/pli"
-	"dynfd/internal/sched"
 	"dynfd/internal/stream"
 	"dynfd/internal/validate"
 )
@@ -36,9 +35,9 @@ import (
 // Engine maintains the exact set of minimal, non-trivial FDs of a single
 // relation under batches of inserts, updates, and deletes. An Engine is not
 // safe for concurrent use: callers must serialize access. Internally,
-// ApplyBatch may spread Pli maintenance and candidate validations across a
-// bounded worker pool (Config.Workers, see pipeline.go); that parallelism
-// never escapes a call.
+// ApplyBatch may spread Pli maintenance across a bounded number of
+// goroutines (Config.Workers, see pipeline.go); that parallelism never
+// escapes a call.
 type Engine struct {
 	cfg      Config
 	numAttrs int
@@ -46,8 +45,8 @@ type Engine struct {
 	fds      *lattice.Cover       // positive cover: all minimal FDs
 	nonFds   lattice.View         // negative cover: all maximal non-FDs (complement-keyed)
 	keySet   attrset.Set          // declared unique columns (Config.KeyColumns)
-	pool     *sched.Pool          // work-stealing pipelined scheduler
-	scratch  *validate.Scratches  // per-worker validation kernel buffers (slot 0 = engine goroutine)
+	workers  int                  // resolved Config.Workers: shards maintained at once
+	scratch  *validate.Scratch    // validation kernel buffers
 	agree    *validate.AgreeIndex // insert phase: the batch's agree-mask index (cluster pruning)
 	rng      *rand.Rand
 	stats    Stats
@@ -63,33 +62,24 @@ type Engine struct {
 	// goroutine and reset (not reallocated) at the start of each use, so
 	// steady-state batches stop paying per-level and per-search
 	// allocations. None of them carry state across uses.
-	scanOutcomes []scanOutcome        // lattice sweeps: per-candidate outcomes
-	vsCompared   map[[2]int64]bool    // violationSearch: compared record pairs
-	vsSeenAgree  map[attrset.Set]bool // violationSearch: folded agree sets
-	dfsVisited   map[fd.FD]bool       // depthFirstSearches: visited candidates
-	planBorn     map[int64][]string   // ApplyBatch planner: batch-born id -> values
-	planDead     map[int64]bool       // ApplyBatch planner: ids deleted by the batch
-	planDeletes  []int64              // ApplyBatch planner: pre-existing ids to delete
-	planInserts  []pli.BatchInsert    // ApplyBatch planner: surviving inserts
-	levelBuf     []fd.FD              // lattice sweeps: current-level candidates
-	specBuf      []fd.FD              // lattice sweeps: next-level speculation preview
-	slotBuf      []chunkSlot          // lattice sweeps: candidate -> chunk outcome slot
-	specCache    map[fd.FD]chunkSlot  // lattice sweeps: speculative outcome slots by candidate
+	vsCompared  map[[2]int64]bool    // violationSearch: compared record pairs
+	vsSeenAgree map[attrset.Set]bool // violationSearch: folded agree sets
+	dfsVisited  map[fd.FD]bool       // depthFirstSearches: visited candidates
+	planBorn    map[int64][]string   // ApplyBatch planner: batch-born id -> values
+	planDead    map[int64]bool       // ApplyBatch planner: ids deleted by the batch
+	planDeletes []int64              // ApplyBatch planner: pre-existing ids to delete
+	planInserts []pli.BatchInsert    // ApplyBatch planner: surviving inserts
+	levelBuf    []fd.FD              // lattice sweeps: current-level candidates
 
 	// delta is the cover delta of the last applied batch (coverdelta.go),
 	// built from the covers' mutation journals.
 	delta CoverDelta
-
-	// stealChunk fixes the scheduler's chunk size (0 = automatic, see
-	// chunkSize). A test seam: tests set it to 1 to force stealing.
-	stealChunk int
 }
 
 // initExtras finishes construction: the cover journals that record each
-// batch's cover delta, declared key columns, the scheduler
-// pool sized by the resolved worker budget, the engine-held validation
-// scratches, and the seeded random source for the depth-first-search
-// sampling.
+// batch's cover delta, declared key columns, the resolved worker count,
+// the engine-held validation scratch and agree-mask index, and the seeded
+// random source for the depth-first-search sampling.
 func (e *Engine) initExtras() {
 	for _, a := range e.cfg.KeyColumns {
 		if a >= 0 && a < e.numAttrs {
@@ -98,9 +88,8 @@ func (e *Engine) initExtras() {
 	}
 	e.fds.StartJournal()
 	e.nonFds.StartJournal()
-	e.pool = sched.NewPool(resolveWorkers(e.cfg.Workers))
-	e.specCache = make(map[fd.FD]chunkSlot)
-	e.scratch = &validate.Scratches{}
+	e.workers = resolveWorkers(e.cfg.Workers)
+	e.scratch = validate.NewScratch()
 	e.agree = &validate.AgreeIndex{}
 	e.rng = rand.New(rand.NewSource(e.cfg.Seed))
 }
@@ -214,7 +203,7 @@ func (e *Engine) Violations(lhs []int, rhs int, max int) ([]validate.ViolationGr
 	for _, a := range lhs {
 		s = s.With(a)
 	}
-	return e.scratch.Serial().Violations(e.store, s, rhs, max)
+	return e.scratch.Violations(e.store, s, rhs, max)
 }
 
 // Result describes the outcome of one batch.
@@ -280,8 +269,8 @@ func (e *Engine) CheckBatch(batch stream.Batch) error {
 // Failure semantics: errors raised while the batch is validated and
 // planned (bad arity, unknown record ids) leave the engine untouched and
 // it stays usable. An error after structural application began — a
-// captured validation-worker panic, a panic on the engine goroutine, or a
-// store maintenance failure — may leave the covers and the Pli store
+// captured validator or maintenance-worker panic, a panic on the engine
+// goroutine, or a store maintenance failure — may leave the covers and the Pli store
 // inconsistent, so the engine poisons itself: every subsequent ApplyBatch
 // fails fast with the original cause (see Poisoned).
 func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
@@ -296,8 +285,8 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 	// Any panic on the engine goroutine from here on (planning state is
 	// reset per batch, so poisoning early is harmless) is converted into a
 	// poisoning error rather than unwinding through the caller with the
-	// covers half-merged. Worker-goroutine panics are captured separately
-	// by the scheduler and arrive here as ordinary errors.
+	// covers half-merged. Maintenance-worker panics are captured by the
+	// store's fan-out and arrive here as ordinary errors.
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: ApplyBatch panicked: %v\n%s", r, debug.Stack())
@@ -311,8 +300,8 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 	}
 	e.fds.ResetJournal()
 	e.nonFds.ResetJournal()
-	// Step 1 maintains the whole store; steps 2 and 3 then sweep it on one
-	// scheduler session (DESIGN.md §13).
+	// Step 1 maintains the whole store; steps 2 and 3 then sweep it
+	// inline (DESIGN.md §13).
 	if err := e.maintainStore(p, structStart); err != nil {
 		return Result{}, err
 	}

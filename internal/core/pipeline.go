@@ -3,174 +3,73 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"time"
 
 	"dynfd/internal/fanout"
-	"dynfd/internal/fd"
-	"dynfd/internal/pli"
-	"dynfd/internal/sched"
 	"dynfd/internal/validate"
 )
 
-// Batch execution (DESIGN.md §13).
+// Batch execution (DESIGN.md §13): maintain in parallel, sweep inline.
 //
 // Every batch first maintains the whole Pli store (paper Figure 1 step 1,
 // maintainStore): pli.Store.ApplyBatch fans the per-attribute shards out
-// across the engine's worker budget and joins before it returns, at every
-// worker count. Both lattice sweeps (deletes.go, inserts.go) then run as
-// one sched.Session over the maintained, read-only store. With
-// Config.Workers 0 or 1 the pool has no background workers and every
-// validation runs inline on the engine goroutine, so each sweep is the
-// paper's plain level-wise loop. With more worker slots:
-//
-//   - A level's eligible candidates are bundled into stealable chunks
-//     (chunkSize) spread across the worker deques; the coordinator resolves
-//     them in candidate order during the merge, claiming directly or
-//     helping with other chunks while it waits.
-//   - While a level merges, the next level is validated speculatively: its
-//     pre-existing cover members are previewed before the merge, and fresh
-//     candidates created by the merge itself (specializations, promoted
-//     generalizations) are submitted as they appear. Speculative outcomes
-//     are pure functions of (frozen shard state, Lhs, Rhs, pruning bound),
-//     so reusing them cannot change results; entries whose candidate turns
-//     stale are simply discarded, and leftovers die with the session.
-//
-// Worker-count independence: classification runs on the coordinator in
-// candidate order and the merge consumes outcomes in candidate order, so
-// the covers after every batch are identical for every Workers setting
-// (asserted by the equivalence property tests).
+// across the engine's worker count and joins before it returns. Both
+// lattice sweeps (deletes.go, inserts.go) then run on the engine goroutine
+// as the paper's level-wise loops: each candidate of a level is
+// classified, validated if it must be, and merged, in candidate order.
+// Validation is a pure function of the maintained store, so the covers and
+// the work counters after every batch are identical at every Workers
+// setting (asserted by the equivalence property tests and
+// TestReplayWorkCountersDeterministic).
 
-// valChunk is one stealable bundle of candidate validations. Run validates
-// every request with the worker slot's scratch; outcomes land in per-
-// request slots, read by the coordinator only after Await(chunk) — the
-// task-done edge orders the writes before the reads.
-type valChunk struct {
-	sched.Handle
-	store   *pli.Store
-	scratch *validate.Scratches
-	agree   *validate.AgreeIndex // pruned insert-phase chunk; nil validates in full
-	reqs    []validate.Request
-	outs    []validate.Outcome
+// scanKind classifies one candidate of a lattice level before it is
+// merged.
+type scanKind uint8
+
+const (
+	// scanStale: the candidate is no longer a cover member; no work, no
+	// stats.
+	scanStale scanKind = iota
+	// scanSkipped: a pruning rule discharged the candidate without
+	// validating (counted as a skipped validation).
+	scanSkipped
+	// scanEligible: the candidate must be validated against the store.
+	scanEligible
+)
+
+// resolveWorkers maps the Config.Workers knob to the number of attribute
+// shards maintained, loaded or bootstrapped at once: 0 and 1 both mean
+// inline on the calling goroutine, n > 1 allows n concurrent shards, and
+// n < 0 uses one per available CPU.
+func resolveWorkers(n int) int {
+	if n < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	if n == 0 {
+		return 1
+	}
+	return n
 }
 
-func (c *valChunk) Run(worker int) {
-	sc := c.scratch.At(worker)
-	for i, r := range c.reqs {
-		c.outs[i] = validate.One(sc, c.store, c.agree, r)
-	}
-}
-
-// chunkSlot locates one candidate's outcome inside a submitted chunk.
-type chunkSlot struct {
-	ch  *valChunk
-	idx int
-}
-
-// chunkBuilder accumulates eligible candidates into chunks and submits each
-// chunk as it fills; flush submits the partial tail.
-type chunkBuilder struct {
-	e     *Engine
-	ses   *sched.Session
-	size  int
-	agree *validate.AgreeIndex // the insert phase's index under cluster pruning
-	cur   *valChunk
-}
-
-func (b *chunkBuilder) add(cand fd.FD) chunkSlot {
-	if b.cur == nil {
-		b.cur = &valChunk{store: b.e.store, scratch: b.e.scratch, agree: b.agree}
-	}
-	b.cur.reqs = append(b.cur.reqs, validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs})
-	b.cur.outs = append(b.cur.outs, validate.Outcome{})
-	sl := chunkSlot{ch: b.cur, idx: len(b.cur.reqs) - 1}
-	if len(b.cur.reqs) >= b.size {
-		b.flush()
-	}
-	return sl
-}
-
-func (b *chunkBuilder) flush() {
-	if b.cur == nil {
-		return
-	}
-	b.ses.Submit(b.cur)
-	b.cur = nil
-}
-
-// chunkSize picks the stealable chunk granularity for a level of n
-// candidates: about four chunks per worker so stealing has slack, clamped
-// to [1, 32]. The stealChunk test seam overrides it.
-func (e *Engine) chunkSize(n int) int {
-	if e.stealChunk > 0 {
-		return e.stealChunk
-	}
-	c := n / (4 * e.pool.Workers())
-	if c < 1 {
-		c = 1
-	}
-	if c > 32 {
-		c = 32
-	}
-	return c
-}
-
-// outcomeBuf returns the engine's reusable per-level outcome buffer.
-func (e *Engine) outcomeBuf(n int) []scanOutcome {
-	if cap(e.scanOutcomes) < n {
-		e.scanOutcomes = make([]scanOutcome, n)
-	}
-	return e.scanOutcomes[:n]
-}
-
-// chunkSlots returns the zeroed per-level candidate → chunk slot map.
-func (e *Engine) chunkSlots(n int) []chunkSlot {
-	if cap(e.slotBuf) < n {
-		e.slotBuf = make([]chunkSlot, n)
-	}
-	s := e.slotBuf[:n]
-	clear(s)
-	return s
-}
-
-// foldOutcome turns one validation result into a merged scan outcome.
-func foldOutcome(o *scanOutcome, r validate.Outcome) {
-	if r.Valid {
-		o.kind = scanValid
-	} else {
-		o.kind = scanInvalid
-		o.witness = r.Witness
-	}
-}
-
-// resolveOutcome awaits the chunk holding the candidate's validation and
-// folds its result into the scan outcome.
-func (e *Engine) resolveOutcome(ses *sched.Session, o *scanOutcome, sl chunkSlot) error {
-	if err := ses.Await(sl.ch); err != nil {
-		return err
-	}
-	foldOutcome(o, sl.ch.outs[sl.idx])
-	return nil
-}
-
-// validateInline runs one validation directly on the coordinator — the
-// path when the pool has no background workers (Workers 0 or 1), where
-// chunking and deque traffic would be pure overhead. A non-nil agree
-// answers it as a pruned insert-phase validation. Panic containment
-// matches the scheduler's contract so a panicking validator still poisons
-// the engine as a *fanout.PanicError instead of crashing the process.
+// validateInline runs one candidate validation on the engine goroutine. A
+// non-nil agree answers it as a pruned insert-phase validation. A
+// panicking validator is recovered as a *fanout.PanicError, the error a
+// panicking maintenance worker returns too, so it poisons the engine
+// instead of crashing the process.
 func (e *Engine) validateInline(r validate.Request, agree *validate.AgreeIndex) (o validate.Outcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &fanout.PanicError{Worker: 0, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return validate.One(e.scratch.At(0), e.store, agree, r), nil
+	return validate.One(e.scratch, e.store, agree, r), nil
 }
 
 // maintainStore runs Figure 1 step 1 for a planned batch: it applies the
 // batch's net deletes and inserts to every Pli shard, fanned out across the
-// engine's worker budget inside pli.Store.ApplyBatch, and moves the id
+// engine's worker count inside pli.Store.ApplyBatch, and moves the id
 // horizon past ids the batch consumed without keeping. ApplyBatch and
 // ApplyPatched both call it before their sweeps or patches; the time since
 // structStart, planning included, is billed to StructureTime. A batch the
@@ -178,7 +77,7 @@ func (e *Engine) validateInline(r validate.Request, agree *validate.AgreeIndex) 
 // has changed, its only error is a captured maintenance panic, which
 // poisons the engine, as does a failure to move the id horizon.
 func (e *Engine) maintainStore(p batchPlan, structStart time.Time) error {
-	if err := e.store.ApplyBatch(e.planDeletes, p.ins, e.pool.Workers()); err != nil {
+	if err := e.store.ApplyBatch(e.planDeletes, p.ins, e.workers); err != nil {
 		var pe *fanout.PanicError
 		if errors.As(err, &pe) {
 			e.poisoned = err
@@ -195,25 +94,14 @@ func (e *Engine) maintainStore(p batchPlan, structStart time.Time) error {
 	return nil
 }
 
-// runSweeps runs steps 2 and 3 of ApplyBatch over the maintained store as
-// one scheduler session: the delete sweep if the batch deletes, then the
-// insert sweep if it inserts. On return either both sweeps completed or
-// the engine is poisoned.
+// runSweeps runs steps 2 and 3 of ApplyBatch over the maintained store:
+// the delete sweep if the batch deletes, then the insert sweep if it
+// inserts. On return either both sweeps completed or the engine is
+// poisoned.
 func (e *Engine) runSweeps(p batchPlan) error {
-	e.scratch.Ensure(e.pool.Workers())
-	ses := e.pool.Begin()
-	ended := false
-	// A coordinator panic unwinds through here before ApplyBatch's recover
-	// defer captures it; joining the workers first keeps the parallelism
-	// from escaping the call even on the failure path.
-	defer func() {
-		if !ended {
-			_ = ses.End()
-		}
-	}()
 	if p.deletes > 0 {
 		start := time.Now()
-		if err := e.processDeletes(ses, p.touched); err != nil {
+		if err := e.processDeletes(p.touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: delete phase: %w", err)
 		}
@@ -221,21 +109,11 @@ func (e *Engine) runSweeps(p batchPlan) error {
 	}
 	if len(p.ids) > 0 {
 		start := time.Now()
-		if err := e.processInserts(ses, p.minNewID, p.ids, p.touched); err != nil {
+		if err := e.processInserts(p.minNewID, p.ids, p.touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: insert phase: %w", err)
 		}
 		e.stats.InsertPhaseTime += time.Since(start)
-	}
-	e.stats.ChunksStolen += int(ses.Stolen())
-	ended = true
-	if err := ses.End(); err != nil {
-		e.poisoned = err
-		return fmt.Errorf("core: applying batch: %w", err)
-	}
-	if len(p.ids) > 0 {
-		// Read after End: leftover speculative chunks may still have
-		// queried the index until the workers were joined.
 		e.stats.AgreePairs += e.agree.Counters().Pairs
 	}
 	return nil

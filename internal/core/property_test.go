@@ -215,31 +215,19 @@ func TestRandomWorkloadDeleteHeavy(t *testing.T) {
 }
 
 // runEquivalence drives one random batch sequence through a reference
-// engine with one worker slot (Workers: 1, every validation inline on the
-// engine goroutine) and an engine with the given worker budget, and
-// asserts both produce identical FD and non-FD covers after every batch —
-// the worker-count independence of the scheduler (DESIGN.md §13).
+// engine with one worker (Workers: 1) and an engine with the given worker
+// budget, and asserts identical covers and diffs after every batch — the
+// worker-count independence of DESIGN.md §13. Both engines see
+// byte-identical batches; surrogate ids are assigned deterministically, so
+// the id streams must agree too. The reference engine's covers are also
+// checked against the brute-force oracle over a shadow copy of the live
+// rows, so a bug shared by both engines cannot hide.
 func runEquivalence(t *testing.T, seed int64, workers, attrs, initialRows, batches, batchSize, domain int) {
 	t.Helper()
 	refCfg := DefaultConfig()
 	refCfg.Workers = 1
 	cfg := DefaultConfig()
 	cfg.Workers = workers
-	runPairEquivalence(t, seed, attrs, initialRows, batches, batchSize, domain, refCfg, cfg)
-}
-
-// runPairEquivalence is the general form: drive identical batches through
-// two engines with arbitrary configurations and assert identical covers
-// and diffs after every batch. Both engines see byte-identical batches;
-// surrogate ids are assigned deterministically, so the id streams must
-// agree too. The reference engine's covers are also checked against the
-// brute-force oracle over a shadow copy of the live rows, so a bug shared
-// by both engines cannot hide. tune, if given, adjusts the second engine
-// after bootstrap (test seams such as stealChunk). Returns the second
-// engine for stats inspection.
-func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, batchSize, domain int, refCfg, cfg Config, tune ...func(*Engine)) *Engine {
-	t.Helper()
-	workers := cfg.Workers
 	r := rand.New(rand.NewSource(seed))
 	cols := make([]string, attrs)
 	for i := range cols {
@@ -265,9 +253,6 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 	other, err := Bootstrap(rel, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, f := range tune {
-		f(other)
 	}
 	// Shadow model: id -> row; live lists its ids in ascending order.
 	model := make(map[int64][]string)
@@ -360,11 +345,10 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 	if err := other.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return other
 }
 
 // TestSerialParallelEquivalence is the acceptance property of the
-// scheduler: across 50 randomized batch sequences, a Workers: 4 engine
+// worker count: across 50 randomized batch sequences, a Workers: 4 engine
 // yields identical covers to the single-goroutine Workers: 1 engine after
 // every single batch, and the latter matches the oracle.
 func TestSerialParallelEquivalence(t *testing.T) {
@@ -394,39 +378,11 @@ func TestSerialParallelEquivalenceShort(t *testing.T) {
 
 // TestEquivalenceAcrossWorkerCounts pins the guarantee for other worker
 // budgets: the Workers: 0 default, the GOMAXPROCS setting (-1), and an
-// oversubscribed pool.
+// oversubscribed worker count.
 func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
 	for i, workers := range []int{0, 2, 8, -1} {
 		runEquivalence(t, int64(3000+i), workers, 5, 12, 5, 8, 3)
-	}
-}
-
-// TestEquivalenceForcedStealing pins the scheduler's stealing paths:
-// one-candidate chunks (the stealChunk seam) make every candidate its own
-// stealable task, so with several workers the deques drain through steals
-// constantly. Covers must stay identical to the reference engine, and
-// across the sweep stealing must actually have happened — otherwise the
-// test is not exercising what it claims to. Whether a worker steals
-// depends on thread timing, which other tests running beside this one
-// can starve, so after the six seeds the sweep goes on with further
-// seeds, each checked against the reference too, until one steal is
-// recorded or maxStealSeeds seeds have run.
-func TestEquivalenceForcedStealing(t *testing.T) {
-	t.Parallel()
-	const maxStealSeeds = 60
-	refCfg := DefaultConfig()
-	refCfg.Workers = 1
-	stolen := 0
-	for seed := int64(0); seed < 6 || stolen == 0 && seed < maxStealSeeds; seed++ {
-		cfg := DefaultConfig()
-		cfg.Workers = 4
-		e := runPairEquivalence(t, 4000+seed, 4+int(seed%3), 12, 5, 8, 2+int(seed%3), refCfg, cfg,
-			func(e *Engine) { e.stealChunk = 1 })
-		stolen += e.Stats().ChunksStolen
-	}
-	if stolen == 0 {
-		t.Error("forced-stealing sweep recorded zero stolen chunks; stealing paths not exercised")
 	}
 }
 

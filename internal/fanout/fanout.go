@@ -1,8 +1,9 @@
 // Package fanout provides the bounded worker-pool fan-out primitive behind
 // the Pli store's per-attribute work: batch maintenance (pli.Store.ApplyBatch,
-// DESIGN.md §10) and the bulk loader. It also defines PanicError, the one
-// captured-panic error that the store, the scheduler (internal/sched) and
-// the engine share.
+// DESIGN.md §10) and the bulk loader. It is the only parallel primitive in
+// the engine: the lattice sweeps run inline (DESIGN.md §13). It also
+// defines PanicError, the one captured-panic error that the store and the
+// engine share.
 //
 // Determinism contract: work items are distributed through an atomic
 // cursor, so the assignment of items to workers is scheduling-dependent,

@@ -314,8 +314,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 
 // createRequest is the body of POST /v1/tenants. Workers optionally
 // overrides the daemon-wide -workers default for this tenant (0 or 1
-// inline, n > 1 scheduler workers, < 0 one per CPU); the override is persisted
-// with the tenant and survives restarts.
+// inline, n > 1 that many Pli attributes maintained at once, < 0 one per
+// CPU); the override is persisted with the tenant and survives restarts.
 type createRequest struct {
 	Name    string     `json:"name"`
 	Columns []string   `json:"columns"`

@@ -340,7 +340,7 @@ type shard struct {
 // mutates it; Insert, InsertWithID, SetNextID, Delete, and ApplyBatch
 // require exclusive access. The engine relies on this reader-only window:
 // it applies each batch's structural changes first and only then validates
-// candidates, read-only, on its scheduler's workers (internal/core,
+// candidates, read-only, on the engine goroutine (internal/core,
 // pipeline.go). The contract is exercised under the race detector by
 // TestStoreConcurrentReaders. ApplyBatch's internal per-attribute fan-out
 // never escapes the call.

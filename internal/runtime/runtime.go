@@ -138,10 +138,11 @@ type Config struct {
 	// DataRoot is the directory holding one subdirectory per tenant.
 	// Required; created if absent.
 	DataRoot string
-	// Workers is the default per-engine maintenance parallelism
+	// Workers is the default per-engine Pli maintenance parallelism
 	// (dynfd.WithWorkers semantics: 0 or 1 inline on one goroutine,
-	// n > 1 scheduler workers, < 0 one per CPU). Tenants created with a CreateOptions.Workers
-	// override keep their own setting instead.
+	// n > 1 that many attributes at once, < 0 one per CPU; the lattice
+	// sweeps always run inline). Tenants created with a
+	// CreateOptions.Workers override keep their own setting instead.
 	Workers int
 	// CheckpointEvery is the per-engine checkpoint interval in batches
 	// (dynfd.WithCheckpointEvery); 0 keeps the engine default.

@@ -1,13 +1,12 @@
-// Candidate validation requests: the unit of work the engine's scheduler
-// hands to its workers (DESIGN.md §13).
+// Candidate validation requests: the unit of work of the engine's lattice
+// sweeps (DESIGN.md §13).
 //
 // Validating a candidate FD against the Pli store is a pure read — FD
 // walks clusters and compressed records and mutates nothing — so any
 // number of candidate validations may run concurrently, each on its own
 // Scratch, as long as no goroutine mutates the shards they read. The
-// engine guarantees that by maintaining the whole store before it submits
-// any validation. Outcomes land in per-request slots that the engine merges in
-// candidate order, so results never depend on which worker ran a request.
+// engine maintains the whole store before it validates anything, and
+// then validates one candidate at a time on its own goroutine.
 package validate
 
 import (
@@ -32,7 +31,7 @@ type Outcome struct {
 
 // testHook, when set, runs before every request validation inside One — a
 // test-only injection point that lets failure-path tests drive a panicking
-// validator through the engine's real worker pool (see SetTestHook).
+// validator through the engine's real sweeps (see SetTestHook).
 var testHook atomic.Pointer[func(Request)]
 
 // SetTestHook installs h (nil clears) as the test-only validation hook.
@@ -49,8 +48,8 @@ func SetTestHook(h func(Request)) {
 // One validates a single request on the given scratch, after running the
 // test-only hook. With a nil ix the request is validated in full; with
 // the batch's agree-mask index it is a pruned insert-phase validation and
-// ix answers it. Every engine validation — inline or in a scheduler
-// chunk — goes through One, so failure injection reaches all of them.
+// ix answers it. Every engine sweep validation goes through One, so
+// failure injection reaches all of them.
 func One(sc *Scratch, s *pli.Store, ix *AgreeIndex, r Request) Outcome {
 	if h := testHook.Load(); h != nil {
 		(*h)(r)

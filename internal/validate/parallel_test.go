@@ -69,7 +69,7 @@ func checkWitness(t *testing.T, s *pli.Store, r Request, w Witness) {
 // store across several goroutines, each calling One with its own Scratch,
 // and checks each outcome against a serial validation; run with -race it
 // proves the reader-only contract of pli.Store holds through the full
-// validation code path the engine's scheduler workers take.
+// validation code path the engine's sweeps take.
 func TestFanConcurrentStress(t *testing.T) {
 	t.Parallel()
 	s := randomStore(t, 7, 400, 6, 4)

@@ -43,10 +43,9 @@ import (
 )
 
 // Scratch holds the reusable working memory of the validation kernels.
-// A Scratch may be used by one goroutine at a time; see Scratches for the
-// per-worker ownership used by the engine's scheduler. The zero value is ready to use and
-// warms up (grows its buffers to the workload's cluster sizes) over the
-// first few calls.
+// A Scratch may be used by one goroutine at a time; the engine holds one
+// for its sweeps. The zero value is ready to use and warms up (grows its
+// buffers to the workload's cluster sizes) over the first few calls.
 type Scratch struct {
 	rest []int // rest attributes of the current candidate, ascending
 
@@ -684,31 +683,4 @@ func (sc *Scratch) violationGroups(max int) []ViolationGroup {
 		ids = ids[sp.n:]
 	}
 	return out
-}
-
-// Scratches is a fixed set of per-worker scratches owned by one
-// coordinator (the engine). Slot 0 serves the engine goroutine; the
-// scheduler hands slot w to worker w, so scratches are never shared
-// between goroutines.
-type Scratches struct {
-	per []*Scratch
-}
-
-// Ensure grows the set to at least n scratches. It must run on the
-// coordinator's goroutine before any concurrent At calls — the engine
-// calls it once per session begin with the pool's worker count, so chunk
-// tasks can call At(worker) from any slot without synchronization.
-func (p *Scratches) Ensure(n int) {
-	for len(p.per) < n {
-		p.per = append(p.per, NewScratch())
-	}
-}
-
-// At returns the scratch of worker slot i.
-func (p *Scratches) At(i int) *Scratch { return p.per[i] }
-
-// Serial returns the slot-0 scratch used by serial validation call sites.
-func (p *Scratches) Serial() *Scratch {
-	p.Ensure(1)
-	return p.per[0]
 }

@@ -7,8 +7,8 @@
 // and reports the violating record pair as a witness.
 //
 // The grouping runs on an allocation-free kernel over the int32 cluster-id
-// tuples (scratch.go): hot callers hold a reusable Scratch (per validation
-// worker, see Scratches) and hit zero allocations per call; the package-level
+// tuples (scratch.go): hot callers hold a reusable Scratch (the engine
+// holds one) and hit zero allocations per call; the package-level
 // functions below borrow a pooled Scratch for cold call sites.
 //
 // The dynamic variant adds DynFD's cluster pruning: when only previously
