@@ -108,12 +108,11 @@ func BenchmarkBootstrapHyFD(b *testing.B) {
 
 // BenchmarkBootstrapEngine stands up an engine over artist ×0.2 (10,000
 // rows × 18 columns, the tenant the service ledger creates) through
-// core.Bootstrap at Workers -1, as the service runs it: the Pli store's
-// bulk load, HyFD, and the cover inversion.
+// core.Bootstrap, as the service runs it: the Pli store's bulk load
+// (fanned out across GOMAXPROCS), HyFD, and the cover inversion.
 func BenchmarkBootstrapEngine(b *testing.B) {
 	d := generated(b, "artist", 0.2)
 	cfg := core.DefaultConfig()
-	cfg.Workers = -1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,6 +123,8 @@ func BenchmarkBootstrapEngine(b *testing.B) {
 }
 
 // BenchmarkApplyBatch measures one maintenance batch per operation mix.
+// Pli maintenance fans out across GOMAXPROCS and the sweeps run inline;
+// compare fan-out widths with -cpu 1,2,4.
 func BenchmarkApplyBatch(b *testing.B) {
 	for _, name := range []string{"cpu", "disease", "claims"} {
 		b.Run(name, func(b *testing.B) {
@@ -148,47 +149,9 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyBatchWorkers measures the disease replay (scale 0.25,
-// 50-change batches) through core.Engine.ApplyBatch across worker counts;
-// workers=1 runs like BenchmarkApplyBatch/disease, inline on the calling
-// goroutine. The worker count only fans out Pli maintenance; the sweeps
-// run inline at every count. The reported validations/op metric sits next
-// to the wall-clock numbers. Baselines live in BENCH_parallel.json,
-// BENCH_delta.json, BENCH_pipeline.json and BENCH_sweeps.json.
-func BenchmarkApplyBatchWorkers(b *testing.B) {
-	d := generated(b, "disease", 0.25)
-	batches := stream.FixedBatches(d.Changes, 50)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Workers = workers
-			b.ReportAllocs()
-			var validations int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng, err := core.Bootstrap(d.Relation, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, batch := range batches {
-					if _, err := eng.ApplyBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				validations += eng.Stats().Validations
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(validations)/float64(b.N), "validations/op")
-		})
-	}
-}
-
 // BenchmarkInsertPhase replays the artist history (scale 0.2, 100-change
-// batches, Workers -1: Pli maintenance fanned out across the CPUs, the
-// sweep inline) and reports the insert phase
+// batches, Pli maintenance fanned out across GOMAXPROCS, the sweeps
+// inline) and reports the insert phase
 // (paper Fig. 1 step 3), where the agree-mask index answers the pruned
 // validations: insert-ms/op is its wall-clock time per replay,
 // agree-pairs/op the record pairs compared to build the indexes, and
@@ -198,7 +161,6 @@ func BenchmarkInsertPhase(b *testing.B) {
 	d := generated(b, "artist", 0.2)
 	batches := stream.FixedBatches(d.Changes, 100)
 	cfg := core.DefaultConfig()
-	cfg.Workers = -1
 	b.ReportAllocs()
 	var st core.Stats
 	b.ResetTimer()

@@ -30,7 +30,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"dynfd"
@@ -44,7 +43,7 @@ func main() {
 	columns := flag.String("columns", "", "comma-separated schema when no -initial file is given")
 	quiet := flag.Bool("quiet", false, "suppress per-batch FD changes; print only the final FDs")
 	snapReport := flag.Bool("snapshot", false, "after the replay, report single-column keys and unary INDs from the final result snapshot")
-	workersFlag := flag.String("workers", "auto", `Pli maintenance parallelism: "auto" = one attribute per CPU at once, 0 or 1 = inline on one goroutine, n > 1 = n attributes at once; lattice sweeps always run inline`)
+	flag.String("workers", "auto", "deprecated and ignored: Pli maintenance always fans out across GOMAXPROCS goroutines (set the GOMAXPROCS environment variable to change it)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the replay, post-GC) to this file")
 	flag.Usage = func() {
@@ -56,32 +55,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	workers, err := parseWorkers(*workersFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dynfd:", err)
-		os.Exit(2)
-	}
-	err = profiled(*cpuprofile, *memprofile, func() error {
-		return run(flag.Arg(0), *initial, *columns, *batchSize, workers, *quiet, *snapReport, os.Stdout)
+	err := profiled(*cpuprofile, *memprofile, func() error {
+		return run(flag.Arg(0), *initial, *columns, *batchSize, *quiet, *snapReport, os.Stdout)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynfd:", err)
 		os.Exit(1)
 	}
-}
-
-// parseWorkers resolves the -workers flag: "auto" (the default) means one
-// maintenance worker per available CPU; any integer passes through with
-// dynfd.WithWorkers semantics (0 or 1 = inline on one goroutine).
-func parseWorkers(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf(`-workers: want an integer or "auto", got %q`, s)
-	}
-	return n, nil
 }
 
 // profiled runs fn under the optional pprof collectors, so hot-path work
@@ -122,7 +102,7 @@ func profiled(cpuPath, memPath string, fn func() error) error {
 	return nil
 }
 
-func run(changesPath, initial, columns string, batchSize, workers int, quiet, snapReport bool, out io.Writer) error {
+func run(changesPath, initial, columns string, batchSize int, quiet, snapReport bool, out io.Writer) error {
 	if batchSize <= 0 {
 		return fmt.Errorf("batch size must be positive")
 	}
@@ -143,7 +123,7 @@ func run(changesPath, initial, columns string, batchSize, workers int, quiet, sn
 		return fmt.Errorf("either -initial or -columns is required")
 	}
 
-	mon, err := dynfd.NewMonitor(cols, dynfd.WithWorkers(workers))
+	mon, err := dynfd.NewMonitor(cols)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func TestRunWithInitialCSV(t *testing.T) {
 	csv := writeFile(t, "people.csv", peopleCSV)
 	changes := writeFile(t, "changes.jsonl", paperChanges)
 	var out bytes.Buffer
-	if err := run(changes, csv, "", 100, 2, false, false, &out); err != nil {
+	if err := run(changes, csv, "", 100, false, false, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -56,7 +57,7 @@ func TestRunQuietMode(t *testing.T) {
 	csv := writeFile(t, "people.csv", peopleCSV)
 	changes := writeFile(t, "changes.jsonl", paperChanges)
 	var out bytes.Buffer
-	if err := run(changes, csv, "", 1, 2, true, false, &out); err != nil {
+	if err := run(changes, csv, "", 1, true, false, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -72,7 +73,7 @@ func TestRunColumnsOnly(t *testing.T) {
 	t.Parallel()
 	changes := writeFile(t, "c.jsonl", `{"op":"insert","values":["a","b"]}`+"\n")
 	var out bytes.Buffer
-	if err := run(changes, "", "x,y", 10, 0, false, false, &out); err != nil {
+	if err := run(changes, "", "x,y", 10, false, false, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "final: 1 rows") {
@@ -132,21 +133,48 @@ func TestRunErrors(t *testing.T) {
 	t.Parallel()
 	changes := writeFile(t, "c.jsonl", "")
 	var out bytes.Buffer
-	if err := run(changes, "", "", 10, 0, false, false, &out); err == nil {
+	if err := run(changes, "", "", 10, false, false, &out); err == nil {
 		t.Error("missing schema accepted")
 	}
-	if err := run(changes, "", "a,b", 0, 0, false, false, &out); err == nil {
+	if err := run(changes, "", "a,b", 0, false, false, &out); err == nil {
 		t.Error("batch size 0 accepted")
 	}
-	if err := run("/nonexistent.jsonl", "", "a,b", 10, 0, false, false, &out); err == nil {
+	if err := run("/nonexistent.jsonl", "", "a,b", 10, false, false, &out); err == nil {
 		t.Error("missing changes file accepted")
 	}
 	bad := writeFile(t, "bad.jsonl", `{"op":"delete","id":999}`+"\n")
-	if err := run(bad, "", "a,b", 10, 0, false, false, &out); err == nil {
+	if err := run(bad, "", "a,b", 10, false, false, &out); err == nil {
 		t.Error("dangling delete accepted")
 	}
 	badCSV := writeFile(t, "bad.csv", "a,a\n1,2\n")
-	if err := run(changes, badCSV, "", 10, 0, false, false, &out); err == nil {
+	if err := run(changes, badCSV, "", 10, false, false, &out); err == nil {
 		t.Error("duplicate-column CSV accepted")
+	}
+}
+
+// TestLegacyWorkersFlag: command lines written for builds with a worker
+// count keep working. -workers is parsed and ignored, so the output is
+// byte-identical to a run without it.
+func TestLegacyWorkersFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test skipped in -short mode")
+	}
+	t.Parallel()
+	bin := filepath.Join(t.TempDir(), "dynfd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Skipf("cannot build dynfd: %v\n%s", err, out)
+	}
+	csv := writeFile(t, "people.csv", peopleCSV)
+	changes := writeFile(t, "changes.jsonl", paperChanges)
+	want, err := exec.Command(bin, "-initial", csv, changes).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Command(bin, "-workers", "0", "-initial", csv, changes).Output()
+	if err != nil {
+		t.Fatalf("-workers 0: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-workers 0 output differs:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -74,10 +74,10 @@
 // hands a node the winning epoch and addresses explicitly. See the
 // README's "Failover" section for the full three-node walkthrough.
 //
-// Engines default to -workers auto (Pli maintenance fanned out across
-// one goroutine per CPU; the lattice sweeps always run inline); tenants
-// may override it at create time. -pprof-addr serves net/http/pprof on a
-// separate listener for profiling a live daemon:
+// Engines fan Pli maintenance out across GOMAXPROCS goroutines (one per
+// CPU unless the GOMAXPROCS environment variable says otherwise); the
+// lattice sweeps always run inline. -pprof-addr serves net/http/pprof on
+// a separate listener for profiling a live daemon:
 //
 //	dynfdd -http :8080 -data-root /var/lib/dynfd -pprof-addr 127.0.0.1:6060
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=30
@@ -96,9 +96,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	goruntime "runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -119,7 +117,7 @@ func main() {
 	initial := flag.String("initial", "", "line protocol: CSV file (header = schema) to create the tenant \"line\" from when it is absent")
 	columns := flag.String("columns", "", "line protocol: comma-separated schema to create the tenant \"line\" with when it is absent and no -initial file is given")
 	batch := flag.Int("batch", 100, "line protocol: auto-commit batch size")
-	workersFlag := flag.String("workers", "auto", `default Pli maintenance parallelism per engine: "auto" = one attribute per CPU at once, 0 or 1 = inline on one goroutine, n > 1 = n attributes at once; lattice sweeps always run inline (tenants may override at create time)`)
+	flag.String("workers", "auto", "deprecated and ignored: Pli maintenance always fans out across GOMAXPROCS goroutines (set the GOMAXPROCS environment variable to change it)")
 	checkpointEvery := flag.Int("checkpoint-every", durable.DefaultCheckpointEvery, "batches between checkpoints (negative disables)")
 	syncMaxDelay := flag.Duration("sync-max-delay", 0, "group-commit linger: how long a commit leader waits before the shared WAL fsync so concurrent batches coalesce (0 = sync immediately; try 1ms under heavy concurrent write load)")
 	commitQueue := flag.Int("commit-queue", 0, "per-tenant bound on batches staged but not yet fsynced; overflow answers 503 before anything is logged (0 = unbounded)")
@@ -153,12 +151,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dynfdd: -listen takes writes, so it cannot run on a follower (-replicate-from)")
 		os.Exit(2)
 	}
-	workers, err := parseWorkers(*workersFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dynfdd:", err)
-		os.Exit(2)
-	}
-
 	var (
 		wg     sync.WaitGroup
 		stops  []func() // executed in order on shutdown signal
@@ -197,7 +189,6 @@ func main() {
 	// One runtime hosts every tenant both front ends serve.
 	rt, err := runtime.Open(runtime.Config{
 		DataRoot:         *dataRoot,
-		Workers:          workers,
 		CheckpointEvery:  *checkpointEvery,
 		SyncMaxDelay:     *syncMaxDelay,
 		CommitQueue:      *commitQueue,
@@ -346,20 +337,6 @@ func promoteNode(base string) error {
 		fmt.Printf("dynfdd: tenant %s promoted to epoch %d\n", name, body.Epochs[name])
 	}
 	return nil
-}
-
-// parseWorkers resolves the -workers flag: "auto" (the default) means one
-// maintenance worker per available CPU; any integer passes through with
-// dynfd.WithWorkers semantics (0 or 1 = inline on one goroutine).
-func parseWorkers(s string) (int, error) {
-	if s == "auto" {
-		return goruntime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf(`-workers: want an integer or "auto", got %q`, s)
-	}
-	return n, nil
 }
 
 // lineTenant names the runtime tenant the -listen line protocol serves.

@@ -391,3 +391,25 @@ func TestDaemonSIGTERMAtAnnounce(t *testing.T) {
 		}
 	}
 }
+
+// TestLegacyWorkersFlag: command lines written for builds with a worker
+// count keep starting. -workers is parsed and ignored, and the daemon
+// serves the FDs it always did.
+func TestLegacyWorkersFlag(t *testing.T) {
+	bin := buildDaemon(t)
+	d := startDaemon(t, bin, "-workers", "4", "-listen", "127.0.0.1:0",
+		"-data-root", filepath.Join(t.TempDir(), "root"), "-columns", "zip,city")
+	defer func() { d.cmd.Process.Kill(); d.cmd.Wait() }()
+	resp := d.roundTrip(t,
+		`{"op":"insert","values":["14482","Potsdam"]}`,
+		`{"op":"insert","values":["10115","Berlin"]}`,
+		`{"op":"commit"}`,
+		`{"op":"fds"}`)
+	if len(resp) != 2 || !resp[0].OK {
+		t.Fatalf("responses = %+v", resp)
+	}
+	got := strings.Join(resp[1].FDs, "; ")
+	if len(resp[1].FDs) != 2 || !strings.Contains(got, "[zip] -> city") || !strings.Contains(got, "[city] -> zip") {
+		t.Errorf("fds = %s, want [zip] -> city and [city] -> zip", got)
+	}
+}

@@ -97,7 +97,6 @@ type options struct {
 	seed            int64
 	keyColumns      []string
 	updatePruning   bool
-	workers         int
 	checkpointEvery int
 	syncMaxDelay    time.Duration
 	commitQueue     int
@@ -128,17 +127,12 @@ func WithUpdateColumnPruning() Option {
 	return func(o *options) { o.updatePruning = true }
 }
 
-// WithWorkers sets how many Pli attributes a batch maintains at once, and
-// how many a bootstrap or snapshot load builds at once. 0 (the default)
-// and 1 keep all work on the calling goroutine; n > 1 allows n attributes
-// at once; n < 0 uses one per available CPU. Candidate validation always
-// runs on the calling goroutine. Worker count affects wall-clock time
-// only: all configurations report identical FDs and work counters after
-// every batch. The Monitor itself remains single-caller — the parallelism
-// never escapes an Apply call.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
-}
+// WithWorkers is kept so that existing callers still compile.
+//
+// Deprecated: ignored. A batch's Pli maintenance, a bootstrap and a
+// snapshot load always fan their attributes out across GOMAXPROCS
+// goroutines; candidate validation runs on the calling goroutine.
+func WithWorkers(int) Option { return func(*options) {} }
 
 // WithCheckpointEvery sets how many applied batches a DurableMonitor
 // accumulates in its write-ahead log before folding them into a fresh
@@ -238,7 +232,6 @@ func coreConfig(o options, colIndex map[string]int) (core.Config, error) {
 	cfg.DepthFirstSearch = o.pruning.DepthFirstSearch
 	cfg.Seed = o.seed
 	cfg.UpdateColumnPruning = o.updatePruning
-	cfg.Workers = o.workers
 	for _, c := range o.keyColumns {
 		i, ok := colIndex[c]
 		if !ok {
@@ -438,7 +431,7 @@ type Stats struct {
 	// AgreePairs counts the record pairs compared to build the insert
 	// phase's agree-mask indexes, which answer the cluster-pruned
 	// validations (DESIGN.md §9). Like every work counter, it repeats
-	// exactly for equal histories at every worker count.
+	// exactly for equal histories at every GOMAXPROCS.
 	AgreePairs int
 
 	FDsAdded   int

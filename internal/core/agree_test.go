@@ -33,9 +33,7 @@ func TestAgreeBuildBoundedUnderSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	e, err := Bootstrap(rel, cfg)
+	e, err := Bootstrap(rel, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,16 +50,12 @@ type Config struct {
 	// 3 of the paper's §8.
 	UpdateColumnPruning bool
 
-	// Workers sets how many attribute shards the engine maintains at
-	// once (DESIGN.md §13): each batch's Pli maintenance, snapshot
-	// loading and bootstrap fan out across that many goroutines and join
-	// before the lattice sweeps, which always run on the engine goroutine.
-	// 0 (the default) and 1 mean inline on the engine goroutine, n > 1
-	// allows n shards at once, and n < 0 uses one per available CPU
-	// (GOMAXPROCS). The knob changes wall-clock time only: the FD and
-	// non-FD covers and the work counters after every batch are
-	// identical at every setting, asserted by the equivalence property
-	// tests and TestReplayWorkCountersDeterministic.
+	// Workers is kept so that existing callers and saved configurations
+	// still compile and decode.
+	//
+	// Deprecated: ignored. Pli maintenance, snapshot loading and
+	// bootstrap always fan out across GOMAXPROCS goroutines (DESIGN.md
+	// §13).
 	Workers int
 }
 
@@ -97,7 +93,7 @@ type Stats struct {
 	Comparisons        int // record pairs compared by the violation search
 	// AgreePairs counts the record pairs compared to build the insert
 	// phase's agree-mask indexes. Like every work counter, it repeats
-	// exactly for equal histories at every Workers setting.
+	// exactly for equal histories at every GOMAXPROCS.
 	AgreePairs           int
 	ViolationSearchRuns  int // times the progressive search was triggered
 	DepthFirstSearchRuns int // times the optimistic DFS was triggered

@@ -4,18 +4,17 @@ import (
 	"testing"
 
 	"dynfd/internal/datagen"
+	"dynfd/internal/fanout/fanouttest"
 	"dynfd/internal/stream"
 )
 
-// replayStats bootstraps an engine on ds at the given Workers setting,
-// replays its change history in batches of batchSize, and returns the
-// final Stats with the wall-clock fields zeroed, leaving only the work
-// counters.
-func replayStats(t *testing.T, ds *datagen.Dataset, batchSize, workers int) Stats {
+// replayStats bootstraps an engine on ds at the given GOMAXPROCS, replays
+// its change history in batches of batchSize, and returns the final Stats
+// with the wall-clock fields zeroed, leaving only the work counters.
+func replayStats(t *testing.T, ds *datagen.Dataset, batchSize, procs int) Stats {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	e, err := Bootstrap(ds.Relation, cfg)
+	fanouttest.SetGOMAXPROCS(t, procs)
+	e, err := Bootstrap(ds.Relation, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,17 +30,18 @@ func replayStats(t *testing.T, ds *datagen.Dataset, batchSize, workers int) Stat
 }
 
 // TestReplayWorkCountersDeterministic replays one history three times at
-// Workers 1 and once at Workers 4, and requires identical work counters.
+// GOMAXPROCS 1 and once at GOMAXPROCS 4, and requires identical work
+// counters.
 // Maintenance fans out, but the sweeps run inline. Full validations walk
 // pivot clusters in ascending cluster-id order and pruned ones report the
 // canonical witness, so every witness, and with it every annotation-driven
 // skip and depth-first search, is a pure function of the history. The
 // agree-mask index's build decisions are too, so AgreePairs repeats
 // exactly; the artist replay must build indexes for the pin to count.
+// GOMAXPROCS is process-wide, so the subtests do not run in parallel.
 func TestReplayWorkCountersDeterministic(t *testing.T) {
 	for _, name := range []string{"artist", "disease"} {
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			p, err := datagen.ByName(name)
 			if err != nil {
 				t.Fatal(err)
@@ -63,7 +63,7 @@ func TestReplayWorkCountersDeterministic(t *testing.T) {
 				}
 			}
 			if got := replayStats(t, ds, 100, 4); got != first {
-				t.Fatalf("Workers 4 work counters differ from Workers 1:\n workers=1 %+v\n workers=4 %+v", first, got)
+				t.Fatalf("GOMAXPROCS 4 work counters differ from GOMAXPROCS 1:\n GOMAXPROCS=1 %+v\n GOMAXPROCS=4 %+v", first, got)
 			}
 		})
 	}

@@ -35,9 +35,8 @@ import (
 // Engine maintains the exact set of minimal, non-trivial FDs of a single
 // relation under batches of inserts, updates, and deletes. An Engine is not
 // safe for concurrent use: callers must serialize access. Internally,
-// ApplyBatch may spread Pli maintenance across a bounded number of
-// goroutines (Config.Workers, see pipeline.go); that parallelism never
-// escapes a call.
+// ApplyBatch spreads Pli maintenance across at most GOMAXPROCS goroutines
+// (see pipeline.go); that parallelism never escapes a call.
 type Engine struct {
 	cfg      Config
 	numAttrs int
@@ -45,7 +44,6 @@ type Engine struct {
 	fds      *lattice.Cover       // positive cover: all minimal FDs
 	nonFds   lattice.View         // negative cover: all maximal non-FDs (complement-keyed)
 	keySet   attrset.Set          // declared unique columns (Config.KeyColumns)
-	workers  int                  // resolved Config.Workers: shards maintained at once
 	scratch  *validate.Scratch    // validation kernel buffers
 	agree    *validate.AgreeIndex // insert phase: the batch's agree-mask index (cluster pruning)
 	rng      *rand.Rand
@@ -77,9 +75,9 @@ type Engine struct {
 }
 
 // initExtras finishes construction: the cover journals that record each
-// batch's cover delta, declared key columns, the resolved worker count,
-// the engine-held validation scratch and agree-mask index, and the seeded
-// random source for the depth-first-search sampling.
+// batch's cover delta, declared key columns, the engine-held validation
+// scratch and agree-mask index, and the seeded random source for the
+// depth-first-search sampling.
 func (e *Engine) initExtras() {
 	for _, a := range e.cfg.KeyColumns {
 		if a >= 0 && a < e.numAttrs {
@@ -88,7 +86,6 @@ func (e *Engine) initExtras() {
 	}
 	e.fds.StartJournal()
 	e.nonFds.StartJournal()
-	e.workers = resolveWorkers(e.cfg.Workers)
 	e.scratch = validate.NewScratch()
 	e.agree = &validate.AgreeIndex{}
 	e.rng = rand.New(rand.NewSource(e.cfg.Seed))
@@ -115,10 +112,10 @@ func NewEmpty(numAttrs int, cfg Config) *Engine {
 // Bootstrap returns an engine initialized from a populated relation. The
 // static HyFD algorithm profiles the initial tuples and hands over its data
 // structures and positive cover (paper §2); the negative cover is derived
-// through cover inversion (paper §3.2, Algorithm 1). The store is loaded
-// with the engine's own worker budget, one attribute per worker.
+// through cover inversion (paper §3.2, Algorithm 1). The store's
+// attributes load in parallel, fanned out across GOMAXPROCS.
 func Bootstrap(rel *dataset.Relation, cfg Config) (*Engine, error) {
-	store, err := hyfd.Load(rel, resolveWorkers(cfg.Workers))
+	store, err := hyfd.Load(rel)
 	if err != nil {
 		return nil, fmt.Errorf("core: bootstrap: %w", err)
 	}

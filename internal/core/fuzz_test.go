@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynfd/internal/dataset"
+	"dynfd/internal/fanout/fanouttest"
 	"dynfd/internal/fd"
 	"dynfd/internal/oracle"
 	"dynfd/internal/stream"
@@ -14,9 +15,9 @@ import (
 // and delete operations, applies them in small batches, and after every
 // batch asserts the full correctness contract: the engine's internal
 // invariants hold and its covers equal a from-scratch rediscovery over a
-// shadow copy of the live rows. The same op stream is fed to a Workers: 1
-// engine (every validation inline) and a Workers: 4 engine, so the fuzzer
-// also hunts for covers that depend on the worker count.
+// shadow copy of the live rows. The same op stream is fed to an engine
+// maintained inline at GOMAXPROCS 1 and one maintained at GOMAXPROCS 4, so
+// the fuzzer also hunts for covers that depend on the fan-out width.
 //
 // Input encoding (one op per step, reading bytes left to right):
 //
@@ -45,15 +46,13 @@ func FuzzApplyBatch(f *testing.F) {
 		for i := range cols {
 			cols[i] = fmt.Sprintf("c%d", i)
 		}
-		serialCfg := DefaultConfig()
-		serialCfg.Workers = 1
-		parallelCfg := DefaultConfig()
-		parallelCfg.Workers = 4
-		serial, err := Bootstrap(dataset.New("t", cols), serialCfg)
+		fanouttest.SetGOMAXPROCS(t, 1)
+		serial, err := Bootstrap(dataset.New("t", cols), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := Bootstrap(dataset.New("t", cols), parallelCfg)
+		fanouttest.SetGOMAXPROCS(t, 4)
+		parallel, err := Bootstrap(dataset.New("t", cols), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +78,12 @@ func FuzzApplyBatch(f *testing.F) {
 				return
 			}
 			batch := stream.Batch{Changes: changes}
+			fanouttest.SetGOMAXPROCS(t, 1)
 			resS, err := serial.ApplyBatch(batch)
 			if err != nil {
 				t.Fatalf("serial ApplyBatch: %v", err)
 			}
+			fanouttest.SetGOMAXPROCS(t, 4)
 			if _, err := parallel.ApplyBatch(batch); err != nil {
 				t.Fatalf("parallel ApplyBatch: %v", err)
 			}

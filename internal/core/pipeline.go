@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -15,13 +14,13 @@ import (
 //
 // Every batch first maintains the whole Pli store (paper Figure 1 step 1,
 // maintainStore): pli.Store.ApplyBatch fans the per-attribute shards out
-// across the engine's worker count and joins before it returns. Both
+// across GOMAXPROCS goroutines and joins before it returns. Both
 // lattice sweeps (deletes.go, inserts.go) then run on the engine goroutine
 // as the paper's level-wise loops: each candidate of a level is
 // classified, validated if it must be, and merged, in candidate order.
 // Validation is a pure function of the maintained store, so the covers and
-// the work counters after every batch are identical at every Workers
-// setting (asserted by the equivalence property tests and
+// the work counters after every batch are identical at every GOMAXPROCS
+// (asserted by the equivalence property tests and
 // TestReplayWorkCountersDeterministic).
 
 // scanKind classifies one candidate of a lattice level before it is
@@ -39,20 +38,6 @@ const (
 	scanEligible
 )
 
-// resolveWorkers maps the Config.Workers knob to the number of attribute
-// shards maintained, loaded or bootstrapped at once: 0 and 1 both mean
-// inline on the calling goroutine, n > 1 allows n concurrent shards, and
-// n < 0 uses one per available CPU.
-func resolveWorkers(n int) int {
-	if n < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n == 0 {
-		return 1
-	}
-	return n
-}
-
 // validateInline runs one candidate validation on the engine goroutine. A
 // non-nil agree answers it as a pruned insert-phase validation. A
 // panicking validator is recovered as a *fanout.PanicError, the error a
@@ -68,8 +53,8 @@ func (e *Engine) validateInline(r validate.Request, agree *validate.AgreeIndex) 
 }
 
 // maintainStore runs Figure 1 step 1 for a planned batch: it applies the
-// batch's net deletes and inserts to every Pli shard, fanned out across the
-// engine's worker count inside pli.Store.ApplyBatch, and moves the id
+// batch's net deletes and inserts to every Pli shard, fanned out across
+// GOMAXPROCS goroutines inside pli.Store.ApplyBatch, and moves the id
 // horizon past ids the batch consumed without keeping. ApplyBatch and
 // ApplyPatched both call it before their sweeps or patches; the time since
 // structStart, planning included, is billed to StructureTime. A batch the
@@ -77,7 +62,7 @@ func (e *Engine) validateInline(r validate.Request, agree *validate.AgreeIndex) 
 // has changed, its only error is a captured maintenance panic, which
 // poisons the engine, as does a failure to move the id horizon.
 func (e *Engine) maintainStore(p batchPlan, structStart time.Time) error {
-	if err := e.store.ApplyBatch(e.planDeletes, p.ins, e.workers); err != nil {
+	if err := e.store.ApplyBatch(e.planDeletes, p.ins); err != nil {
 		var pe *fanout.PanicError
 		if errors.As(err, &pe) {
 			e.poisoned = err

@@ -7,14 +7,15 @@ import (
 
 	"dynfd/internal/dataset"
 	"dynfd/internal/fanout"
+	"dynfd/internal/fanout/fanouttest"
 	"dynfd/internal/pli"
 	"dynfd/internal/stream"
 	"dynfd/internal/validate"
 )
 
-// poisonRelation builds a small bootstrapped engine whose next insert
+// poisonEngine builds a small bootstrapped engine whose next insert
 // triggers candidate validations.
-func poisonEngine(t *testing.T, workers int) *Engine {
+func poisonEngine(t *testing.T) *Engine {
 	t.Helper()
 	rel := dataset.New("r", []string{"a", "b", "c"})
 	for _, row := range [][]string{
@@ -24,9 +25,7 @@ func poisonEngine(t *testing.T, workers int) *Engine {
 			t.Fatal(err)
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	e, err := Bootstrap(rel, cfg)
+	e, err := Bootstrap(rel, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +34,12 @@ func poisonEngine(t *testing.T, workers int) *Engine {
 
 // TestPanickingValidatorPoisonsEngine injects a panic into the validation
 // fan-out and asserts that ApplyBatch surfaces it as an error — not a
-// process crash — and that the engine then refuses all further writes.
+// process crash — and that the engine then refuses all further writes,
+// with maintenance inline (GOMAXPROCS 1) and fanned out (GOMAXPROCS 4).
 func TestPanickingValidatorPoisonsEngine(t *testing.T) {
-	for _, workers := range []int{0, 1, 4} {
-		e := poisonEngine(t, workers)
+	for _, procs := range []int{1, 4} {
+		fanouttest.SetGOMAXPROCS(t, procs)
+		e := poisonEngine(t)
 		validate.SetTestHook(func(validate.Request) { panic("validator boom") })
 		_, err := e.ApplyBatch(stream.Batch{Changes: []stream.Change{
 			{Kind: stream.Insert, Values: []string{"1", "x", "p"}},
@@ -46,10 +47,10 @@ func TestPanickingValidatorPoisonsEngine(t *testing.T) {
 		validate.SetTestHook(nil)
 		var pe *fanout.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: ApplyBatch err = %v, want *fanout.PanicError", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: ApplyBatch err = %v, want *fanout.PanicError", procs, err)
 		}
 		if e.Poisoned() == nil {
-			t.Fatalf("workers=%d: engine not poisoned after validator panic", workers)
+			t.Fatalf("GOMAXPROCS=%d: engine not poisoned after validator panic", procs)
 		}
 
 		// The hook is gone, the next batch is perfectly valid — but the
@@ -59,15 +60,15 @@ func TestPanickingValidatorPoisonsEngine(t *testing.T) {
 			{Kind: stream.Insert, Values: []string{"8", "w", "s"}},
 		}})
 		if err == nil {
-			t.Fatalf("workers=%d: poisoned engine accepted a batch", workers)
+			t.Fatalf("GOMAXPROCS=%d: poisoned engine accepted a batch", procs)
 		}
 		if !strings.Contains(err.Error(), "poisoned") {
-			t.Errorf("workers=%d: error does not name the poisoning: %v", workers, err)
+			t.Errorf("GOMAXPROCS=%d: error does not name the poisoning: %v", procs, err)
 		}
 
 		// Reads stay available so callers can inspect the survivors.
 		if got := e.FDs(); len(got) == 0 {
-			t.Errorf("workers=%d: no FDs readable from poisoned engine", workers)
+			t.Errorf("GOMAXPROCS=%d: no FDs readable from poisoned engine", procs)
 		}
 	}
 }
@@ -76,7 +77,8 @@ func TestPanickingValidatorPoisonsEngine(t *testing.T) {
 // per-attribute Pli maintenance must also come back as an error and poison
 // the engine.
 func TestStorePanicPoisonsEngine(t *testing.T) {
-	e := poisonEngine(t, 2)
+	fanouttest.SetGOMAXPROCS(t, 2)
+	e := poisonEngine(t)
 	pli.SetApplyAttrTestHook(func(a int) {
 		if a == 1 {
 			panic("index boom")
@@ -103,7 +105,7 @@ func TestStorePanicPoisonsEngine(t *testing.T) {
 // healthy and usable.
 func TestPlanningErrorsDoNotPoison(t *testing.T) {
 	t.Parallel()
-	e := poisonEngine(t, 0)
+	e := poisonEngine(t)
 	if _, err := e.ApplyBatch(stream.Batch{Changes: []stream.Change{
 		{Kind: stream.Delete, ID: 999},
 	}}); err == nil {

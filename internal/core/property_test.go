@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynfd/internal/dataset"
+	"dynfd/internal/fanout/fanouttest"
 	"dynfd/internal/fd"
 	"dynfd/internal/induct"
 	"dynfd/internal/oracle"
@@ -215,19 +216,17 @@ func TestRandomWorkloadDeleteHeavy(t *testing.T) {
 }
 
 // runEquivalence drives one random batch sequence through a reference
-// engine with one worker (Workers: 1) and an engine with the given worker
-// budget, and asserts identical covers and diffs after every batch — the
-// worker-count independence of DESIGN.md §13. Both engines see
+// engine maintained inline (GOMAXPROCS 1) and an engine maintained at the
+// given GOMAXPROCS, and asserts identical covers and diffs after every
+// batch — the fan-out-width independence of DESIGN.md §13. GOMAXPROCS
+// switches before every call on either engine, so callers must not run in
+// parallel. Both engines see
 // byte-identical batches; surrogate ids are assigned deterministically, so
 // the id streams must agree too. The reference engine's covers are also
 // checked against the brute-force oracle over a shadow copy of the live
 // rows, so a bug shared by both engines cannot hide.
-func runEquivalence(t *testing.T, seed int64, workers, attrs, initialRows, batches, batchSize, domain int) {
+func runEquivalence(t *testing.T, seed int64, procs, attrs, initialRows, batches, batchSize, domain int) {
 	t.Helper()
-	refCfg := DefaultConfig()
-	refCfg.Workers = 1
-	cfg := DefaultConfig()
-	cfg.Workers = workers
 	r := rand.New(rand.NewSource(seed))
 	cols := make([]string, attrs)
 	for i := range cols {
@@ -246,11 +245,13 @@ func runEquivalence(t *testing.T, seed int64, workers, attrs, initialRows, batch
 			t.Fatal(err)
 		}
 	}
-	ref, err := Bootstrap(rel, refCfg)
+	fanouttest.SetGOMAXPROCS(t, 1)
+	ref, err := Bootstrap(rel, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := Bootstrap(rel, cfg)
+	fanouttest.SetGOMAXPROCS(t, procs)
+	other, err := Bootstrap(rel, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,29 +295,31 @@ func runEquivalence(t *testing.T, seed int64, workers, attrs, initialRows, batch
 			}
 		}
 		batch := stream.Batch{Changes: changes}
+		fanouttest.SetGOMAXPROCS(t, 1)
 		resR, err := ref.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d (reference): %v", b, err)
 		}
+		fanouttest.SetGOMAXPROCS(t, procs)
 		resO, err := other.ApplyBatch(batch)
 		if err != nil {
-			t.Fatalf("batch %d (workers=%d): %v", b, workers, err)
+			t.Fatalf("batch %d (GOMAXPROCS=%d): %v", b, procs, err)
 		}
 		if fmt.Sprint(resR.InsertedIDs) != fmt.Sprint(resO.InsertedIDs) {
-			t.Fatalf("batch %d: id streams diverged: reference %v, workers=%d %v",
-				b, resR.InsertedIDs, workers, resO.InsertedIDs)
+			t.Fatalf("batch %d: id streams diverged: reference %v, GOMAXPROCS=%d %v",
+				b, resR.InsertedIDs, procs, resO.InsertedIDs)
 		}
 		if got, want := other.FDs(), ref.FDs(); !fd.Equal(got, want) {
-			t.Fatalf("batch %d (seed %d, workers %d): FD covers diverged\n reference %v\n got       %v",
-				b, seed, workers, want, got)
+			t.Fatalf("batch %d (seed %d, GOMAXPROCS %d): FD covers diverged\n reference %v\n got       %v",
+				b, seed, procs, want, got)
 		}
 		if got, want := other.NonFDs(), ref.NonFDs(); !fd.Equal(got, want) {
-			t.Fatalf("batch %d (seed %d, workers %d): non-FD covers diverged\n reference %v\n got       %v",
-				b, seed, workers, want, got)
+			t.Fatalf("batch %d (seed %d, GOMAXPROCS %d): non-FD covers diverged\n reference %v\n got       %v",
+				b, seed, procs, want, got)
 		}
 		if !fd.Equal(resR.Added, resO.Added) || !fd.Equal(resR.Removed, resO.Removed) {
-			t.Fatalf("batch %d: diffs diverged: reference +%v -%v, workers=%d +%v -%v",
-				b, resR.Added, resR.Removed, workers, resO.Added, resO.Removed)
+			t.Fatalf("batch %d: diffs diverged: reference +%v -%v, GOMAXPROCS=%d +%v -%v",
+				b, resR.Added, resR.Removed, procs, resO.Added, resO.Removed)
 		}
 
 		for id := range pendingDeletes {
@@ -348,11 +351,11 @@ func runEquivalence(t *testing.T, seed int64, workers, attrs, initialRows, batch
 }
 
 // TestSerialParallelEquivalence is the acceptance property of the
-// worker count: across 50 randomized batch sequences, a Workers: 4 engine
-// yields identical covers to the single-goroutine Workers: 1 engine after
-// every single batch, and the latter matches the oracle.
+// maintenance fan-out: across 50 randomized batch sequences, an engine
+// maintained at GOMAXPROCS 4 yields identical covers to one maintained
+// inline at GOMAXPROCS 1 after every single batch, and the latter matches
+// the oracle.
 func TestSerialParallelEquivalence(t *testing.T) {
-	t.Parallel()
 	if testing.Short() {
 		t.Skip("long equivalence sweep; run without -short")
 	}
@@ -368,21 +371,18 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 // TestSerialParallelEquivalenceShort is the -short variant of the sweep:
 // a handful of sequences so `go test -race -short` still cross-checks a
-// Workers: 4 engine against the Workers: 1 engine and the oracle.
+// GOMAXPROCS 4 engine against the GOMAXPROCS 1 engine and the oracle.
 func TestSerialParallelEquivalenceShort(t *testing.T) {
-	t.Parallel()
 	for seed := int64(0); seed < 6; seed++ {
 		runEquivalence(t, 2000+seed, 4, 4+int(seed%3), int(seed%3)*8, 4, 6, 2+int(seed%3))
 	}
 }
 
-// TestEquivalenceAcrossWorkerCounts pins the guarantee for other worker
-// budgets: the Workers: 0 default, the GOMAXPROCS setting (-1), and an
-// oversubscribed worker count.
+// TestEquivalenceAcrossWorkerCounts pins the guarantee for other fan-out
+// widths: inline against inline, two, four, and an oversubscribed eight.
 func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
-	t.Parallel()
-	for i, workers := range []int{0, 2, 8, -1} {
-		runEquivalence(t, int64(3000+i), workers, 5, 12, 5, 8, 3)
+	for i, procs := range []int{1, 2, 4, 8} {
+		runEquivalence(t, int64(3000+i), procs, 5, 12, 5, 8, 3)
 	}
 }
 

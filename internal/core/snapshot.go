@@ -76,11 +76,12 @@ func (e *Engine) Snapshot() *Snapshot {
 }
 
 // Restore rebuilds an engine from a snapshot. The relation goes through
-// the Pli store's bulk loader (pli.Store.Load, DESIGN.md §10) over the
-// saved Workers setting: a decoded state loads straight from its codes
-// and dictionaries, a JSON snapshot's tuples are coded on the way in. The
-// loader refuses ids out of order and a dictionary that repeats a value;
-// the covers must be duals.
+// the Pli store's bulk loader (pli.Store.Load, DESIGN.md §10), attributes
+// fanned out across GOMAXPROCS: a decoded state loads straight from its
+// codes and dictionaries, a JSON snapshot's tuples are coded on the way
+// in. A Workers value in the saved config is ignored. The loader refuses
+// ids out of order and a dictionary that repeats a value; the covers must
+// be duals.
 func Restore(s *Snapshot) (*Engine, error) {
 	if s.NumAttrs <= 0 || s.NumAttrs > attrset.MaxAttrs {
 		return nil, fmt.Errorf("core: snapshot has invalid attribute count %d", s.NumAttrs)
@@ -92,17 +93,16 @@ func Restore(s *Snapshot) (*Engine, error) {
 		fds:      lattice.New(s.NumAttrs),
 		nonFds:   lattice.NewFlipped(s.NumAttrs),
 	}
-	workers := resolveWorkers(e.cfg.Workers)
 	var err error
 	if s.coded != nil {
-		err = e.store.Load(s.coded, workers)
+		err = e.store.Load(s.coded)
 	} else {
 		ids := make([]int64, len(s.Records))
 		rows := make([][]string, len(s.Records))
 		for i, rec := range s.Records {
 			ids[i], rows[i] = rec.ID, rec.Values
 		}
-		err = e.store.LoadRows(ids, rows, workers)
+		err = e.store.LoadRows(ids, rows)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot records: %w", err)

@@ -110,9 +110,9 @@ func sameEngines(t *testing.T, a, b *Engine) {
 // TestStateRestoreMatchesJSON restores one engine from its JSON snapshot
 // and from its binary state, after a history with deletes and updates,
 // and requires the two to be the same engine: every record under the same
-// cluster ids, the same covers and witnesses, and — at Workers 1, where
-// the counters are a pure function of the state — the same work counters
-// and covers over the batches that follow. Both restores re-encode to the
+// cluster ids, the same covers and witnesses, and — the counters being a
+// pure function of the state — the same work counters and covers over the
+// batches that follow. Both restores re-encode to the
 // bytes they were restored from.
 func TestStateRestoreMatchesJSON(t *testing.T) {
 	for _, tc := range []struct {
@@ -132,9 +132,7 @@ func TestStateRestoreMatchesJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig()
-			cfg.Workers = 1
-			e, err := Bootstrap(ds.Relation, cfg)
+			e, err := Bootstrap(ds.Relation, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

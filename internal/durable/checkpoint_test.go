@@ -297,7 +297,6 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Workers = -1
 	mem := faultio.NewMem()
 	eng, err := Open(mem, Options{Columns: ds.Relation.Columns, Config: cfg, CheckpointEvery: -1})
 	if err != nil {

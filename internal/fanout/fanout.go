@@ -1,27 +1,32 @@
-// Package fanout provides the bounded worker-pool fan-out primitive behind
-// the Pli store's per-attribute work: batch maintenance (pli.Store.ApplyBatch,
-// DESIGN.md §10) and the bulk loader. It is the only parallel primitive in
-// the engine: the lattice sweeps run inline (DESIGN.md §13). It also
-// defines PanicError, the one captured-panic error that the store and the
-// engine share.
+// Package fanout provides the bounded fan-out primitive behind the Pli
+// store's per-attribute work: batch maintenance (pli.Store.ApplyBatch,
+// DESIGN.md §10), the bulk loader, and through it snapshot loading and
+// bootstrap. It is the only parallel primitive in the engine: the lattice
+// sweeps run inline (DESIGN.md §13). It also defines PanicError, the one
+// captured-panic error that the store and the engine share.
+//
+// Width: the fan-out runs at most runtime.GOMAXPROCS(0) goroutines, read
+// at every call; there is no other setting. At GOMAXPROCS 1 every call
+// runs inline on the caller's goroutine.
 //
 // Determinism contract: work items are distributed through an atomic
-// cursor, so the assignment of items to workers is scheduling-dependent,
-// but callers that give each item (or each worker) exclusive state observe
-// results independent of that assignment. The store relies on this: each
-// worker maintains a disjoint set of per-attribute structures.
+// cursor, so the assignment of items to goroutines is
+// scheduling-dependent, but callers that give each item exclusive state
+// observe results independent of that assignment and of GOMAXPROCS. The
+// store relies on this: each item maintains one attribute's structures.
 //
 // Failure contract: a panic in any call is captured — never re-raised — and
-// surfaced as a *PanicError from Run/ForEach, carrying the worker slot and
-// the panicking goroutine's stack. After a captured panic the set of
-// completed calls is unspecified, so callers must treat any state the calls
-// were mutating as inconsistent; the engine reacts by poisoning itself
+// surfaced as a *PanicError from ForEach, carrying the worker slot and the
+// panicking goroutine's stack. After a captured panic the set of completed
+// calls is unspecified, so callers must treat any state the calls were
+// mutating as inconsistent; the engine reacts by poisoning itself
 // (core.Engine refuses further ApplyBatch calls) instead of crashing the
 // process over partially applied structures.
 package fanout
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -41,13 +46,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("fanout: worker %d panicked: %v\n%s", e.Worker, e.Value, e.Stack)
 }
 
-// Run runs fn(w, i) for every i in [0, n), fanning the calls across at most
-// workers goroutines; w identifies the executing worker slot (0 <= w <
-// workers), so callers can hand each worker exclusive per-slot state such
-// as a validation Scratch. Work is distributed through an atomic cursor, so
-// expensive items do not stall a static partition. With workers <= 1 (or
-// n <= 1) the calls run inline on the caller's goroutine as worker 0, in
-// index order; otherwise Run blocks until all workers finished.
+// ForEach runs fn(i) for every i in [0, n), fanning the calls across at
+// most runtime.GOMAXPROCS(0) goroutines. Work is distributed through an
+// atomic cursor, so expensive items do not stall a static partition. When
+// GOMAXPROCS is 1 or n <= 1 the calls run inline on the caller's goroutine
+// as worker 0, in index order; otherwise ForEach blocks until all
+// goroutines finished.
 //
 // fn must be safe to call from multiple goroutines for distinct i. A panic
 // in any call — fanned or inline — is captured and returned as the first
@@ -55,10 +59,8 @@ func (e *PanicError) Error() string {
 // remaining workers drain. On a non-nil error the set of completed calls is
 // unspecified and any state fn was mutating must be considered
 // inconsistent.
-func Run(n, workers int, fn func(worker, i int)) error {
-	if workers > n {
-		workers = n
-	}
+func ForEach(n int, fn func(i int)) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if pe := protect(0, i, fn); pe != nil {
@@ -95,19 +97,13 @@ func Run(n, workers int, fn func(worker, i int)) error {
 	return nil
 }
 
-// ForEach runs fn(i) for every i in [0, n), fanning the calls across at
-// most workers goroutines. See Run for the full contract.
-func ForEach(n, workers int, fn func(i int)) error {
-	return Run(n, workers, func(_, i int) { fn(i) })
-}
-
 // protect runs one call, converting a panic into a *PanicError.
-func protect(w, i int, fn func(worker, i int)) (pe *PanicError) {
+func protect(w, i int, fn func(i int)) (pe *PanicError) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe = &PanicError{Worker: w, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	fn(w, i)
+	fn(i)
 	return nil
 }

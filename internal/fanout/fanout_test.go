@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"dynfd/internal/fanout/fanouttest"
 )
 
 // goid returns the calling goroutine's id, parsed from its stack header
@@ -32,52 +34,36 @@ func inlineRecorder(t *testing.T, order *[]int) func(i int) {
 }
 
 func TestForEachCoversAllItems(t *testing.T) {
-	t.Parallel()
-	for _, workers := range []int{0, 1, 3, 16} {
+	for _, procs := range []int{1, 3, 16} {
+		fanouttest.SetGOMAXPROCS(t, procs)
 		const n = 100
 		var hits [n]atomic.Int32
 		fn := func(i int) { hits[i].Add(1) }
 		var order []int
-		if workers <= 1 {
-			// workers <= 1 runs inline, in index order.
+		if procs == 1 {
+			// GOMAXPROCS 1 runs inline, in index order.
 			rec := inlineRecorder(t, &order)
 			fn = func(i int) { rec(i); hits[i].Add(1) }
 		}
-		if err := ForEach(n, workers, fn); err != nil {
-			t.Fatalf("workers=%d: err = %v", workers, err)
+		if err := ForEach(n, fn); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: err = %v", procs, err)
 		}
 		for i, v := range order {
 			if v != i {
-				t.Fatalf("workers=%d: inline ForEach out of order: %v", workers, order)
+				t.Fatalf("GOMAXPROCS=%d: inline ForEach out of order: %v", procs, order)
 			}
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Errorf("workers=%d: item %d ran %d times", workers, i, got)
+				t.Errorf("GOMAXPROCS=%d: item %d ran %d times", procs, i, got)
 			}
 		}
 	}
 }
 
-func TestRunSlotBounds(t *testing.T) {
-	t.Parallel()
-	const n, workers = 64, 4
-	var bad atomic.Int32
-	if err := Run(n, workers, func(w, i int) {
-		if w < 0 || w >= workers {
-			bad.Add(1)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if bad.Load() != 0 {
-		t.Errorf("%d calls saw an out-of-range worker slot", bad.Load())
-	}
-}
-
-func TestRunCapturesWorkerPanic(t *testing.T) {
-	t.Parallel()
-	err := Run(8, 4, func(_, i int) {
+func TestForEachCapturesWorkerPanic(t *testing.T) {
+	fanouttest.SetGOMAXPROCS(t, 4)
+	err := ForEach(8, func(i int) {
 		if i == 3 {
 			panic("boom")
 		}
@@ -97,11 +83,11 @@ func TestRunCapturesWorkerPanic(t *testing.T) {
 	}
 }
 
-func TestRunCapturesInlinePanic(t *testing.T) {
-	t.Parallel()
+func TestForEachCapturesInlinePanic(t *testing.T) {
+	fanouttest.SetGOMAXPROCS(t, 1)
 	ran := 0
 	caller := goid()
-	err := Run(8, 1, func(_, i int) {
+	err := ForEach(8, func(i int) {
 		if g := goid(); g != caller {
 			t.Errorf("serial run called item %d on goroutine %s, want the caller's %s", i, g, caller)
 		}
@@ -122,11 +108,11 @@ func TestRunCapturesInlinePanic(t *testing.T) {
 	}
 }
 
-func TestRunRemainingWorkersDrain(t *testing.T) {
-	t.Parallel()
+func TestForEachRemainingWorkersDrain(t *testing.T) {
+	fanouttest.SetGOMAXPROCS(t, 4)
 	const n = 200
 	var hits atomic.Int32
-	if err := Run(n, 4, func(_, i int) {
+	if err := ForEach(n, func(i int) {
 		if i == 0 {
 			panic("early")
 		}
@@ -142,9 +128,9 @@ func TestRunRemainingWorkersDrain(t *testing.T) {
 }
 
 func TestForEachSerialOrder(t *testing.T) {
-	t.Parallel()
+	fanouttest.SetGOMAXPROCS(t, 1)
 	var order []int
-	if err := ForEach(5, 1, inlineRecorder(t, &order)); err != nil {
+	if err := ForEach(5, inlineRecorder(t, &order)); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 5 {
@@ -158,13 +144,13 @@ func TestForEachSerialOrder(t *testing.T) {
 }
 
 func TestForEachEmptyAndTiny(t *testing.T) {
-	t.Parallel()
-	if err := ForEach(0, 8, func(int) { t.Error("called for n=0") }); err != nil {
+	fanouttest.SetGOMAXPROCS(t, 8)
+	if err := ForEach(0, func(int) { t.Error("called for n=0") }); err != nil {
 		t.Errorf("n=0: err=%v", err)
 	}
-	// Workers clamp to n, so one item runs inline.
+	// The width clamps to n, so one item runs inline.
 	var order []int
-	if err := ForEach(1, 8, inlineRecorder(t, &order)); err != nil {
+	if err := ForEach(1, inlineRecorder(t, &order)); err != nil {
 		t.Errorf("n=1: err=%v", err)
 	}
 	if len(order) != 1 {

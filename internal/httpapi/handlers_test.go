@@ -306,3 +306,37 @@ func TestPendingCapOnBatch(t *testing.T) {
 		t.Fatalf("over-cap batch = %d %s", resp.StatusCode, body)
 	}
 }
+
+// TestCreateAcceptsLegacyWorkers: clients of builds with a per-tenant
+// worker count send "workers" in the create body. The strict decoder must
+// still accept it, and the tenant must serve the same FDs as one created
+// without it.
+func TestCreateAcceptsLegacyWorkers(t *testing.T) {
+	t.Parallel()
+	ts, _ := newTestServer(t)
+	rows := `[["14482","Potsdam"],["14482","Potsdam"],["10115","Berlin"]]`
+	for _, body := range []string{
+		`{"name":"legacy","columns":["zip","city"],"rows":` + rows + `,"workers":2}`,
+		`{"name":"plain","columns":["zip","city"],"rows":` + rows + `}`,
+	} {
+		if resp, data := doReq(t, ts, "POST", "/v1/tenants", body); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: status %d: %s", body, resp.StatusCode, data)
+		}
+	}
+	fds := func(name string) string {
+		resp, data := doReq(t, ts, "GET", "/v1/tenants/"+name+"/fds", "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fds %s: status %d: %s", name, resp.StatusCode, data)
+		}
+		var got struct {
+			FDs json.RawMessage `json:"fds"`
+		}
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		return string(got.FDs)
+	}
+	if legacy, plain := fds("legacy"), fds("plain"); legacy != plain {
+		t.Errorf("FDs with legacy workers = %s, want %s", legacy, plain)
+	}
+}

@@ -8,7 +8,7 @@
 //	GET    /readyz                           runtime readiness (503 while shutting down)
 //	GET    /metrics                          per-tenant operational metrics
 //	GET    /v1/tenants                       list tenants
-//	POST   /v1/tenants                       create tenant {"name","columns",["rows"],["workers"]}
+//	POST   /v1/tenants                       create tenant {"name","columns",["rows"]}; a "workers" member is accepted and ignored
 //	GET    /v1/tenants/{t}                   tenant info
 //	DELETE /v1/tenants/{t}                   drop tenant (engine closed, directory deleted)
 //	POST   /v1/tenants/{t}/batch             apply one durable batch {"changes":[...]}
@@ -312,15 +312,15 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return data, true
 }
 
-// createRequest is the body of POST /v1/tenants. Workers optionally
-// overrides the daemon-wide -workers default for this tenant (0 or 1
-// inline, n > 1 that many Pli attributes maintained at once, < 0 one per
-// CPU); the override is persisted with the tenant and survives restarts.
+// createRequest is the body of POST /v1/tenants. The body is decoded
+// strictly, so Workers stays to keep accepting clients that still send the
+// per-tenant worker count older builds honoured.
 type createRequest struct {
 	Name    string     `json:"name"`
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows,omitempty"`
-	Workers *int       `json:"workers,omitempty"`
+	// Deprecated: ignored; Pli maintenance fans out across GOMAXPROCS.
+	Workers *int `json:"workers,omitempty"`
 }
 
 func (s *Server) createTenant(w http.ResponseWriter, r *http.Request) {
@@ -337,8 +337,7 @@ func (s *Server) createTenant(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := s.rt.CreateWithOptions(req.Name, req.Columns, req.Rows,
-		runtime.CreateOptions{Workers: req.Workers}); err != nil {
+	if err := s.rt.Create(req.Name, req.Columns, req.Rows); err != nil {
 		s.runtimeError(w, err)
 		return
 	}

@@ -40,9 +40,9 @@ type Result struct {
 }
 
 // Discover profiles the relation and returns the populated structures plus
-// the positive cover. It loads the store serially (see Load).
+// the positive cover.
 func Discover(rel *dataset.Relation) (*Result, error) {
-	store, err := Load(rel, 1)
+	store, err := Load(rel)
 	if err != nil {
 		return nil, err
 	}
@@ -50,9 +50,9 @@ func Discover(rel *dataset.Relation) (*Result, error) {
 }
 
 // Load validates the relation and bulk-loads it into a fresh Pli store
-// (pli.Store.LoadRows over at most workers goroutines, one per attribute):
-// row i becomes surrogate id i.
-func Load(rel *dataset.Relation, workers int) (*pli.Store, error) {
+// (pli.Store.LoadRows, attributes fanned out across GOMAXPROCS): row i
+// becomes surrogate id i.
+func Load(rel *dataset.Relation) (*pli.Store, error) {
 	if err := rel.Validate(); err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func Load(rel *dataset.Relation, workers int) (*pli.Store, error) {
 		ids[i] = int64(i)
 	}
 	store := pli.NewStore(rel.NumColumns())
-	if err := store.LoadRows(ids, rel.Rows, workers); err != nil {
+	if err := store.LoadRows(ids, rel.Rows); err != nil {
 		return nil, err
 	}
 	return store, nil

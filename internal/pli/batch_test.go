@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dynfd/internal/fanout"
+	"dynfd/internal/fanout/fanouttest"
 )
 
 // equalStores asserts s1 and s2 are fully identical: counters, record
@@ -51,17 +52,17 @@ func equalStores(t *testing.T, label string, s1, s2 *Store) {
 
 // TestApplyBatchEquivalence is the maintenance counterpart of the PR 1
 // validation equivalence property: random insert/update/delete streams
-// applied through ApplyBatch — serially and with a worker pool — produce a
-// store identical to one maintained by single-element Insert/Delete calls,
-// and every intermediate state passes CheckConsistency. Run with -race
-// this also proves the per-attribute fan-out shares no mutable state.
+// applied through ApplyBatch — inline at GOMAXPROCS 1 and fanned out at
+// GOMAXPROCS 4 — produce a store identical to one maintained by
+// single-element Insert/Delete calls, and every intermediate state passes
+// CheckConsistency. Run with -race this also proves the per-attribute
+// fan-out shares no mutable state. GOMAXPROCS is process-wide, so neither
+// the test nor its subtests run in parallel.
 func TestApplyBatchEquivalence(t *testing.T) {
-	t.Parallel()
 	const seeds = 25
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			t.Parallel()
 			r := rand.New(rand.NewSource(int64(seed)))
 			attrs := 1 + r.Intn(5)
 			single := NewStore(attrs)
@@ -102,10 +103,12 @@ func TestApplyBatchEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := serial.ApplyBatch(deletes, inserts, 0); err != nil {
+				fanouttest.SetGOMAXPROCS(t, 1)
+				if err := serial.ApplyBatch(deletes, inserts); err != nil {
 					t.Fatal(err)
 				}
-				if err := parallel.ApplyBatch(deletes, inserts, 4); err != nil {
+				fanouttest.SetGOMAXPROCS(t, 4)
+				if err := parallel.ApplyBatch(deletes, inserts); err != nil {
 					t.Fatal(err)
 				}
 
@@ -165,7 +168,7 @@ func TestApplyBatchValidation(t *testing.T) {
 			t.Parallel()
 			s := build(t)
 			want := build(t)
-			if err := s.ApplyBatch(tc.deletes, tc.inserts, 2); err == nil {
+			if err := s.ApplyBatch(tc.deletes, tc.inserts); err == nil {
 				t.Fatal("invalid batch accepted")
 			}
 			if err := s.CheckConsistency(); err != nil {
@@ -188,7 +191,7 @@ func TestApplyBatchClusterTurnover(t *testing.T) {
 		}
 	}
 	oldCid, _ := s.Index(0).ClusterOf("a")
-	err := s.ApplyBatch([]int64{0, 1}, []BatchInsert{{ID: 3, Values: []string{"a", "3"}}}, 0)
+	err := s.ApplyBatch([]int64{0, 1}, []BatchInsert{{ID: 3, Values: []string{"a", "3"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +230,7 @@ func TestApplyBatchFreesPages(t *testing.T) {
 	if s.pages[0] == nil {
 		t.Fatal("page 0 not allocated")
 	}
-	if err := s.ApplyBatch(ids, nil, 2); err != nil {
+	if err := s.ApplyBatch(ids, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.pages[0] != nil || s.live[0] != nil {
@@ -300,24 +303,26 @@ func TestAppendLookup(t *testing.T) {
 }
 
 // TestApplyBatchWorkerPanicSurfacesAsError injects a panic into one
-// attribute's fan-out slot and asserts ApplyBatch returns the captured
-// panic as an error instead of crashing the process.
+// attribute's fan-out call and asserts ApplyBatch returns the captured
+// panic as an error instead of crashing the process, inline at
+// GOMAXPROCS 1 and fanned out at GOMAXPROCS 4.
 func TestApplyBatchWorkerPanicSurfacesAsError(t *testing.T) {
-	for _, workers := range []int{0, 4} {
+	for _, procs := range []int{1, 4} {
+		fanouttest.SetGOMAXPROCS(t, procs)
 		s := NewStore(3)
 		SetApplyAttrTestHook(func(a int) {
 			if a == 1 {
 				panic("index boom")
 			}
 		})
-		err := s.ApplyBatch(nil, []BatchInsert{{ID: 0, Values: []string{"a", "b", "c"}}}, workers)
+		err := s.ApplyBatch(nil, []BatchInsert{{ID: 0, Values: []string{"a", "b", "c"}}})
 		SetApplyAttrTestHook(nil)
 		var pe *fanout.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *fanout.PanicError", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want *fanout.PanicError", procs, err)
 		}
 		if pe.Value != "index boom" {
-			t.Errorf("workers=%d: Value = %v", workers, pe.Value)
+			t.Errorf("GOMAXPROCS=%d: Value = %v", procs, pe.Value)
 		}
 	}
 }

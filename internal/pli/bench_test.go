@@ -133,8 +133,9 @@ func batchWorkload(n, batch, attrs int) (rows [][]string, delIdx []int, insRows 
 
 // BenchmarkStoreApplyBatch measures one maintenance batch (2000 deletes +
 // 2000 inserts over 20000 records, skewed clusters) through the paths the
-// engine can take: single-element Insert/Delete calls, serial ApplyBatch,
-// and worker-pool ApplyBatch. Store setup is excluded from the timing.
+// engine can take: single-element Insert/Delete calls and ApplyBatch, whose
+// fan-out width is GOMAXPROCS (compare widths with -cpu 1,2,4). Store
+// setup is excluded from the timing.
 func BenchmarkStoreApplyBatch(b *testing.B) {
 	const (
 		attrs = 8
@@ -172,23 +173,55 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{0, 4} {
-		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s, ids := build()
+			deletes := make([]int64, len(delIdx))
+			for k, j := range delIdx {
+				deletes[k] = ids[j]
+			}
+			inserts := make([]BatchInsert, len(insRows))
+			next := s.NextID()
+			for k, row := range insRows {
+				inserts[k] = BatchInsert{ID: next + int64(k), Values: row}
+			}
+			b.StartTimer()
+			if err := s.ApplyBatch(deletes, inserts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkStoreLoad fills an empty store with the bootstrap relation of
+// artist ×0.2 (10,000 rows × 18 columns, the tenant the service ledger
+// stands up) the three ways a store can be stood up: ApplyBatch of every
+// row (how bootstrap and restore loaded it before Store.Load), the bulk
+// loader from checkpoint codes, and the bulk loader's rows front end. All
+// three fan out across GOMAXPROCS; compare widths with -cpu 1,2. Coding
+// the rows for input=codes is excluded from the timing; a checkpoint
+// decode yields the codes.
+func BenchmarkStoreLoad(b *testing.B) {
+	ids, rows, numAttrs := artistBootstrap(b, 0.2)
+	ins := make([]BatchInsert, len(rows))
+	for i, row := range rows {
+		ins[i] = BatchInsert{ID: ids[i], Values: row}
+	}
+	rel := codeRows(ids, rows, numAttrs)
+	for _, in := range []struct {
+		name string
+		load func(s *Store) error
+	}{
+		{"applybatch", func(s *Store) error { return s.ApplyBatch(nil, ins) }},
+		{"codes", func(s *Store) error { return s.Load(rel) }},
+		{"rows", func(s *Store) error { return s.LoadRows(ids, rows) }},
+	} {
+		b.Run("input="+in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, ids := build()
-				deletes := make([]int64, len(delIdx))
-				for k, j := range delIdx {
-					deletes[k] = ids[j]
-				}
-				inserts := make([]BatchInsert, len(insRows))
-				next := s.NextID()
-				for k, row := range insRows {
-					inserts[k] = BatchInsert{ID: next + int64(k), Values: row}
-				}
-				b.StartTimer()
-				if err := s.ApplyBatch(deletes, inserts, workers); err != nil {
+				if err := in.load(NewStore(numAttrs)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -196,51 +229,42 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreLoad fills an empty store with the bootstrap relation of
-// artist ×0.2 (10,000 rows × 18 columns, the tenant the service ledger
-// stands up) the three ways a store can be stood up: ApplyBatch of every
-// row (how bootstrap and restore loaded it before Store.Load), the bulk
-// loader from checkpoint codes, and the bulk loader's rows front end, each
-// at one and two workers. Coding the rows for input=codes is excluded
-// from the timing; a checkpoint decode yields the codes.
-func BenchmarkStoreLoad(b *testing.B) {
+// BenchmarkStoreLoadRecovery is recovery's store rebuild at full artist
+// scale (×1: 50,000 rows × 18 columns): Store.Load from the codes a
+// checkpoint decode yields, the step core.Restore runs when a tenant
+// opens. Compare fan-out widths with -cpu 1,2; coding the rows is
+// excluded from the timing.
+func BenchmarkStoreLoadRecovery(b *testing.B) {
+	ids, rows, numAttrs := artistBootstrap(b, 1)
+	rel := codeRows(ids, rows, numAttrs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := NewStore(numAttrs).Load(rel); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// artistBootstrap generates the bootstrap relation of artist at the given
+// scale, with ids 0..n-1.
+func artistBootstrap(b *testing.B, scale float64) (ids []int64, rows [][]string, numAttrs int) {
+	b.Helper()
 	p, err := datagen.ByName("artist")
 	if err != nil {
 		b.Fatal(err)
 	}
-	p = p.Scaled(0.2)
+	p = p.Scaled(scale)
 	p.Changes = 0
 	ds, err := datagen.Generate(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows, numAttrs := ds.Relation.Rows, ds.Relation.NumColumns()
-	ids := make([]int64, len(rows))
-	ins := make([]BatchInsert, len(rows))
-	for i, row := range rows {
+	ids = make([]int64, len(ds.Relation.Rows))
+	for i := range ids {
 		ids[i] = int64(i)
-		ins[i] = BatchInsert{ID: int64(i), Values: row}
 	}
-	rel := codeRows(ids, rows, numAttrs)
-	for _, in := range []struct {
-		name string
-		load func(s *Store, workers int) error
-	}{
-		{"applybatch", func(s *Store, workers int) error { return s.ApplyBatch(nil, ins, workers) }},
-		{"codes", func(s *Store, workers int) error { return s.Load(rel, workers) }},
-		{"rows", func(s *Store, workers int) error { return s.LoadRows(ids, rows, workers) }},
-	} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("input=%s/workers=%d", in.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := in.load(NewStore(numAttrs), workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
+	return ids, ds.Relation.Rows, ds.Relation.NumColumns()
 }
 
 // BenchmarkStoreApplyBatchDeleteOnly isolates the delete side: batch
@@ -287,7 +311,7 @@ func BenchmarkStoreApplyBatchDeleteOnly(b *testing.B) {
 				deletes[k] = ids[j]
 			}
 			b.StartTimer()
-			if err := s.ApplyBatch(deletes, nil, 0); err != nil {
+			if err := s.ApplyBatch(deletes, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -44,7 +44,7 @@ func TestDirectoryUpdateChurn(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		inserts = append(inserts, BatchInsert{ID: int64(i), Values: []string{fmt.Sprint("v", i), fmt.Sprint(i % 7)}})
 	}
-	if err := s.ApplyBatch(nil, inserts, 1); err != nil {
+	if err := s.ApplyBatch(nil, inserts); err != nil {
 		t.Fatal(err)
 	}
 	type kept struct {
@@ -68,7 +68,7 @@ func TestDirectoryUpdateChurn(t *testing.T) {
 				Values: []string{fmt.Sprintf("b%d-%d", b, i), fmt.Sprint(r.Intn(7))},
 			})
 		}
-		if err := s.ApplyBatch(deletes, inserts, 2); err != nil {
+		if err := s.ApplyBatch(deletes, inserts); err != nil {
 			t.Fatal(err)
 		}
 		minted += perBatch
@@ -135,14 +135,14 @@ func TestSharedPageKeepsDeadClustersUntilRenewal(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		inserts = append(inserts, BatchInsert{ID: int64(i), Values: []string{fmt.Sprint("v", i)}})
 	}
-	if err := s.ApplyBatch(nil, inserts, 1); err != nil {
+	if err := s.ApplyBatch(nil, inserts); err != nil {
 		t.Fatal(err)
 	}
 	ix := s.Index(0)
 
 	// Not yet frozen: the slot is cleared in place, nothing is pending.
 	before := &ix.dir[0][0]
-	if err := s.ApplyBatch([]int64{0}, nil, 1); err != nil {
+	if err := s.ApplyBatch([]int64{0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if &ix.dir[0][0] != before || ix.dir[0][0] != nil || ix.dirDead[0] != 0 {
@@ -157,7 +157,7 @@ func TestSharedPageKeepsDeadClustersUntilRenewal(t *testing.T) {
 	renewals := 0
 	for id := int64(1); id < rows-1; id++ {
 		before := &ix.dir[0][0]
-		if err := s.ApplyBatch([]int64{id}, nil, 1); err != nil {
+		if err := s.ApplyBatch([]int64{id}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.CheckConsistency(); err != nil {

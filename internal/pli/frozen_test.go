@@ -69,7 +69,7 @@ func TestFrozenGroupsMatchLiveClusters(t *testing.T) {
 		for i := 0; i < r.Intn(15); i++ {
 			inserts = append(inserts, BatchInsert{ID: s.NextID() + int64(i), Values: row()})
 		}
-		if err := s.ApplyBatch(deletes, inserts, 2); err != nil {
+		if err := s.ApplyBatch(deletes, inserts); err != nil {
 			t.Fatal(err)
 		}
 		k := kept{f: s.Freeze()}

@@ -25,15 +25,16 @@ type Coded struct {
 // inverted index is filled from the dictionary alone, a count pass sizes
 // every cluster's id slice up front, and a fill pass appends the ids and
 // copies the codes into the arena's column — a code is the cluster id.
-// Attributes fan out across at most workers goroutines; the result does not
-// depend on the worker count. NextID ends one past the last id.
+// Attributes fan out across at most GOMAXPROCS goroutines (fanout.ForEach);
+// the result does not depend on GOMAXPROCS. NextID ends one past the last
+// id.
 //
 // Load refuses a non-empty store, ids out of order, a relation of the
 // wrong shape, a dictionary that repeats a value, and codes that are not
 // in first-occurrence order or leave a dictionary value unused. A failure
 // found while loading an attribute leaves the store partly loaded; it must
 // then be discarded.
-func (s *Store) Load(rel *Coded, workers int) error {
+func (s *Store) Load(rel *Coded) error {
 	if len(rel.Codes) != s.numAttrs || len(rel.Dicts) != s.numAttrs {
 		return fmt.Errorf("pli: load has %d code columns and %d dictionaries, schema has %d attributes",
 			len(rel.Codes), len(rel.Dicts), s.numAttrs)
@@ -46,7 +47,7 @@ func (s *Store) Load(rel *Coded, workers int) error {
 	if err := s.loadIDs(rel.IDs); err != nil {
 		return err
 	}
-	return s.loadAttrs(workers, func(a int) error {
+	return s.loadAttrs(func(a int) error {
 		inv, err := dictIndex(rel.Dicts[a])
 		if err != nil {
 			return fmt.Errorf("pli: load attribute %d: %w", a, err)
@@ -61,7 +62,7 @@ func (s *Store) Load(rel *Coded, workers int) error {
 // presized to the row count so that it never grows; when fewer than half
 // the rows hold distinct values it is rebuilt at the dictionary's size,
 // hashing only those values again, so the index does not stay oversized.
-func (s *Store) LoadRows(ids []int64, rows [][]string, workers int) error {
+func (s *Store) LoadRows(ids []int64, rows [][]string) error {
 	if len(ids) != len(rows) {
 		return fmt.Errorf("pli: load has %d ids for %d rows", len(ids), len(rows))
 	}
@@ -73,7 +74,7 @@ func (s *Store) LoadRows(ids []int64, rows [][]string, workers int) error {
 	if err := s.loadIDs(ids); err != nil {
 		return err
 	}
-	return s.loadAttrs(workers, func(a int) error {
+	return s.loadAttrs(func(a int) error {
 		inv := make(map[string]int32, len(rows))
 		var dict []string
 		codes := make([]int32, len(rows))
@@ -116,12 +117,12 @@ func (s *Store) loadIDs(ids []int64) error {
 	return nil
 }
 
-// loadAttrs runs load for every attribute over at most workers goroutines
-// and returns the first failure in attribute order, so the error does not
-// depend on the worker count either.
-func (s *Store) loadAttrs(workers int, load func(a int) error) error {
+// loadAttrs runs load for every attribute over fanout.ForEach and returns
+// the first failure in attribute order, so the error does not depend on
+// GOMAXPROCS either.
+func (s *Store) loadAttrs(load func(a int) error) error {
 	errs := make([]error, s.numAttrs)
-	if err := fanout.ForEach(s.numAttrs, workers, func(a int) { errs[a] = load(a) }); err != nil {
+	if err := fanout.ForEach(s.numAttrs, func(a int) { errs[a] = load(a) }); err != nil {
 		return fmt.Errorf("pli: loading: %w", err)
 	}
 	for _, err := range errs {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynfd/internal/datagen"
+	"dynfd/internal/fanout/fanouttest"
 )
 
 // codeRows codes rows the way a checkpoint does: per attribute, values
@@ -49,7 +50,7 @@ func applyFromEmpty(t *testing.T, numAttrs int, ids []int64, rows [][]string) *S
 	for i := range ids {
 		ins[i] = BatchInsert{ID: ids[i], Values: rows[i]}
 	}
-	if err := s.ApplyBatch(nil, ins, 1); err != nil {
+	if err := s.ApplyBatch(nil, ins); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -91,12 +92,12 @@ func sameStore(t *testing.T, want, got *Store) {
 	}
 }
 
-// TestLoadMatchesApplyBatch: the bulk loader, fed codes or rows at one or
-// two workers, builds the store ApplyBatch builds from empty — on the
-// bootstrap relations of three datasets, on states with id gaps after
-// deletes, and on an empty relation.
+// TestLoadMatchesApplyBatch: the bulk loader, fed codes or rows at a
+// fan-out width (GOMAXPROCS) of one or two, builds the store ApplyBatch
+// builds from empty — on the bootstrap relations of three datasets, on
+// states with id gaps after deletes, and on an empty relation. The
+// subtest's workers=n names the width.
 func TestLoadMatchesApplyBatch(t *testing.T) {
-	t.Parallel()
 	type state struct {
 		name     string
 		numAttrs int
@@ -134,7 +135,7 @@ func TestLoadMatchesApplyBatch(t *testing.T) {
 		for i := 0; i < len(rows); i += 10 {
 			ins = append(ins, BatchInsert{ID: s.NextID() + int64(i), Values: rows[len(rows)-1-i]})
 		}
-		if err := s.ApplyBatch(dels, ins, 1); err != nil {
+		if err := s.ApplyBatch(dels, ins); err != nil {
 			t.Fatal(err)
 		}
 		gapIDs, gapRows := liveRows(s)
@@ -145,13 +146,14 @@ func TestLoadMatchesApplyBatch(t *testing.T) {
 		rel := codeRows(st.ids, st.rows, st.numAttrs)
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", st.name, workers), func(t *testing.T) {
+				fanouttest.SetGOMAXPROCS(t, workers)
 				fromCodes := NewStore(st.numAttrs)
-				if err := fromCodes.Load(rel, workers); err != nil {
+				if err := fromCodes.Load(rel); err != nil {
 					t.Fatal(err)
 				}
 				sameStore(t, want, fromCodes)
 				fromRows := NewStore(st.numAttrs)
-				if err := fromRows.LoadRows(st.ids, st.rows, workers); err != nil {
+				if err := fromRows.LoadRows(st.ids, st.rows); err != nil {
 					t.Fatal(err)
 				}
 				sameStore(t, want, fromRows)
@@ -161,9 +163,8 @@ func TestLoadMatchesApplyBatch(t *testing.T) {
 }
 
 // TestLoadRejects: the loader refuses input ApplyBatch could not have
-// produced the store from.
+// produced the store from, with the same error at GOMAXPROCS 1 and 2.
 func TestLoadRejects(t *testing.T) {
-	t.Parallel()
 	ids := []int64{0, 2, 5}
 	rows := [][]string{{"a", "x"}, {"b", "x"}, {"a", "y"}}
 	for name, tc := range map[string]struct {
@@ -204,10 +205,11 @@ func TestLoadRejects(t *testing.T) {
 			return rel
 		}, "schema has 2 attributes"},
 	} {
-		for _, workers := range []int{1, 2} {
-			err := NewStore(2).Load(tc.rel(), workers)
+		for _, procs := range []int{1, 2} {
+			fanouttest.SetGOMAXPROCS(t, procs)
+			err := NewStore(2).Load(tc.rel())
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s, workers %d: err = %v, want %q", name, workers, err, tc.want)
+				t.Errorf("%s, GOMAXPROCS %d: err = %v, want %q", name, procs, err, tc.want)
 			}
 		}
 	}
@@ -215,10 +217,10 @@ func TestLoadRejects(t *testing.T) {
 	if _, err := s.Insert([]string{"a", "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadRows([]int64{1}, [][]string{{"b", "y"}}, 1); err == nil || !strings.Contains(err.Error(), "not empty") {
+	if err := s.LoadRows([]int64{1}, [][]string{{"b", "y"}}); err == nil || !strings.Contains(err.Error(), "not empty") {
 		t.Errorf("load into a populated store: err = %v", err)
 	}
-	if err := NewStore(2).LoadRows(ids, [][]string{{"a", "x"}, {"b"}, {"a", "y"}}, 1); err == nil ||
+	if err := NewStore(2).LoadRows(ids, [][]string{{"a", "x"}, {"b"}, {"a", "y"}}); err == nil ||
 		!strings.Contains(err.Error(), "row 1 has 1 values") {
 		t.Errorf("short row: err = %v", err)
 	}

@@ -655,10 +655,11 @@ type BatchInsert struct {
 //     members — O(touched clusters) sweeps instead of O(deletes × cluster
 //     size) per-record splices;
 //   - per-attribute index updates are independent, so they fan out across
-//     at most workers goroutines (workers <= 1 applies them serially):
-//     worker w owns attribute a's Index and the records' column a
-//     exclusively, so no locks are needed and the resulting store is
-//     bit-identical to a serial application regardless of worker count.
+//     at most GOMAXPROCS goroutines (fanout.ForEach; inline at
+//     GOMAXPROCS 1): the call for attribute a owns a's Index and the
+//     records' column a exclusively, so no locks are needed and the
+//     resulting store is bit-identical to a serial application at any
+//     GOMAXPROCS.
 //
 // Insert ids must be strictly ascending and >= NextID; afterwards NextID is
 // one past the last insert. Validation happens up front: on a validation
@@ -667,11 +668,11 @@ type BatchInsert struct {
 // then possibly inconsistent (the staged batch stays open, so further
 // mutators are rejected) and must not be used further. The three steps
 // behind the fan-out are in staged.go.
-func (s *Store) ApplyBatch(deletes []int64, inserts []BatchInsert, workers int) error {
+func (s *Store) ApplyBatch(deletes []int64, inserts []BatchInsert) error {
 	if err := s.stageBatch(deletes, inserts); err != nil {
 		return err
 	}
-	if err := fanout.ForEach(s.numAttrs, workers, func(a int) { s.runAttr(a) }); err != nil {
+	if err := fanout.ForEach(s.numAttrs, func(a int) { s.runAttr(a) }); err != nil {
 		// A panicking worker leaves an unknown subset of the per-attribute
 		// shards updated; the store is inconsistent and the caller must
 		// stop using it (core.Engine poisons itself on this error).

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"dynfd/internal/fanout/fanouttest"
 )
 
 // buildStagedStore returns a store with n random rows over w attributes.
@@ -61,13 +63,12 @@ func dumpStore(t *testing.T, s *Store) string {
 	return b.String()
 }
 
-// TestStagedEquivalence drives the same random batches through a serial
-// ApplyBatch and through ApplyBatch's per-attribute fan-out (one goroutine
-// per attribute), comparing the full store content after every batch. Run
-// under -race in CI, this is also the proof that concurrent per-shard
-// maintenance is data-race free.
+// TestStagedEquivalence drives the same random batches through ApplyBatch
+// inline (GOMAXPROCS 1) and through its per-attribute fan-out (GOMAXPROCS
+// 4), comparing the full store content after every batch. Run under -race
+// in CI, this is also the proof that concurrent per-shard maintenance is
+// data-race free.
 func TestStagedEquivalence(t *testing.T) {
-	t.Parallel()
 	for seed := int64(0); seed < 10; seed++ {
 		rngA := rand.New(rand.NewSource(seed))
 		rngB := rand.New(rand.NewSource(seed))
@@ -77,10 +78,12 @@ func TestStagedEquivalence(t *testing.T) {
 		for batch := 0; batch < 15; batch++ {
 			deletes, inserts := randomBatch(rngA, ref, w)
 			deletesB, insertsB := randomBatch(rngB, st, w)
-			if err := ref.ApplyBatch(deletes, inserts, 0); err != nil {
+			fanouttest.SetGOMAXPROCS(t, 1)
+			if err := ref.ApplyBatch(deletes, inserts); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.ApplyBatch(deletesB, insertsB, w); err != nil {
+			fanouttest.SetGOMAXPROCS(t, 4)
+			if err := st.ApplyBatch(deletesB, insertsB); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.CheckConsistency(); err != nil {
@@ -127,7 +130,7 @@ func TestStagedGuards(t *testing.T) {
 	if err := s.stageBatch(nil, nil); err == nil {
 		t.Error("second stageBatch accepted during staging")
 	}
-	if err := s.ApplyBatch(nil, nil, 0); err == nil {
+	if err := s.ApplyBatch(nil, nil); err == nil {
 		t.Error("ApplyBatch accepted during staging")
 	}
 	if err := s.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "staged batch open") {
@@ -198,7 +201,7 @@ func TestAppendLiveFrom(t *testing.T) {
 			deletes = append(deletes, id)
 		}
 	}
-	if err := s.ApplyBatch(deletes, nil, 0); err != nil {
+	if err := s.ApplyBatch(deletes, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.live[1] != nil {

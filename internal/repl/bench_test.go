@@ -68,7 +68,6 @@ func BenchmarkFollowerApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Workers = -1 // the daemon default, as in the ledger
 	opts := durable.Options{Columns: d.Relation.Columns, Config: cfg, CheckpointEvery: -1}
 	popts := opts
 	feed := repl.NewFeed(0, batches+1)

@@ -44,7 +44,7 @@ func buildBytes(t *testing.T, rows int) (perCall float64, distinct int) {
 	for i, row := range ds.Relation.Rows {
 		inserts[i] = pli.BatchInsert{ID: int64(i), Values: row}
 	}
-	if err := store.ApplyBatch(nil, inserts, 1); err != nil {
+	if err := store.ApplyBatch(nil, inserts); err != nil {
 		t.Fatal(err)
 	}
 	cover := lattice.New(len(cols))
@@ -61,7 +61,7 @@ func buildBytes(t *testing.T, rows int) (perCall float64, distinct int) {
 		}
 		inserts = append(inserts, pli.BatchInsert{ID: store.NextID() + int64(i), Values: row})
 	}
-	if err := store.ApplyBatch(deletes, inserts, 1); err != nil {
+	if err := store.ApplyBatch(deletes, inserts); err != nil {
 		t.Fatal(err)
 	}
 	for a := range cols {
@@ -104,9 +104,7 @@ func TestBuildAllocatesPerPageNotPerValue(t *testing.T) {
 // distinct-value count.
 func BenchmarkBuildResults(b *testing.B) {
 	ds := artist(b, 10000)
-	cfg := core.DefaultConfig()
-	cfg.Workers = 1
-	e, err := core.Bootstrap(ds.Relation, cfg)
+	e, err := core.Bootstrap(ds.Relation, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

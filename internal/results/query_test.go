@@ -23,9 +23,7 @@ func replayed(tb testing.TB, name string, factor float64, batches, batchSize int
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Workers = 1
-	e, err := core.Bootstrap(ds.Relation, cfg)
+	e, err := core.Bootstrap(ds.Relation, core.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -368,7 +368,7 @@ func (rt *Runtime) createReplica(name string) (*tenant, error) {
 	t.feed = rt.newFeed()
 	var mon *dynfd.DurableMonitor
 	if err == nil {
-		mon, err = dynfd.OpenReplica(t.dir, blob, rt.engineOptions(nil, t.feed)...)
+		mon, err = dynfd.OpenReplica(t.dir, blob, rt.engineOptions(t.feed)...)
 	}
 	if err != nil {
 		os.RemoveAll(t.dir)

@@ -18,7 +18,6 @@
 package runtime
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -138,11 +137,10 @@ type Config struct {
 	// DataRoot is the directory holding one subdirectory per tenant.
 	// Required; created if absent.
 	DataRoot string
-	// Workers is the default per-engine Pli maintenance parallelism
-	// (dynfd.WithWorkers semantics: 0 or 1 inline on one goroutine,
-	// n > 1 that many attributes at once, < 0 one per CPU; the lattice
-	// sweeps always run inline). Tenants created with a
-	// CreateOptions.Workers override keep their own setting instead.
+	// Workers is kept so that existing callers still compile.
+	//
+	// Deprecated: ignored. Every engine fans its Pli maintenance out
+	// across GOMAXPROCS goroutines (dynfd.WithWorkers).
 	Workers int
 	// CheckpointEvery is the per-engine checkpoint interval in batches
 	// (dynfd.WithCheckpointEvery); 0 keeps the engine default.
@@ -344,13 +342,8 @@ func Open(cfg Config) (*Runtime, error) {
 			continue
 		}
 		t := &tenant{name: name, dir: filepath.Join(cfg.DataRoot, name), ready: make(chan struct{})}
-		tc, err := readTenantConfig(t.dir)
-		if err != nil {
-			rt.logger.Printf("runtime: tenant %q: %v; using runtime defaults", name, err)
-			tc = tenantConfig{}
-		}
 		t.feed = rt.newFeed()
-		mon, err := dynfd.OpenDurable(t.dir, nil, rt.engineOptions(tc.Workers, t.feed)...)
+		mon, err := dynfd.OpenDurable(t.dir, nil, rt.engineOptions(t.feed)...)
 		if err != nil {
 			// Quarantine, don't die: the other tenants must keep serving.
 			t.setQuarantine(fmt.Errorf("recovering tenant %q: %w", name, err))
@@ -366,16 +359,12 @@ func Open(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// engineOptions builds the dynfd options for one tenant's engine. A
-// non-nil workers pointer (from a persisted per-tenant config) overrides
-// the runtime-wide default; a non-nil feed makes the engine a replication
-// primary.
-func (rt *Runtime) engineOptions(workers *int, feed *repl.Feed) []dynfd.Option {
-	w := rt.cfg.Workers
-	if workers != nil {
-		w = *workers
-	}
-	opts := []dynfd.Option{dynfd.WithWorkers(w)}
+// engineOptions builds the dynfd options for one tenant's engine; a
+// non-nil feed makes the engine a replication primary. A tenant.json left
+// in the tenant directory by older builds, which kept a per-tenant worker
+// count there, is never read.
+func (rt *Runtime) engineOptions(feed *repl.Feed) []dynfd.Option {
+	var opts []dynfd.Option
 	if rt.cfg.CheckpointEvery != 0 {
 		opts = append(opts, dynfd.WithCheckpointEvery(rt.cfg.CheckpointEvery))
 	}
@@ -391,47 +380,6 @@ func (rt *Runtime) engineOptions(workers *int, feed *repl.Feed) []dynfd.Option {
 	return opts
 }
 
-// tenantConfigName is the per-tenant settings sidecar inside the tenant
-// directory, next to the durable checkpoint and WAL. It records overrides
-// of the runtime defaults so they survive restarts.
-const tenantConfigName = "tenant.json"
-
-// tenantConfig is the persisted shape of CreateOptions. All fields are
-// optional; absent fields inherit the runtime defaults at open time.
-type tenantConfig struct {
-	Workers *int `json:"workers,omitempty"`
-}
-
-// readTenantConfig loads the tenant's persisted overrides; a missing file
-// yields the zero config (inherit everything).
-func readTenantConfig(dir string) (tenantConfig, error) {
-	data, err := os.ReadFile(filepath.Join(dir, tenantConfigName))
-	if errors.Is(err, os.ErrNotExist) {
-		return tenantConfig{}, nil
-	}
-	if err != nil {
-		return tenantConfig{}, fmt.Errorf("reading %s: %w", tenantConfigName, err)
-	}
-	var tc tenantConfig
-	if err := json.Unmarshal(data, &tc); err != nil {
-		return tenantConfig{}, fmt.Errorf("parsing %s: %w", tenantConfigName, err)
-	}
-	return tc, nil
-}
-
-// writeTenantConfig persists the tenant's overrides; a zero config writes
-// nothing so the common no-override case leaves no extra file behind.
-func writeTenantConfig(dir string, tc tenantConfig) error {
-	if tc == (tenantConfig{}) {
-		return nil
-	}
-	data, err := json.Marshal(tc)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, tenantConfigName), data, 0o644)
-}
-
 // Ready reports whether the runtime accepts work (it is not closed).
 func (rt *Runtime) Ready() bool {
 	rt.mu.Lock()
@@ -445,24 +393,22 @@ func (rt *Runtime) DataRoot() string { return rt.cfg.DataRoot }
 // Limits returns the admission-control configuration in force.
 func (rt *Runtime) Limits() Limits { return rt.cfg.Limits }
 
-// CreateOptions carries per-tenant overrides of the runtime defaults.
-// Overrides are persisted in the tenant directory and re-applied when the
-// tenant is recovered after a restart.
-type CreateOptions struct {
-	// Workers overrides Config.Workers for this tenant
-	// (dynfd.WithWorkers semantics); nil inherits the runtime default.
-	Workers *int
+// CreateOptions once carried a per-tenant worker count.
+//
+// Deprecated: it has no fields left; use Create.
+type CreateOptions struct{}
+
+// CreateWithOptions is kept so that existing callers still compile.
+//
+// Deprecated: it is Create; the options are ignored.
+func (rt *Runtime) CreateWithOptions(name string, columns []string, rows [][]string, _ CreateOptions) error {
+	return rt.Create(name, columns, rows)
 }
 
 // Create makes a new tenant with the given schema, optionally bootstrapped
 // with initial rows, durably rooted at <data-root>/<name>/. It fails with
 // ErrTenantExists while a tenant of that name is live or still dropping.
 func (rt *Runtime) Create(name string, columns []string, rows [][]string) error {
-	return rt.CreateWithOptions(name, columns, rows, CreateOptions{})
-}
-
-// CreateWithOptions is Create with per-tenant overrides.
-func (rt *Runtime) CreateWithOptions(name string, columns []string, rows [][]string, co CreateOptions) error {
 	if err := rt.writable(); err != nil {
 		return err
 	}
@@ -490,18 +436,12 @@ func (rt *Runtime) CreateWithOptions(name string, columns []string, rows [][]str
 	rt.mu.Unlock()
 
 	// The slow part — opening the store, bootstrapping — runs outside the
-	// runtime lock so tenants create in parallel. The config sidecar is
-	// written first so a crash mid-create cannot leave a tenant that
-	// recovers with the wrong settings.
-	tc := tenantConfig{Workers: co.Workers}
+	// runtime lock so tenants create in parallel.
 	err := os.MkdirAll(t.dir, 0o755)
-	if err == nil {
-		err = writeTenantConfig(t.dir, tc)
-	}
 	t.feed = rt.newFeed()
 	var mon *dynfd.DurableMonitor
 	if err == nil {
-		mon, err = dynfd.OpenDurable(t.dir, columns, rt.engineOptions(tc.Workers, t.feed)...)
+		mon, err = dynfd.OpenDurable(t.dir, columns, rt.engineOptions(t.feed)...)
 	}
 	if err == nil && len(rows) > 0 {
 		if berr := mon.Bootstrap(rows); berr != nil {

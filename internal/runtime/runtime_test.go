@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -341,40 +342,26 @@ func TestClosedRuntimeRefusesWork(t *testing.T) {
 	}
 }
 
-// TestPerTenantWorkersOverride exercises CreateWithOptions: the override
-// must be applied at creation, persisted in the tenant directory, and
-// re-applied on recovery, while tenants without an override keep following
-// the runtime default. Workers affects wall-clock only, so the observable
-// contract here is the persisted sidecar plus identical query results.
+// TestPerTenantWorkersOverride checks that tenants from builds with a
+// per-tenant worker count still recover: a tenant directory holding the
+// legacy tenant.json sidecar ({"workers":2}) and a runtime opened with the
+// deprecated Config.Workers both open without error, serve the FDs they
+// served before the restart, and take batches. The sidecar is never read.
 func TestPerTenantWorkersOverride(t *testing.T) {
 	t.Parallel()
 	root := t.TempDir()
-	rt := openTestRuntime(t, Config{DataRoot: root, Workers: 0})
+	rt := openTestRuntime(t, Config{DataRoot: root, Workers: 4})
 
-	two := 2
 	if err := rt.CreateWithOptions("tuned", []string{"zip", "city"},
 		[][]string{{"14482", "Potsdam"}, {"14482", "Potsdam"}, {"10115", "Berlin"}},
-		CreateOptions{Workers: &two}); err != nil {
+		CreateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Create("plain", []string{"zip", "city"}, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	// The override is persisted next to the durable state; the default
-	// tenant leaves no sidecar behind.
-	if _, err := os.Stat(filepath.Join(root, "tuned", tenantConfigName)); err != nil {
-		t.Fatalf("tuned tenant config sidecar: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "plain", tenantConfigName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("plain tenant wrote a config sidecar: %v", err)
-	}
-	tc, err := readTenantConfig(filepath.Join(root, "tuned"))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(root, "tuned", "tenant.json"), []byte(`{"workers":2}`), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if tc.Workers == nil || *tc.Workers != 2 {
-		t.Fatalf("persisted workers = %v, want 2", tc.Workers)
 	}
 
 	var before []dynfd.FD
@@ -385,22 +372,22 @@ func TestPerTenantWorkersOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen the root: recovery must pick the sidecar up without error and
-	// serve the same FDs.
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rt2 := openTestRuntime(t, Config{DataRoot: root, Workers: 0})
+	rt2 := openTestRuntime(t, Config{DataRoot: root, Workers: 2})
 	if err := rt2.View("tuned", func(m *dynfd.DurableMonitor) error {
-		if got := m.FDs(); len(got) != len(before) {
-			t.Errorf("recovered tenant reports %d FDs, want %d", len(got), len(before))
+		if got := m.FDs(); !reflect.DeepEqual(got, before) {
+			t.Errorf("recovered tenant reports FDs %v, want %v", got, before)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt2.Apply("tuned", []dynfd.Change{dynfd.Insert("10115", "Potsdam")}); err != nil {
-		t.Fatalf("apply after recovery with workers override: %v", err)
+	for _, name := range []string{"tuned", "plain"} {
+		if _, err := rt2.Apply(name, []dynfd.Change{dynfd.Insert("10115", "Potsdam")}); err != nil {
+			t.Fatalf("apply to %s after recovery: %v", name, err)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func applyMixedBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int64
 		}
 		id++
 	}
-	if err := s.ApplyBatch(deletes, inserts, 1); err != nil {
+	if err := s.ApplyBatch(deletes, inserts); err != nil {
 		t.Fatal(err)
 	}
 	return minNew

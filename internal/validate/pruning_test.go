@@ -51,7 +51,7 @@ func applyRandomBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int) int6
 		inserts = append(inserts, pli.BatchInsert{ID: id, Values: plantedRow(r, domain, r.Intn(4) == 0)})
 		id++
 	}
-	if err := s.ApplyBatch(deletes, inserts, 1); err != nil {
+	if err := s.ApplyBatch(deletes, inserts); err != nil {
 		t.Fatal(err)
 	}
 	return minNew

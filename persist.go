@@ -50,7 +50,8 @@ func (m *DurableMonitor) Save(w io.Writer) error { return m.ro.Save(w) }
 // dual-cover consistency of the snapshot is verified. The relation is
 // rebuilt by the Pli store's bulk loader (DESIGN.md §10): its rows front
 // end codes each attribute through the map that becomes its inverted
-// index, one attribute per worker under the saved Workers setting.
+// index, attributes fanned out across GOMAXPROCS. A Workers value in the
+// saved configuration is ignored.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
 	var snap monitorSnapshot
 	dec := json.NewDecoder(r)

@@ -246,6 +246,47 @@ func binaryWithRetiredConfigKeys(t *testing.T, blob []byte) []byte {
 	return append(append(out, js...), blob[end:]...)
 }
 
+// TestLoadMonitorIgnoresSavedWorkers: snapshots written while the engine
+// config carried a worker count ("Workers": 4) still load, with the covers
+// they were saved with, and the restored monitor evolves like the saved
+// one.
+func TestLoadMonitorIgnoresSavedWorkers(t *testing.T) {
+	t.Parallel()
+	m := newPaperMonitor(t)
+	if _, err := m.Apply(Delete(2), Insert("Marie", "Scott", "14467", "Potsdam")); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := decodeJSONDoc(t, buf.Bytes())
+	doc["engine"].(map[string]any)["config"].(map[string]any)["Workers"] = 4
+	blob, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := LoadMonitor(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.FDs(), m2.FDs()) || !reflect.DeepEqual(m.NonFDs(), m2.NonFDs()) {
+		t.Errorf("covers differ after load:\n%v / %v\n%v / %v", m.FDs(), m.NonFDs(), m2.FDs(), m2.NonFDs())
+	}
+	batch := []Change{Insert("Zoe", "King", "99999", "Potsdam"), Delete(0)}
+	d1, err := m.Apply(batch...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := m2.Apply(batch...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d1, d2) {
+		t.Errorf("diffs differ after load: %+v vs %+v", d1, d2)
+	}
+}
+
 // TestRestoreIgnoresRetiredConfigKeys pins that monitor snapshots and
 // durable checkpoints written while the engine config still had the
 // stealing and delta-pruning knobs keep loading, with identical covers:
