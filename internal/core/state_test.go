@@ -177,6 +177,65 @@ func TestStateRestoreMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestStateIndependentOfHashSeed: every Pli index seeds its inverted
+// index's value hash on its own, so two engines fed the same history file
+// every value under different hashes. Cluster ids are minted in order of
+// first occurrence all the same, so the two states must encode to the same
+// bytes, and the engines keep the same work counters, after every batch.
+func TestStateIndependentOfHashSeed(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		churn bool // the stream is insert-only
+	}{{"artist", 0.05, false}, {"disease", 0.1, false}, {"claims", 0.2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			p, err := datagen.ByName(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = p.Scaled(tc.scale)
+			p.Changes = 600
+			ds, err := datagen.Generate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var engines [2]*Engine
+			for i := range engines {
+				if engines[i], err = Bootstrap(ds.Relation, DefaultConfig()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same := func(when string) {
+				t.Helper()
+				if a, b := engines[0].AppendState(nil), engines[1].AppendState(nil); !bytes.Equal(a, b) {
+					t.Fatalf("%s: states of %d and %d bytes differ", when, len(a), len(b))
+				}
+				if a, b := workCounters(engines[0]), workCounters(engines[1]); a != b {
+					t.Fatalf("%s: work counters differ:\n %+v\n %+v", when, a, b)
+				}
+			}
+			same("after bootstrap")
+			const batch = 100
+			for i := 0; i < len(ds.Changes); i += batch {
+				b := stream.Batch{Changes: ds.Changes[i:min(i+batch, len(ds.Changes))]}
+				if tc.churn && i == len(ds.Changes)/2 {
+					b = churnBatch(engines[0])
+				}
+				for _, e := range engines {
+					if _, err := e.ApplyBatch(b); err != nil {
+						t.Fatalf("batch at change %d: %v", i, err)
+					}
+				}
+				same(fmt.Sprintf("after the batch at change %d", i))
+			}
+			if engines[0].store.NextID() == int64(engines[0].NumRecords()) {
+				t.Fatal("the history deleted no record")
+			}
+		})
+	}
+}
+
 // TestDecodeStateRejects: the decoder accepts nothing but AppendState
 // encodings.
 func TestDecodeStateRejects(t *testing.T) {

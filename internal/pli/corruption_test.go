@@ -23,6 +23,34 @@ func corruptibleStore(t *testing.T) *Store {
 	return s
 }
 
+// fileValue files cid under value's hash in ix's inverted index at the
+// first empty slot of the value's probe chain, counting the entry.
+func fileValue(ix *Index, value string, cid int32) {
+	h := ix.values.hash(value)
+	ix.values.slots[ix.values.emptySlot(h)] = valueSlot(cid, h)
+	ix.values.n++
+}
+
+// unfileValue removes value's entry from ix's inverted index.
+func unfileValue(t *testing.T, ix *Index, value string) {
+	t.Helper()
+	cid, ok := ix.ClusterOf(value)
+	if !ok {
+		t.Fatalf("precondition: %q not in the inverted index", value)
+	}
+	ix.values.remove(cid, ix.values.hash(value))
+}
+
+// valueSlotOf returns the slot of ix's inverted index that files value.
+func valueSlotOf(t *testing.T, ix *Index, value string) int {
+	t.Helper()
+	_, slot, ok := ix.values.find(value, ix.values.hash(value), ix.value)
+	if !ok {
+		t.Fatalf("precondition: %q not in the inverted index", value)
+	}
+	return slot
+}
+
 func TestDetectsDanglingClusterMember(t *testing.T) {
 	t.Parallel()
 	s := corruptibleStore(t)
@@ -65,8 +93,8 @@ func TestDetectsInvertedIndexDrift(t *testing.T) {
 	// Rename a value in the inverted index so it no longer matches its
 	// cluster's Value.
 	cid, _ := ix.ClusterOf("1")
-	delete(ix.inverted, "1")
-	ix.inverted["ghost"] = cid
+	unfileValue(t, ix, "1")
+	fileValue(ix, "ghost", cid)
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "inverted") {
 		t.Errorf("CheckConsistency = %v", err)
@@ -136,7 +164,7 @@ func TestDetectsUnfreedEmptyPage(t *testing.T) {
 	for a := range s.shards {
 		ix := s.shards[a].ix
 		ix.dir, ix.dirN, ix.dirShared, ix.dirDead = nil, nil, nil, nil
-		ix.inverted = map[string]int32{}
+		ix.values = newValueIndex()
 	}
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "not freed") {
@@ -190,9 +218,10 @@ func TestDetectsUnfreedEmptyDirectoryPage(t *testing.T) {
 func TestDetectsDirectoryTotalDrift(t *testing.T) {
 	t.Parallel()
 	s := corruptibleStore(t)
-	// A value the inverted index knows but no directory slot holds: every
-	// slot still checks out, only the total gives it away.
-	s.Index(0).inverted["ghost"] = 0
+	// A second entry for a value, behind the first on its probe chain:
+	// every slot names a live cluster and every lookup finds its cluster,
+	// only the total gives it away.
+	fileValue(s.Index(0), "a", 0)
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "live clusters") {
 		t.Errorf("CheckConsistency = %v", err)
@@ -221,10 +250,65 @@ func TestDetectsClusterBeyondCidHorizon(t *testing.T) {
 	ix := s.Index(0)
 	cid, _ := ix.ClusterOf("b")
 	c := ix.Cluster(cid)
+	unfileValue(t, ix, "b")
 	ix.dir[0][cid], ix.dir[0][ix.next] = nil, c
-	ix.inverted["b"] = ix.next
+	fileValue(ix, "b", ix.next)
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "beyond cid horizon") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+// The inverted index's probe-chain invariants.
+
+func TestDetectsStaleValueHash(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	// Flip a bit of the hash an entry is filed under, leaving it in its
+	// slot: the slot still names a live cluster and the count matches, but
+	// a lookup of the value no longer matches the entry.
+	ix := s.Index(0)
+	ix.values.slots[valueSlotOf(t, ix, "b")] ^= 1
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), `slot 1 holds value "b", inverted index files it`) ||
+		!strings.Contains(err.Error(), "under stale hash") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsHoleInProbeChain(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	// Move an entry one slot on, to an empty slot, leaving its old slot
+	// empty: the entry and its hash are intact, but the lookup from its
+	// home slot stops at the hole.
+	ix := s.Index(1)
+	slots := ix.values.slots
+	mask := len(slots) - 1
+	for i := range slots {
+		if j := (i + 1) & mask; slots[i] != 0 && slots[j] == 0 {
+			slots[i], slots[j] = 0, slots[i]
+			break
+		}
+	}
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "past a hole") {
+		t.Errorf("CheckConsistency = %v", err)
+	}
+}
+
+func TestDetectsOverloadedValueIndex(t *testing.T) {
+	t.Parallel()
+	s := corruptibleStore(t)
+	// Fill every slot with entries for "a": each names a live cluster and
+	// the count matches the slots, but no empty slot is left to end a
+	// lookup, so the check must stop before it looks anything up.
+	ix := s.Index(0)
+	for ix.values.n < len(ix.values.slots) {
+		fileValue(ix, "a", 0)
+	}
+	err := s.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "over 3/4 load") {
 		t.Errorf("CheckConsistency = %v", err)
 	}
 }
@@ -271,7 +355,7 @@ func TestDetectsPendingClusterInInvertedIndex(t *testing.T) {
 	s := pendingStore(t)
 	// The dead cluster's value still maps to it: it is an empty live
 	// cluster, not a pending one.
-	s.Index(0).inverted["a"] = 0
+	fileValue(s.Index(0), "a", 0)
 	err := s.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "cluster 0 is empty") {
 		t.Errorf("CheckConsistency = %v", err)

@@ -48,20 +48,30 @@ func (s *Store) Load(rel *Coded) error {
 		return err
 	}
 	return s.loadAttrs(func(a int) error {
-		inv, err := dictIndex(rel.Dicts[a])
-		if err != nil {
-			return fmt.Errorf("pli: load attribute %d: %w", a, err)
+		dict := rel.Dicts[a]
+		if len(dict) > math.MaxInt32 {
+			return fmt.Errorf("pli: load attribute %d: dictionary of %d values", a, len(dict))
 		}
-		return s.loadAttr(a, rel.IDs, rel.Codes[a], rel.Dicts[a], inv)
+		t := &s.shards[a].ix.values
+		t.reserve(len(dict))
+		value := func(c int32) string { return dict[c] }
+		for c, v := range dict {
+			h := t.hash(v)
+			_, slot, dup := t.find(v, h, value)
+			if dup {
+				return fmt.Errorf("pli: load attribute %d: dictionary repeats value %q", a, v)
+			}
+			t.put(slot, int32(c), h)
+		}
+		return s.loadAttr(a, rel.IDs, rel.Codes[a], dict)
 	})
 }
 
 // LoadRows is Load's front end for uncoded tuples: rows[i] is the record
-// with id ids[i]. Each attribute is coded through the map that then
-// becomes its inverted index, so every value is hashed once. The map is
-// presized to the row count so that it never grows; when fewer than half
-// the rows hold distinct values it is rebuilt at the dictionary's size,
-// hashing only those values again, so the index does not stay oversized.
+// with id ids[i]. Each attribute is coded through the table that then
+// becomes its inverted index, reading candidates' values from the
+// dictionary being built, so every value is hashed once and the table
+// grows with the dictionary, not with the rows.
 func (s *Store) LoadRows(ids []int64, rows [][]string) error {
 	if len(ids) != len(rows) {
 		return fmt.Errorf("pli: load has %d ids for %d rows", len(ids), len(rows))
@@ -75,22 +85,22 @@ func (s *Store) LoadRows(ids []int64, rows [][]string) error {
 		return err
 	}
 	return s.loadAttrs(func(a int) error {
-		inv := make(map[string]int32, len(rows))
+		t := &s.shards[a].ix.values
 		var dict []string
+		value := func(c int32) string { return dict[c] }
 		codes := make([]int32, len(rows))
 		for i, row := range rows {
-			c, ok := inv[row[a]]
+			v := row[a]
+			h := t.hash(v)
+			c, slot, ok := t.find(v, h, value)
 			if !ok {
 				c = int32(len(dict))
-				inv[row[a]] = c
-				dict = append(dict, row[a])
+				t.put(slot, c, h)
+				dict = append(dict, v)
 			}
 			codes[i] = c
 		}
-		if 2*len(dict) < len(rows) {
-			inv, _ = dictIndex(dict)
-		}
-		return s.loadAttr(a, ids, codes, dict, inv)
+		return s.loadAttr(a, ids, codes, dict)
 	})
 }
 
@@ -133,22 +143,6 @@ func (s *Store) loadAttrs(load func(a int) error) error {
 	return nil
 }
 
-// dictIndex returns the inverted index of a dictionary, refusing one that
-// repeats a value.
-func dictIndex(dict []string) (map[string]int32, error) {
-	if len(dict) > math.MaxInt32 {
-		return nil, fmt.Errorf("dictionary of %d values", len(dict))
-	}
-	inv := make(map[string]int32, len(dict))
-	for c, v := range dict {
-		inv[v] = int32(c)
-		if len(inv) != c+1 {
-			return nil, fmt.Errorf("dictionary repeats value %q", v)
-		}
-	}
-	return inv, nil
-}
-
 // singleton is a cluster of one record together with the storage of its
 // id; growing the cluster moves its ids out.
 type singleton struct {
@@ -156,11 +150,19 @@ type singleton struct {
 	id [1]int64
 }
 
+// newSingleton returns an empty cluster of value whose first id appends
+// into the cluster's own allocation.
+func newSingleton(value string) *Cluster {
+	one := &singleton{Cluster: Cluster{Value: value}}
+	one.IDs = one.id[:0]
+	return &one.Cluster
+}
+
 // loadAttr builds attribute a's Pli from the codes of the records ids,
-// whose values dict lists and inv inverts: the cluster of code c holds the
-// records coded c and sits at cid c. It writes only shard a and the
-// records' column a of the arena.
-func (s *Store) loadAttr(a int, ids []int64, codes []int32, dict []string, inv map[string]int32) error {
+// whose values dict lists and the attribute's inverted index already
+// holds: the cluster of code c holds the records coded c and sits at cid
+// c. It writes only shard a and the records' column a of the arena.
+func (s *Store) loadAttr(a int, ids []int64, codes []int32, dict []string) error {
 	sizes := make([]int32, len(dict))
 	var next int32 // codes below next have occurred
 	for i, c := range codes {
@@ -193,9 +195,7 @@ func (s *Store) loadAttr(a int, ids []int64, codes []int32, dict []string, inv m
 			// the artist, claims and disease relations the ledger loads;
 			// sharing saves an allocation each (BENCH_setup.json →
 			// singleton_check).
-			one := &singleton{Cluster: Cluster{Value: v}}
-			one.IDs = one.id[:0]
-			cl = &one.Cluster
+			cl = newSingleton(v)
 		} else {
 			// Below 256 ids, the capacity one-at-a-time appends would have
 			// reached (a power of two): a loaded store that then takes
@@ -209,7 +209,6 @@ func (s *Store) loadAttr(a int, ids []int64, codes []int32, dict []string, inv m
 		}
 		ix.dir[c>>dirBits][c&dirMask] = cl
 	}
-	ix.inverted = inv
 	ix.next = int32(len(dict))
 	for i, c := range codes {
 		id := ids[i]

@@ -4,6 +4,9 @@
 // values to their Pli clusters, dictionary-encoded ("compressed") records,
 // and a paged record arena from surrogate record ids to compressed records.
 // Each Pli is a paged cluster directory indexed by cluster id (see Index).
+// Its inverted index is a table of cluster ids keyed by a seeded hash of
+// the value (values.go); a lookup reads the value back from the directory,
+// so no value is stored twice.
 //
 // Unlike the static setting, records are identified by a monotonically
 // increasing surrogate key instead of a row number, so the structures stay
@@ -154,11 +157,13 @@ const dirDeadShare = 8
 // cluster; a nil page holds no live cluster (never allocated, or freed when
 // its last cluster died, as the record arena frees pages). Lookups are two
 // array loads and ForEachCluster walks the clusters in ascending cid order.
+// The inverted index, values, files every live cluster's cid under its
+// value's hash and reads the value from the directory (values.go).
 type Index struct {
-	dir      [][]*Cluster
-	dirN     []int32 // live clusters per directory page
-	inverted map[string]int32
-	next     int32 // cid horizon: every cid ever minted is below it
+	dir    [][]*Cluster
+	dirN   []int32 // live clusters per directory page
+	values valueIndex
+	next   int32 // cid horizon: every cid ever minted is below it
 
 	// dirShared[p] marks directory page p as shared with one or more Frozen
 	// views (Store.Freeze). A cluster that dies on a shared page stays in
@@ -179,11 +184,11 @@ type Index struct {
 }
 
 func newIndex() *Index {
-	return &Index{inverted: make(map[string]int32)}
+	return &Index{values: newValueIndex()}
 }
 
 // NumClusters returns the number of distinct values currently present.
-func (ix *Index) NumClusters() int { return len(ix.inverted) }
+func (ix *Index) NumClusters() int { return ix.values.n }
 
 // Horizon returns the cid horizon: every cluster id ever minted, live or
 // dead, is below it, so a cid-indexed slice of this length covers them all.
@@ -203,9 +208,13 @@ func (ix *Index) Cluster(cid int32) *Cluster {
 
 // ClusterOf returns the cluster id for a value via the inverted index.
 func (ix *Index) ClusterOf(value string) (int32, bool) {
-	cid, ok := ix.inverted[value]
+	cid, _, ok := ix.values.find(value, ix.values.hash(value), ix.value)
 	return cid, ok
 }
+
+// value returns the value of cluster cid, which the inverted index names:
+// its directory slot holds the cluster.
+func (ix *Index) value(cid int32) string { return ix.dir[cid>>dirBits][cid&dirMask].Value }
 
 // ForEachCluster calls fn for every cluster in ascending cluster-id order.
 func (ix *Index) ForEachCluster(fn func(cid int32, c *Cluster) bool) {
@@ -218,17 +227,19 @@ func (ix *Index) ForEachCluster(fn func(cid int32, c *Cluster) bool) {
 	}
 }
 
-// add registers id under value and returns the cluster id used.
+// add registers id under value and returns the cluster id used. A new
+// value gets a singleton cluster, one allocation with room for id.
 func (ix *Index) add(value string, id int64) int32 {
-	cid, ok := ix.inverted[value]
+	h := ix.values.hash(value)
+	cid, slot, ok := ix.values.find(value, h, ix.value)
 	var c *Cluster
 	if ok {
 		c = ix.dir[cid>>dirBits][cid&dirMask]
 	} else {
 		cid = ix.next
 		ix.next++
-		ix.inverted[value] = cid
-		c = &Cluster{Value: value}
+		ix.values.put(slot, cid, h)
+		c = newSingleton(value)
 		ix.setSlot(cid, c)
 	}
 	c.IDs = append(c.IDs, id) // ids are monotonic, order preserved
@@ -261,7 +272,7 @@ func (ix *Index) setSlot(cid int32, c *Cluster) {
 // the pending ones reach 1/dirDeadShare of the live ones; then the page is
 // renewed.
 func (ix *Index) kill(cid int32, c *Cluster) {
-	delete(ix.inverted, c.Value)
+	ix.values.remove(cid, ix.values.hash(c.Value))
 	c.IDs = nil
 	p := int(cid >> dirBits)
 	ix.dirN[p]--
@@ -772,24 +783,26 @@ func (s *Store) AppendLookup(dst []int64, values []string) ([]int64, error) {
 		return dst, fmt.Errorf("pli: lookup has %d values, schema has %d attributes",
 			len(values), s.numAttrs)
 	}
+	var buf [16]int32
+	cids := buf[:0] // the values' cluster ids, on the stack up to 16 attributes
 	smallest, smallestAttr := -1, -1
 	for a, v := range values {
 		cid, ok := s.shards[a].ix.ClusterOf(v)
 		if !ok {
 			return dst, nil
 		}
+		cids = append(cids, cid)
 		size := s.shards[a].ix.Cluster(cid).Size()
 		if smallest < 0 || size < smallest {
 			smallest, smallestAttr = size, a
 		}
 	}
 	base := len(dst)
-	dst = append(dst, s.shards[smallestAttr].ix.Cluster(mustCid(s.shards[smallestAttr].ix, values[smallestAttr])).IDs...)
-	for a, v := range values {
+	dst = append(dst, s.shards[smallestAttr].ix.Cluster(cids[smallestAttr]).IDs...)
+	for a, cid := range cids {
 		if a == smallestAttr {
 			continue
 		}
-		cid, _ := s.shards[a].ix.ClusterOf(v)
 		kept := dst[base:base]
 		for _, id := range dst[base:] {
 			if s.Rec(id)[a] == cid {
@@ -802,12 +815,6 @@ func (s *Store) AppendLookup(dst []int64, values []string) ([]int64, error) {
 		}
 	}
 	return dst, nil
-}
-
-// mustCid returns the cluster id of a value known to be present.
-func mustCid(ix *Index, value string) int32 {
-	cid, _ := ix.inverted[value]
-	return cid
 }
 
 // CheckConsistency verifies the cross-structure invariants: the arena's
@@ -891,22 +898,28 @@ func (s *Store) CheckConsistency() error {
 	return err
 }
 
-// checkIndex verifies attribute a's cluster directory and clusters: the
-// directory slices have equal length, every page has dirPageSize slots and
-// its live count matches its live slots, no empty page stays allocated,
-// the live clusters total len(inverted), every slot's cluster sits at its
-// own cid below the cid horizon (the inverted index maps a live cluster's
-// value back to the slot), and every live cluster is strictly ascending and
-// holds only live records whose compressed record points back at it. An
-// empty cluster is a pending dead one: absent from the inverted index (one
-// it still maps to is reported as empty), counted in its page's pending
-// count, on a shared page only, and below 1/dirDeadShare of the page's live
-// clusters. (CheckConsistency's record sweep finds any record naming one.)
+// checkIndex verifies attribute a's cluster directory, clusters and
+// inverted index: the directory slices have equal length, every page has
+// dirPageSize slots and its live count matches its live slots, no empty
+// page stays allocated, every slot's cluster sits at its own cid below the
+// cid horizon, and every live cluster is strictly ascending and holds only
+// live records whose compressed record points back at it. An empty cluster
+// is a pending dead one: counted in its page's pending count, on a shared
+// page only, and below 1/dirDeadShare of the page's live clusters.
+// (CheckConsistency's record sweep finds any record naming one.) The
+// inverted index counts its occupied slots, every one names a live cluster
+// below the cid horizon, a lookup of every live cluster's value from its
+// home slot finds the cluster — so no probe chain is broken — and the live
+// clusters total its count. Together the last two mean every entry is one
+// that a lookup found, filed under the hash of its cluster's value.
 func (s *Store) checkIndex(a int) error {
 	ix := s.shards[a].ix
 	if len(ix.dir) != len(ix.dirN) || len(ix.dir) != len(ix.dirShared) || len(ix.dir) != len(ix.dirDead) {
 		return fmt.Errorf("pli: attr %d cluster directory skewed: %d pages, %d counts, %d share flags, %d pending counts",
 			a, len(ix.dir), len(ix.dirN), len(ix.dirShared), len(ix.dirDead))
+	}
+	if err := ix.checkValueSlots(a); err != nil {
+		return err
 	}
 	total := 0
 	for p, page := range ix.dir {
@@ -929,18 +942,17 @@ func (s *Store) checkIndex(a int) error {
 			if cid >= ix.next {
 				return fmt.Errorf("pli: attr %d cluster %d beyond cid horizon %d", a, cid, ix.next)
 			}
-			got, ok := ix.inverted[c.Value]
 			if c.Size() == 0 {
-				if ok && got == cid {
-					return fmt.Errorf("pli: attr %d cluster %d is empty", a, cid)
-				}
 				dead++
 				continue
 			}
 			n++
-			if !ok || got != cid {
-				return fmt.Errorf("pli: attr %d slot %d holds value %q, inverted index has %d (present %v)",
-					a, cid, c.Value, got, ok)
+			h := ix.values.hash(c.Value)
+			if got, _, ok := ix.values.find(c.Value, h, ix.value); !ok {
+				return fmt.Errorf("pli: attr %d slot %d holds value %q, inverted index %s",
+					a, cid, c.Value, ix.values.diagnose(cid, h))
+			} else if got != cid {
+				return fmt.Errorf("pli: attr %d slot %d holds value %q, inverted index has %d", a, cid, c.Value, got)
 			}
 			for j, id := range c.IDs {
 				if j > 0 && c.IDs[j-1] >= id {
@@ -973,9 +985,45 @@ func (s *Store) checkIndex(a int) error {
 		}
 		total += n
 	}
-	if total != len(ix.inverted) {
+	if total != ix.values.n {
 		return fmt.Errorf("pli: attr %d directory holds %d live clusters, inverted index %d values",
-			a, total, len(ix.inverted))
+			a, total, ix.values.n)
+	}
+	return nil
+}
+
+// checkValueSlots verifies that the inverted index's count matches its
+// occupied slots, within 3/4 load, and that every occupied slot names a
+// live cluster below the cid horizon, so the lookups that checkIndex runs
+// next read only clusters the directory holds and end at an empty slot.
+func (ix *Index) checkValueSlots(a int) error {
+	occupied := 0
+	for i, sl := range ix.values.slots {
+		if sl == 0 {
+			continue
+		}
+		occupied++
+		cid := slotCid(sl)
+		switch {
+		case cid < 0:
+			return fmt.Errorf("pli: attr %d inverted index slot %d holds no cluster id", a, i)
+		case cid >= ix.next:
+			return fmt.Errorf("pli: attr %d inverted index slot %d names cluster %d beyond cid horizon %d",
+				a, i, cid, ix.next)
+		case ix.Cluster(cid) != nil:
+		case int(cid>>dirBits) < len(ix.dir) && ix.dir[cid>>dirBits] != nil && ix.dir[cid>>dirBits][cid&dirMask] != nil:
+			return fmt.Errorf("pli: attr %d cluster %d is empty, but inverted index slot %d names it", a, cid, i)
+		default:
+			return fmt.Errorf("pli: attr %d inverted index slot %d names cluster %d, which the directory does not hold",
+				a, i, cid)
+		}
+	}
+	if occupied != ix.values.n {
+		return fmt.Errorf("pli: attr %d inverted index counts %d values in %d occupied slots", a, ix.values.n, occupied)
+	}
+	if 4*occupied > 3*len(ix.values.slots) {
+		return fmt.Errorf("pli: attr %d inverted index holds %d values in %d slots, over 3/4 load",
+			a, occupied, len(ix.values.slots))
 	}
 	return nil
 }

@@ -237,9 +237,6 @@ func TestFailoverChaosConvergence(t *testing.T) {
 
 			waitSeqEpoch(cEng, finalSeq, 1, "follower C")
 			waitSeqEpoch(a.eng, finalSeq, 1, "rejoined A")
-			if folA.Installs() == 0 {
-				t.Fatal("rejoined A never installed a checkpoint; its divergent tail cannot have been discarded")
-			}
 
 			// Quiesce the followers before touching engine cores directly:
 			// Seq() lands before an install finishes publishing, and
@@ -247,6 +244,12 @@ func TestFailoverChaosConvergence(t *testing.T) {
 			// while a replay goroutine is mid-install is a data race.
 			stopC()
 			stopA()
+			// Only now read A's install count: an install publishes its
+			// sequence before it counts itself, and the stops joined the
+			// replay goroutines.
+			if folA.Installs() == 0 {
+				t.Fatal("rejoined A never installed a checkpoint; its divergent tail cannot have been discarded")
+			}
 
 			// Oracle equivalence: the oracle never saw the divergent inserts,
 			// so matching it proves the tail was discarded — on every node.

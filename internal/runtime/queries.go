@@ -2,10 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
-
-	"dynfd/internal/bench"
 )
 
 // TenantInfo is one tenant's lifecycle summary. Seq is the staged
@@ -221,20 +220,28 @@ func (t *tenant) metrics() (TenantMetrics, bool) {
 
 	t.statMu.Lock()
 	m.Batches = t.batches
-	lat := toTimings(t.lat)
+	lat := slices.Clone(t.lat)
 	t.statMu.Unlock()
 	m.LatencyCount = len(lat)
-	m.LatencyAvgNs = int64(lat.Avg())
-	m.LatencyP50Ns = int64(lat.Percentile(50))
-	m.LatencyP90Ns = int64(lat.Percentile(90))
-	m.LatencyP99Ns = int64(lat.Percentile(99))
+	if len(lat) > 0 {
+		slices.Sort(lat)
+		var sum time.Duration
+		for _, d := range lat {
+			sum += d
+		}
+		m.LatencyAvgNs = int64(sum / time.Duration(len(lat)))
+		m.LatencyP50Ns = int64(nearestRank(lat, 50))
+		m.LatencyP90Ns = int64(nearestRank(lat, 90))
+		m.LatencyP99Ns = int64(nearestRank(lat, 99))
+	}
 	return m, true
 }
 
-func toTimings(d []time.Duration) bench.Timings {
-	out := make(bench.Timings, len(d))
-	copy(out, d)
-	return out
+// nearestRank returns the p-th percentile (0 < p <= 100) of the sorted,
+// non-empty window by the nearest-rank method.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	return sorted[min(max(rank, 0), len(sorted)-1)]
 }
 
 // columnIndexes resolves column names against a schema.

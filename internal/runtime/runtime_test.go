@@ -2,13 +2,16 @@ package runtime
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dynfd"
+	"dynfd/internal/bench"
 )
 
 func openTestRuntime(t *testing.T, cfg Config) *Runtime {
@@ -416,5 +419,35 @@ func TestOpenLocksDataRoot(t *testing.T) {
 	rt3 := openTestRuntime(t, Config{DataRoot: root})
 	if info, err := rt3.Info("alpha"); err != nil || info.Records != 1 {
 		t.Fatalf("reopened tenant = %+v, %v; want alpha with 1 record", info, err)
+	}
+}
+
+// TestLatencyStatsMatchBench: /metrics sorts the latency window once and
+// reads the mean and the nearest-rank percentiles from it; the figures
+// equal bench.Timings' on random windows, the empty one and one of one.
+func TestLatencyStatsMatchBench(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 7, 99, 100, 101, 512} {
+		for range 20 {
+			window := make([]time.Duration, n)
+			for i := range window {
+				window[i] = time.Duration(r.Int63n(int64(50 * time.Millisecond)))
+			}
+			tn := &tenant{name: "t", lat: window}
+			m, ok := tn.metrics()
+			if !ok {
+				t.Fatal("metrics of a live tenant not ok")
+			}
+			want := bench.Timings(window)
+			if m.LatencyCount != n || m.LatencyAvgNs != int64(want.Avg()) ||
+				m.LatencyP50Ns != int64(want.Percentile(50)) ||
+				m.LatencyP90Ns != int64(want.Percentile(90)) ||
+				m.LatencyP99Ns != int64(want.Percentile(99)) {
+				t.Fatalf("window of %d: count %d avg %d p50 %d p90 %d p99 %d; bench.Timings avg %d p50 %d p90 %d p99 %d",
+					n, m.LatencyCount, m.LatencyAvgNs, m.LatencyP50Ns, m.LatencyP90Ns, m.LatencyP99Ns,
+					want.Avg(), want.Percentile(50), want.Percentile(90), want.Percentile(99))
+			}
+		}
 	}
 }

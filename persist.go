@@ -49,7 +49,7 @@ func (m *DurableMonitor) Save(w io.Writer) error { return m.ro.Save(w) }
 // covers, pruning witnesses, and configuration are preserved, and the
 // dual-cover consistency of the snapshot is verified. The relation is
 // rebuilt by the Pli store's bulk loader (DESIGN.md §10): its rows front
-// end codes each attribute through the map that becomes its inverted
+// end codes each attribute through the table that becomes its inverted
 // index, attributes fanned out across GOMAXPROCS. A Workers value in the
 // saved configuration is ignored.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
