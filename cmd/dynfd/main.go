@@ -19,8 +19,7 @@
 // keys and unary inclusion dependencies — answered from the monitor's
 // final immutable result snapshot (Monitor.Snapshot), the same
 // copy-on-write read path the dynfdd daemon serves its query endpoints
-// from. The daemon's durability-side knobs (-sync-max-delay,
-// -commit-queue) do not apply here: the replay monitor is in-memory.
+// from. The replay monitor is in-memory: nothing is logged or fsynced.
 package main
 
 import (

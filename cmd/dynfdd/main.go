@@ -37,11 +37,10 @@
 // metrics) are served from each tenant's last published result snapshot:
 // they never queue behind an in-flight batch and report the snapshot's
 // sequence number plus a staleness count of batches still committing.
-// Writes durably commit through the group-commit WAL — concurrent batches
-// on one tenant coalesce into shared fsyncs; -sync-max-delay lets the
-// commit leader linger to grow those groups further (at the price of
-// commit latency), and -commit-queue bounds staged-but-unsynced batches
-// per engine, shedding overflow with 503 before anything is logged.
+// Writes durably commit through the group-commit WAL: concurrent batches
+// on one tenant coalesce into shared fsyncs, each leader syncing whatever
+// piled up while the previous fsync ran. Admission caps the batches in
+// flight per tenant (429 beyond it) and across tenants (503).
 //
 // WAL-shipping replication (DESIGN.md §15): a primary adds -repl-addr to
 // stream every tenant's WAL tail to followers; a follower daemon runs
@@ -119,8 +118,6 @@ func main() {
 	batch := flag.Int("batch", 100, "line protocol: auto-commit batch size")
 	flag.String("workers", "auto", "deprecated and ignored: Pli maintenance always fans out across GOMAXPROCS goroutines (set the GOMAXPROCS environment variable to change it)")
 	checkpointEvery := flag.Int("checkpoint-every", durable.DefaultCheckpointEvery, "batches between checkpoints (negative disables)")
-	syncMaxDelay := flag.Duration("sync-max-delay", 0, "group-commit linger: how long a commit leader waits before the shared WAL fsync so concurrent batches coalesce (0 = sync immediately; try 1ms under heavy concurrent write load)")
-	commitQueue := flag.Int("commit-queue", 0, "per-tenant bound on batches staged but not yet fsynced; overflow answers 503 before anything is logged (0 = unbounded)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling a live daemon; empty disables")
 	replAddr := flag.String("repl-addr", "", "serve the WAL-shipping replication protocol on this address so followers can stream this daemon's tenants; empty disables")
 	replicateFrom := flag.String("replicate-from", "", "run as a read-only follower of the primary whose -repl-addr is at this base URL (e.g. http://10.0.0.1:7071); mirrors its tenants and serves all reads with bounded staleness")
@@ -190,8 +187,6 @@ func main() {
 	rt, err := runtime.Open(runtime.Config{
 		DataRoot:         *dataRoot,
 		CheckpointEvery:  *checkpointEvery,
-		SyncMaxDelay:     *syncMaxDelay,
-		CommitQueue:      *commitQueue,
 		ServeReplication: *replAddr != "",
 		ReplicateFrom:    *replicateFrom,
 		Logger:           log.Default(),

@@ -6,14 +6,7 @@ import (
 
 	"dynfd/internal/dataset"
 	"dynfd/internal/durable"
-	"dynfd/internal/wal"
 )
-
-// ErrCommitQueueFull is returned by Apply and ApplyStaged when the
-// bounded commit queue configured with WithCommitQueue is at capacity.
-// The batch was rejected before anything was logged or applied; retrying
-// after in-flight commits drain is safe.
-var ErrCommitQueueFull = wal.ErrCommitQueueFull
 
 // DurableMonitor is a Monitor whose state survives crashes: every applied
 // batch is appended to a write-ahead log and fsynced before Apply returns,
@@ -90,8 +83,6 @@ func openDurable(dir string, columns []string, open func(durable.Storage, durabl
 		Columns:         columns,
 		Config:          cfg,
 		CheckpointEvery: o.checkpointEvery,
-		SyncMaxDelay:    o.syncMaxDelay,
-		CommitQueue:     o.commitQueue,
 		Feed:            o.feed,
 	}
 	eng, err := open(st, dopts)

@@ -98,8 +98,6 @@ type options struct {
 	keyColumns      []string
 	updatePruning   bool
 	checkpointEvery int
-	syncMaxDelay    time.Duration
-	commitQueue     int
 	feed            ChangeFeed
 }
 
@@ -140,22 +138,6 @@ func WithWorkers(int) Option { return func(*options) {} }
 // Plain in-memory Monitors ignore this option.
 func WithCheckpointEvery(batches int) Option {
 	return func(o *options) { o.checkpointEvery = batches }
-}
-
-// WithSyncMaxDelay sets how long a DurableMonitor's group-commit leader
-// lingers before running the shared fsync, trading a bounded latency
-// increase for larger sync groups under concurrent ApplyStaged load
-// (default 0: sync immediately). Plain in-memory Monitors ignore it.
-func WithSyncMaxDelay(d time.Duration) Option {
-	return func(o *options) { o.syncMaxDelay = d }
-}
-
-// WithCommitQueue bounds how many staged-but-unsynced batches a
-// DurableMonitor admits at once; ApplyStaged beyond the bound fails fast
-// with ErrCommitQueueFull before anything is appended (default 0:
-// unbounded). Plain in-memory Monitors ignore it.
-func WithCommitQueue(n int) Option {
-	return func(o *options) { o.commitQueue = n }
 }
 
 // WithChangeFeed attaches a replication change feed to a DurableMonitor:

@@ -24,14 +24,6 @@ type Config struct {
 	// search when many non-FDs of one level become valid (paper §5.3).
 	DepthFirstSearch bool
 
-	// EfficiencyThreshold is the fraction of invalid (resp. valid)
-	// validations per lattice level that triggers the violation search
-	// (resp. the depth-first search), and the minimum per-comparison yield
-	// that keeps the violation search running. The paper hard-codes 10%.
-	EfficiencyThreshold float64
-	// DFSSampleRate is the fraction of newly valid FDs used as seeds for
-	// the optimistic depth-first searches. The paper hard-codes 10%.
-	DFSSampleRate float64
 	// Seed drives the deterministic pseudo-random DFS seed sampling.
 	Seed int64
 
@@ -59,28 +51,27 @@ type Config struct {
 	Workers int
 }
 
+// The paper's two tuning constants (§4.3, §5.3), fixed at its 10%.
+const (
+	// efficiencyThreshold is the fraction of invalid (resp. valid)
+	// validations per lattice level that triggers the violation search
+	// (resp. the depth-first search), and the minimum per-comparison yield
+	// that keeps the violation search running.
+	efficiencyThreshold = 0.1
+	// dfsSampleRate is the fraction of newly valid FDs used as seeds for
+	// the optimistic depth-first searches.
+	dfsSampleRate = 0.1
+)
+
 // DefaultConfig returns the paper's configuration: all four pruning
-// strategies enabled with 10% thresholds.
+// strategies enabled.
 func DefaultConfig() Config {
 	return Config{
-		ClusterPruning:      true,
-		ViolationSearch:     true,
-		ValidationPruning:   true,
-		DepthFirstSearch:    true,
-		EfficiencyThreshold: 0.1,
-		DFSSampleRate:       0.1,
+		ClusterPruning:    true,
+		ViolationSearch:   true,
+		ValidationPruning: true,
+		DepthFirstSearch:  true,
 	}
-}
-
-// normalize fills unset tuning constants with the paper defaults.
-func (c Config) normalize() Config {
-	if c.EfficiencyThreshold <= 0 {
-		c.EfficiencyThreshold = 0.1
-	}
-	if c.DFSSampleRate <= 0 {
-		c.DFSSampleRate = 0.1
-	}
-	return c
 }
 
 // Stats accumulates observable work counters across batches. They feed the

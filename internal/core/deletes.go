@@ -62,7 +62,7 @@ func (e *Engine) processDeletes(touched attrset.Set) error {
 		// Lines 15-16: optimistic depth-first searches when the level-wise
 		// sweep becomes inefficient.
 		if e.cfg.DepthFirstSearch &&
-			float64(len(validFds)) > e.cfg.EfficiencyThreshold*float64(len(candidates)) {
+			float64(len(validFds)) > efficiencyThreshold*float64(len(candidates)) {
 			e.depthFirstSearches(validFds)
 		}
 	}

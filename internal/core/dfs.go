@@ -16,7 +16,7 @@ import (
 // common small-change case.
 func (e *Engine) depthFirstSearches(validFds []fd.FD) {
 	e.stats.DepthFirstSearchRuns++
-	n := int(e.cfg.DFSSampleRate * float64(len(validFds)))
+	n := int(dfsSampleRate * float64(len(validFds)))
 	if n < 1 {
 		n = 1
 	}

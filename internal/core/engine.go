@@ -96,7 +96,7 @@ func (e *Engine) initExtras() {
 // starts as {∅ → A | A ∈ R} and the negative cover is empty.
 func NewEmpty(numAttrs int, cfg Config) *Engine {
 	e := &Engine{
-		cfg:      cfg.normalize(),
+		cfg:      cfg,
 		numAttrs: numAttrs,
 		store:    pli.NewStore(numAttrs),
 		fds:      lattice.New(numAttrs),
@@ -128,7 +128,7 @@ func Bootstrap(rel *dataset.Relation, cfg Config) (*Engine, error) {
 func FromHyFD(res *hyfd.Result, cfg Config) *Engine {
 	numAttrs := res.Store.NumAttrs()
 	e := &Engine{
-		cfg:      cfg.normalize(),
+		cfg:      cfg,
 		numAttrs: numAttrs,
 		store:    res.Store,
 		fds:      res.FDs,

@@ -68,7 +68,7 @@ func (e *Engine) processInserts(minNewID int64, newIDs []int64, touched attrset.
 		}
 		// Lines 16-17: switch to the violation search when the traversal
 		// becomes inefficient.
-		if float64(invalid) > e.cfg.EfficiencyThreshold*float64(len(candidates)) {
+		if float64(invalid) > efficiencyThreshold*float64(len(candidates)) {
 			e.violationSearch(newIDs)
 		}
 	}

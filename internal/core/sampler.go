@@ -71,7 +71,7 @@ func (e *Engine) violationSearch(newIDs []int64) {
 		if !progressive {
 			return // baseline: direct neighbours only
 		}
-		if comparisons == 0 || float64(hits) < e.cfg.EfficiencyThreshold*float64(comparisons) {
+		if comparisons == 0 || float64(hits) < efficiencyThreshold*float64(comparisons) {
 			return
 		}
 	}

@@ -87,7 +87,7 @@ func Restore(s *Snapshot) (*Engine, error) {
 		return nil, fmt.Errorf("core: snapshot has invalid attribute count %d", s.NumAttrs)
 	}
 	e := &Engine{
-		cfg:      s.Config.normalize(),
+		cfg:      s.Config,
 		numAttrs: s.NumAttrs,
 		store:    pli.NewStore(s.NumAttrs),
 		fds:      lattice.New(s.NumAttrs),

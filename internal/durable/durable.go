@@ -34,16 +34,6 @@ type Options struct {
 	// automatic checkpoints (the WAL then grows until an explicit
 	// Checkpoint or Close).
 	CheckpointEvery int
-	// SyncMaxDelay is the group committer's linger window: how long a
-	// commit leader waits before running the group fsync, so concurrent
-	// batches coalesce into one sync. 0 syncs immediately (concurrent
-	// waiters still coalesce — the linger only grows groups further at
-	// the price of latency).
-	SyncMaxDelay time.Duration
-	// CommitQueue bounds the number of batches staged but not yet
-	// durable; Stage rejects cleanly with wal.ErrCommitQueueFull beyond
-	// it. 0 means unbounded.
-	CommitQueue int
 	// Feed, when set, receives every committed batch for WAL-shipping
 	// replication: Stage appends each staged payload, and the durability
 	// watermark advances as batches are covered by fsyncs or checkpoints.
@@ -293,7 +283,7 @@ func (e *Engine) recoverFrom(cp *checkpoint, opts Options) (*Engine, error) {
 // result snapshot: everything recovered is durable, so the snapshot is
 // visible to the lock-free read path before Open returns.
 func (e *Engine) finishOpen(opts Options) {
-	e.committer = wal.NewGroupCommitter(e.log.Sync, e.seq.Load(), opts.SyncMaxDelay, opts.CommitQueue)
+	e.committer = wal.NewGroupCommitter(e.log.Sync, e.seq.Load())
 	e.lastStaged = e.eng.BuildResults(nil, e.seq.Load(), e.columns, nil, nil)
 	e.published.Store(e.lastStaged)
 	e.feed = opts.Feed
@@ -416,8 +406,8 @@ type Pending struct {
 // meant to run outside that serialization so concurrent batches coalesce
 // into shared group fsyncs.
 //
-// An error return means the batch was rejected cleanly (bad batch, commit
-// queue full, poisoned engine) or the engine poisoned itself mid-commit;
+// An error return means the batch was rejected cleanly (bad batch, failed
+// fsync, closed or poisoned engine) or the engine poisoned itself mid-commit;
 // either way there is nothing to Wait on.
 func (e *Engine) Stage(batch stream.Batch) (core.Result, *Pending, error) {
 	if err := e.precheck(batch); err != nil {
@@ -473,16 +463,15 @@ func (e *Engine) checkUTF8(values []string) error {
 // engine runs the full sweeps and the feed gets record framed with this
 // engine's own delta.
 func (e *Engine) stage(batch stream.Batch, record, frame []byte, delta *core.CoverDelta) (core.Result, *Pending, error) {
-	// Claim a commit-queue slot before touching the log: a full queue is
-	// a clean, side-effect-free rejection. The slot is released by Wait.
-	if err := e.committer.Reserve(); err != nil {
+	// Nothing may be appended after a failed fsync or after Close: the
+	// batch could never become durable.
+	if err := e.committer.Check(); err != nil {
 		return core.Result{}, nil, fmt.Errorf("durable: %w", err)
 	}
 	seq := e.seq.Load() + 1
 	if err := e.log.Append(seq, record); err != nil {
 		// The log may now end in a torn record; appending more would bury
 		// it and lose everything after it on recovery.
-		e.committer.Release()
 		e.poison(err)
 		return core.Result{}, nil, err
 	}
@@ -503,7 +492,6 @@ func (e *Engine) stage(batch stream.Batch, record, frame []byte, delta *core.Cov
 		// concurrent group sync) but not in memory: the two states have
 		// diverged (unreachable for prechecked batches — a worker panic
 		// is the realistic cause).
-		e.committer.Release()
 		perr := fmt.Errorf("durable: batch %d logged but not applied: %w", seq, err)
 		e.poison(perr)
 		return core.Result{}, nil, perr
@@ -532,18 +520,16 @@ func (e *Engine) stage(batch stream.Batch, record, frame []byte, delta *core.Cov
 	return res, p, nil
 }
 
-// Wait blocks until the staged batch is durable, publishes its result
-// snapshot, and releases the commit-queue slot. It must be called exactly
-// once per successful Stage; a nil return means the batch survives any
-// subsequent crash. Wait is safe to call from any goroutine — commit
-// waiters coalesce into shared group fsyncs, and the calling goroutine
-// may run the group's fsync itself.
+// Wait blocks until the staged batch is durable and publishes its result
+// snapshot. It must be called exactly once per successful Stage; a nil
+// return means the batch survives any subsequent crash. Wait is safe to
+// call from any goroutine — commit waiters coalesce into shared group
+// fsyncs, and the calling goroutine may run the group's fsync itself.
 func (p *Pending) Wait() error {
 	if p.done {
 		return fmt.Errorf("durable: Wait called twice for batch %d", p.seq)
 	}
 	p.done = true
-	defer p.e.committer.Release()
 	if err := p.e.committer.WaitSynced(p.seq); err != nil {
 		p.e.poison(err)
 		return err

@@ -44,16 +44,14 @@ func (e *Engine) Promote() (uint64, error) {
 // exposing; the record is durable when this returns nil. Callers must hold
 // the external staging serialization.
 func (e *Engine) stagePromotion(seq, epoch uint64, payload []byte) error {
-	if err := e.committer.Reserve(); err != nil {
+	if err := e.committer.Check(); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
 	if err := e.log.Append(seq, payload); err != nil {
 		// Same torn-record hazard as Stage: further appends would bury it.
-		e.committer.Release()
 		e.poison(err)
 		return err
 	}
-	defer e.committer.Release()
 	e.committer.Appended(seq)
 	e.seq.Store(seq)
 	e.epoch.Store(epoch)

@@ -10,7 +10,29 @@ import (
 	"dynfd/internal/dataset"
 	"dynfd/internal/faultio"
 	"dynfd/internal/stream"
+	"dynfd/internal/wal"
 )
+
+// slowSyncStorage is a Storage whose log Sync sleeps before syncing, so
+// batches staged while a group fsync runs pile up behind it and the next
+// leader's fsync covers several of them — on in-memory storage an fsync
+// otherwise costs almost nothing and groups rarely form.
+type slowSyncStorage struct {
+	Storage
+	delay time.Duration
+}
+
+func (s slowSyncStorage) Log() wal.File { return slowSyncFile{s.Storage.Log(), s.delay} }
+
+type slowSyncFile struct {
+	wal.File
+	delay time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.delay)
+	return f.File.Sync()
+}
 
 // groupBatch builds the w-th writer's b-th batch: insert-only with a
 // unique first column per batch and low-cardinality tail columns, so any
@@ -38,10 +60,8 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 		{"r1", "x1", "y1"},
 		{"r2", "x0", "y1"},
 	}
-	opts := Options{
-		Columns: testColumns, Config: cfg, CheckpointEvery: 5,
-		SyncMaxDelay: 50 * time.Microsecond,
-	}
+	opts := Options{Columns: testColumns, Config: cfg, CheckpointEvery: 5}
+	const syncDelay = time.Millisecond
 	const writers, perWriter = 4, 4
 	totalBatches := writers * perWriter
 
@@ -49,15 +69,15 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	// Stage records its (seq, batch) in staging order, the first failed
 	// Stage keeps its batch (its WAL record may be torn but could also
 	// have landed), and acked collects the sequences whose Wait returned
-	// nil.
-	run := func(st Storage) (staged map[uint64]stream.Batch, firstFail *stream.Batch, acked []uint64, bootAcked bool) {
+	// nil. syncs counts the group fsyncs of a run that got past Bootstrap.
+	run := func(st Storage) (staged map[uint64]stream.Batch, firstFail *stream.Batch, acked []uint64, bootAcked bool, syncs int) {
 		staged = map[uint64]stream.Batch{}
-		eng, err := Open(st, opts)
+		eng, err := Open(slowSyncStorage{st, syncDelay}, opts)
 		if err != nil {
-			return staged, nil, nil, false
+			return staged, nil, nil, false, 0
 		}
 		if err := eng.Bootstrap(rows); err != nil {
-			return staged, nil, nil, false
+			return staged, nil, nil, false, 0
 		}
 		var (
 			mu      sync.Mutex // external Stage serialization, as the runtime does
@@ -93,13 +113,22 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		return staged, firstFail, acked, true
+		syncs, _ = eng.SyncStats()
+		return staged, firstFail, acked, true, syncs
 	}
 
-	// Calibrate the storage-unit count with a fault-free concurrent run.
+	// Calibrate the storage-unit count with a fault-free concurrent run,
+	// which must also have formed multi-batch sync groups: otherwise the
+	// crash points below never land inside a shared fsync. Each automatic
+	// checkpoint makes at least the batch that triggered it durable without
+	// an fsync; without sync groups every other batch takes its own.
 	free := faultio.NewMem()
-	if staged, _, _, boot := run(free); !boot || len(staged) != totalBatches {
+	staged, _, _, boot, syncs := run(free)
+	if !boot || len(staged) != totalBatches {
 		t.Fatalf("fault-free run staged %d/%d batches (boot %v)", len(staged), totalBatches, boot)
+	}
+	if unfolded := totalBatches - totalBatches/opts.CheckpointEvery; syncs >= unfolded {
+		t.Fatalf("fault-free run took %d fsyncs for %d batches not folded into a checkpoint: no sync group formed", syncs, unfolded)
 	}
 	total := free.Units()
 	if total < 100 {
@@ -111,7 +140,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	points := 0
 	for budget := int64(0); budget <= total; budget += stride {
 		m := faultio.NewMemCrashAt(budget)
-		staged, firstFail, acked, bootAcked := run(m)
+		staged, firstFail, acked, bootAcked, _ := run(m)
 		points++
 
 		re := m.Reopen(keeps[budget%int64(len(keeps))])

@@ -9,8 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"dynfd"
 	"dynfd/internal/runtime"
 )
 
@@ -305,6 +308,89 @@ func TestPendingCapOnBatch(t *testing.T) {
 	if resp.StatusCode != 400 || !strings.Contains(string(body), "limit 64") {
 		t.Fatalf("over-cap batch = %d %s", resp.StatusCode, body)
 	}
+}
+
+// TestInFlightCapStatuses: a batch past Limits.MaxTenantInFlight answers
+// 429 and one past Limits.MaxInFlight answers 503. View holds the tenants'
+// mutation locks so the admitted batches wait; the rejection is the only
+// response that arrives while they are held, and the admitted batches
+// answer 200 once the locks are released.
+func TestInFlightCapStatuses(t *testing.T) {
+	t.Parallel()
+	limits := runtime.DefaultLimits()
+	limits.MaxTenantInFlight = 2
+	limits.MaxInFlight = 3
+	rt, err := runtime.Open(runtime.Config{DataRoot: t.TempDir(), Limits: limits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	for _, name := range []string{"a", "b"} {
+		if err := rt.Create(name, []string{"k", "v"}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(rt).Handler())
+	t.Cleanup(ts.Close)
+
+	next := 0
+	check := func(hold, batches []string, want int) {
+		t.Helper()
+		held := make(chan struct{})
+		done := make(chan struct{})
+		var views sync.WaitGroup
+		for _, name := range hold {
+			views.Add(1)
+			go func() {
+				defer views.Done()
+				if err := rt.View(name, func(*dynfd.DurableMonitor) error {
+					held <- struct{}{}
+					<-done
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+			<-held
+		}
+		release := func() {
+			close(done)
+			views.Wait()
+		}
+		statuses := make(chan int, len(batches))
+		for _, name := range batches {
+			next++
+			body := fmt.Sprintf(`{"changes":[{"op":"insert","values":["k%d","v"]}]}`, next)
+			go func() {
+				resp, err := ts.Client().Post(ts.URL+"/v1/tenants/"+name+"/batch", "application/json", strings.NewReader(body))
+				if err != nil {
+					statuses <- 0
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				statuses <- resp.StatusCode
+			}()
+		}
+		select {
+		case got := <-statuses:
+			if got != want {
+				release()
+				t.Fatalf("first response while %v were held = %d, want %d", hold, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			release()
+			t.Fatalf("no batch was rejected while %v were held", hold)
+		}
+		release()
+		for range len(batches) - 1 {
+			if got := <-statuses; got != http.StatusOK {
+				t.Fatalf("admitted batch answered %d, want 200", got)
+			}
+		}
+	}
+	check([]string{"a"}, []string{"a", "a", "a"}, http.StatusTooManyRequests)
+	check([]string{"a", "b"}, []string{"a", "a", "b", "b"}, http.StatusServiceUnavailable)
 }
 
 // TestCreateAcceptsLegacyWorkers: clients of builds with a per-tenant

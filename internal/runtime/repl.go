@@ -34,7 +34,7 @@ func (rt *Runtime) newFeed() *repl.Feed {
 	if !rt.cfg.ServeReplication {
 		return nil
 	}
-	return repl.NewFeed(0, rt.cfg.FeedCapacity)
+	return repl.NewFeed(0, repl.DefaultFeedCapacity)
 }
 
 // writable gates the mutating endpoints by failover role: a follower

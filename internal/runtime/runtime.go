@@ -150,25 +150,10 @@ type Config struct {
 	Limits Limits
 	// Logger receives lifecycle and quarantine events; nil discards them.
 	Logger *log.Logger
-	// LatencyWindow is how many recent per-batch latencies each tenant
-	// retains for percentile metrics; 0 means 512.
-	LatencyWindow int
-	// SyncMaxDelay is each engine's group-commit linger window
-	// (dynfd.WithSyncMaxDelay): how long a commit leader waits before the
-	// shared fsync so concurrent batches coalesce. 0 syncs immediately.
-	SyncMaxDelay time.Duration
-	// CommitQueue bounds each tenant's staged-but-unsynced batches
-	// (dynfd.WithCommitQueue); overflow is reported as ErrOverloaded.
-	// 0 means unbounded.
-	CommitQueue int
 	// ServeReplication attaches a WAL-shipping change feed to every tenant
 	// engine so the runtime can act as a replication primary (the daemon
 	// sets it when -repl-addr is given). DESIGN.md §15.
 	ServeReplication bool
-	// FeedCapacity is the per-tenant frame ring size when ServeReplication
-	// is set; a follower further behind catches up from a checkpoint.
-	// 0 means repl.DefaultFeedCapacity.
-	FeedCapacity int
 	// ReplicateFrom, when non-empty, runs the runtime as a read-only
 	// follower of the primary at this replication base URL: tenants mirror
 	// the primary's, every write endpoint fails with ErrReadOnly, and
@@ -250,10 +235,13 @@ type tenant struct {
 	statMu   sync.Mutex
 	inFlight int
 	batches  uint64
-	lat      []time.Duration
+	lat      []time.Duration // the last latencyWindow batch latencies, a ring
 	latPos   int
-	latFull  bool
 }
+
+// latencyWindow is how many recent per-batch latencies each tenant keeps
+// for its percentile metrics.
+const latencyWindow = 512
 
 // quarErr returns the tenant's quarantine reason, or nil while healthy.
 // Safe from any goroutine.
@@ -308,9 +296,6 @@ func Open(cfg Config) (*Runtime, error) {
 	}
 	if (cfg.Limits == Limits{}) {
 		cfg.Limits = DefaultLimits()
-	}
-	if cfg.LatencyWindow <= 0 {
-		cfg.LatencyWindow = 512
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -367,12 +352,6 @@ func (rt *Runtime) engineOptions(feed *repl.Feed) []dynfd.Option {
 	var opts []dynfd.Option
 	if rt.cfg.CheckpointEvery != 0 {
 		opts = append(opts, dynfd.WithCheckpointEvery(rt.cfg.CheckpointEvery))
-	}
-	if rt.cfg.SyncMaxDelay > 0 {
-		opts = append(opts, dynfd.WithSyncMaxDelay(rt.cfg.SyncMaxDelay))
-	}
-	if rt.cfg.CommitQueue > 0 {
-		opts = append(opts, dynfd.WithCommitQueue(rt.cfg.CommitQueue))
 	}
 	if feed != nil {
 		opts = append(opts, dynfd.WithChangeFeed(feed))
@@ -618,11 +597,6 @@ func (rt *Runtime) Apply(name string, changes []dynfd.Change) (ApplyResult, erro
 			return ApplyResult{}, &QuarantineError{Tenant: name, Err: perr}
 		}
 		t.mu.Unlock()
-		if errors.Is(err, dynfd.ErrCommitQueueFull) {
-			// The bounded commit queue is load shedding, not a tenant
-			// failure: report it like any other overload.
-			return ApplyResult{}, fmt.Errorf("%w: tenant %q: %v", ErrOverloaded, name, err)
-		}
 		// Batch rejected by precheck — engine state untouched and healthy.
 		return ApplyResult{}, fmt.Errorf("runtime: tenant %q: %w", name, err)
 	}
@@ -650,12 +624,11 @@ func (rt *Runtime) Apply(name string, changes []dynfd.Change) (ApplyResult, erro
 	elapsed := time.Since(start)
 	t.statMu.Lock()
 	t.batches++
-	if len(t.lat) < rt.cfg.LatencyWindow {
+	if len(t.lat) < latencyWindow {
 		t.lat = append(t.lat, elapsed)
 	} else {
 		t.lat[t.latPos] = elapsed
 		t.latPos = (t.latPos + 1) % len(t.lat)
-		t.latFull = true
 	}
 	t.statMu.Unlock()
 	return res, nil

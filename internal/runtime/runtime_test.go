@@ -2,11 +2,14 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,6 +235,126 @@ func TestAdmissionCaps(t *testing.T) {
 	if err := rt.Create("t3", []string{"a"}, nil); err != nil {
 		t.Fatalf("create after drop under cap = %v", err)
 	}
+}
+
+// holdTenants takes the named tenants' mutation locks through View and
+// keeps them until the returned release runs, so Apply calls on those
+// tenants are admitted and then wait.
+func holdTenants(t *testing.T, rt *Runtime, names ...string) (release func()) {
+	t.Helper()
+	held := make(chan struct{})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := rt.View(name, func(*dynfd.DurableMonitor) error {
+				held <- struct{}{}
+				<-done
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-held
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// TestInFlightCaps: while View holds a tenant's mutation lock, Apply calls
+// on it are admitted and wait. The call past Limits.MaxTenantInFlight
+// fails with ErrTenantBusy and, over two held tenants, the call past
+// Limits.MaxInFlight fails with ErrOverloaded; the rejection is the only
+// call that returns while the locks are held. A rejected batch never
+// reaches the log: once the locks are released, each tenant's seq has
+// moved by its admitted batches only.
+func TestInFlightCaps(t *testing.T) {
+	t.Parallel()
+	limits := DefaultLimits()
+	limits.MaxTenantInFlight = 2
+	limits.MaxInFlight = 3
+	rt := openTestRuntime(t, Config{Limits: limits})
+	for _, name := range []string{"a", "b"} {
+		if err := rt.Create(name, []string{"k", "v"}, [][]string{{"k0", "v"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := func(name string) uint64 {
+		t.Helper()
+		_, s, err := rt.Snapshot(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	type result struct {
+		tenant string
+		err    error
+	}
+	var next atomic.Int64
+	// fire runs one single-insert Apply per entry of tenants concurrently.
+	fire := func(tenants ...string) <-chan result {
+		out := make(chan result, len(tenants))
+		for _, name := range tenants {
+			k := fmt.Sprint("k", next.Add(1))
+			go func() {
+				_, err := rt.Apply(name, []dynfd.Change{dynfd.Insert(k, "v")})
+				out <- result{name, err}
+			}()
+		}
+		return out
+	}
+	// check holds the tenants and fires the applies. The first result to
+	// arrive must be the one rejection, with want, and must leave every
+	// seq untouched; the others must all commit once released.
+	check := func(hold []string, applies []string, want error) {
+		t.Helper()
+		base := map[string]uint64{}
+		for _, name := range hold {
+			base[name] = seq(name)
+		}
+		release := holdTenants(t, rt, hold...)
+		results := fire(applies...)
+		var rejected result
+		select {
+		case rejected = <-results:
+		case <-time.After(10 * time.Second):
+			release()
+			t.Fatalf("no Apply was rejected while %v were held", hold)
+		}
+		if !errors.Is(rejected.err, want) {
+			release()
+			t.Fatalf("first Apply to return = %v, want %v", rejected.err, want)
+		}
+		for _, name := range hold {
+			if got := seq(name); got != base[name] {
+				release()
+				t.Fatalf("tenant %s: seq %d after the rejection, want %d", name, got, base[name])
+			}
+		}
+		release()
+		grew := map[string]uint64{}
+		for _, name := range applies {
+			grew[name]++
+		}
+		grew[rejected.tenant]--
+		for range len(applies) - 1 {
+			if r := <-results; r.err != nil {
+				t.Fatalf("admitted Apply on %s = %v", r.tenant, r.err)
+			}
+		}
+		for _, name := range hold {
+			if got := seq(name); got != base[name]+grew[name] {
+				t.Fatalf("tenant %s: seq %d after the admitted batches, want %d", name, got, base[name]+grew[name])
+			}
+		}
+	}
+	check([]string{"a"}, []string{"a", "a", "a"}, ErrTenantBusy)
+	check([]string{"a", "b"}, []string{"a", "a", "b", "b"}, ErrOverloaded)
 }
 
 func TestQueriesKeysINDsViolations(t *testing.T) {

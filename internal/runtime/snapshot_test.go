@@ -19,7 +19,7 @@ import (
 // the data-race proof for the runtime's read path.
 func TestSnapshotReadPathUnderConcurrentWriters(t *testing.T) {
 	t.Parallel()
-	rt := openTestRuntime(t, Config{SyncMaxDelay: 100 * time.Microsecond})
+	rt := openTestRuntime(t, Config{})
 	if err := rt.Create("hot", []string{"zip", "city"}, [][]string{{"14482", "Potsdam"}}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,6 @@ import (
 	"time"
 )
 
-// ErrCommitQueueFull is returned by Reserve when the bounded commit queue
-// is at capacity: the batch is rejected before anything is appended, so
-// the caller can shed load cleanly.
-var ErrCommitQueueFull = errors.New("wal: commit queue full")
-
 // ErrCommitterClosed is returned to waiters whose sync can no longer
 // happen because the committer shut down.
 var ErrCommitterClosed = errors.New("wal: group committer closed")
@@ -33,15 +28,12 @@ type GroupCommitter struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	sync     func() error  // the underlying fsync
-	maxDelay time.Duration // leader linger before capturing the group
-	maxQueue int           // bound on reserved-but-unsynced batches; 0 = unbounded
+	sync func() error // the underlying fsync
 
 	appended uint64 // high-water appended sequence
 	synced   uint64 // high-water durable sequence
 	syncing  bool   // a leader's fsync is in flight
 	blocked  bool   // an Exclusive section is in flight
-	reserved int    // outstanding Reserve calls
 	err      error  // sticky failure; every waiter observes it
 	closed   bool
 
@@ -50,27 +42,19 @@ type GroupCommitter struct {
 }
 
 // NewGroupCommitter returns a committer over the given fsync function.
-// base is the already-durable sequence (waits at or below it return
-// immediately); maxDelay is the leader's linger window for collecting a
-// larger group (0 syncs immediately); maxQueue bounds the commit queue
-// (0 = unbounded).
-func NewGroupCommitter(syncFn func() error, base uint64, maxDelay time.Duration, maxQueue int) *GroupCommitter {
-	g := &GroupCommitter{
-		sync:     syncFn,
-		maxDelay: maxDelay,
-		maxQueue: maxQueue,
-		appended: base,
-		synced:   base,
-	}
+// base is the already-durable sequence: waits at or below it return
+// immediately.
+func NewGroupCommitter(syncFn func() error, base uint64) *GroupCommitter {
+	g := &GroupCommitter{sync: syncFn, appended: base, synced: base}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// Reserve claims a commit-queue slot before the caller appends. It fails
-// with ErrCommitQueueFull when the queue is at capacity and with the
-// sticky error after a failure, in both cases without side effects. Every
-// successful Reserve must be paired with exactly one Release.
-func (g *GroupCommitter) Reserve() error {
+// Check reports the sticky error after a failed fsync or Poison, or
+// ErrCommitterClosed after Close, and nil otherwise. It has no side
+// effects; the caller runs it before each append, so nothing is appended
+// to a log whose committer can no longer make it durable.
+func (g *GroupCommitter) Check() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.err != nil {
@@ -79,18 +63,7 @@ func (g *GroupCommitter) Reserve() error {
 	if g.closed {
 		return ErrCommitterClosed
 	}
-	if g.maxQueue > 0 && g.reserved >= g.maxQueue {
-		return ErrCommitQueueFull
-	}
-	g.reserved++
 	return nil
-}
-
-// Release returns a Reserve slot.
-func (g *GroupCommitter) Release() {
-	g.mu.Lock()
-	g.reserved--
-	g.mu.Unlock()
 }
 
 // Appended records that the record with the given sequence has been
@@ -130,16 +103,9 @@ func (g *GroupCommitter) WaitSynced(seq uint64) error {
 }
 
 // leadSync runs one group fsync as the leader. Called and returns with
-// g.mu held; the lock is released around the linger and the fsync itself.
+// g.mu held; the lock is released around the fsync itself.
 func (g *GroupCommitter) leadSync() {
 	g.syncing = true
-	if g.maxDelay > 0 {
-		// Linger with the lock released so followers can append and join
-		// the group.
-		g.mu.Unlock()
-		time.Sleep(g.maxDelay)
-		g.mu.Lock()
-	}
 	// The fsync covers everything appended up to here. Later appends may
 	// also land on disk, but only the captured target is claimed — their
 	// durability is the next group's job.
@@ -219,7 +185,7 @@ func (g *GroupCommitter) Poison(err error) {
 }
 
 // Close marks the committer closed: unsatisfied waiters and future
-// Reserve/WaitSynced calls fail with ErrCommitterClosed; already-durable
+// Check/WaitSynced calls fail with ErrCommitterClosed; already-durable
 // waits still succeed.
 func (g *GroupCommitter) Close() {
 	g.mu.Lock()

@@ -17,7 +17,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		fsyncs.Add(1)
 		time.Sleep(2 * time.Millisecond) // let followers pile up
 		return nil
-	}, 0, 0, 0)
+	}, 0)
 
 	const n = 64
 	var mu sync.Mutex // stands in for the engine's mutation lock
@@ -29,11 +29,10 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := g.Reserve(); err != nil {
+			if err := g.Check(); err != nil {
 				errs[i] = err
 				return
 			}
-			defer g.Release()
 			mu.Lock()
 			seq++
 			mine := seq
@@ -56,27 +55,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestGroupCommitQueueBound fills the bounded commit queue and checks the
-// overflow Reserve fails with ErrCommitQueueFull without side effects.
-func TestGroupCommitQueueBound(t *testing.T) {
-	g := NewGroupCommitter(func() error { return nil }, 0, 0, 2)
-	if err := g.Reserve(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Reserve(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Reserve(); !errors.Is(err, ErrCommitQueueFull) {
-		t.Fatalf("overflow Reserve = %v, want ErrCommitQueueFull", err)
-	}
-	g.Release()
-	if err := g.Reserve(); err != nil {
-		t.Fatalf("Reserve after Release = %v", err)
-	}
-	g.Release()
-	g.Release()
-}
-
 // TestGroupCommitMarkSynced checks checkpoint-folded durability: waiters at
 // or below the marked sequence return without any fsync.
 func TestGroupCommitMarkSynced(t *testing.T) {
@@ -86,7 +64,7 @@ func TestGroupCommitMarkSynced(t *testing.T) {
 		fsyncs.Add(1)
 		<-block
 		return nil
-	}, 0, 0, 0)
+	}, 0)
 	g.Appended(1)
 
 	// The first waiter elects itself leader and parks in the blocked
@@ -136,7 +114,7 @@ func TestGroupCommitExclusive(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		inSync.Store(false)
 		return nil
-	}, 0, 0, 0)
+	}, 0)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -183,20 +161,20 @@ func TestGroupCommitExclusive(t *testing.T) {
 }
 
 // TestGroupCommitPoison checks the sticky error: the first failure wins,
-// every waiter and later Reserve observes it.
+// every waiter and later Check observes it.
 func TestGroupCommitPoison(t *testing.T) {
 	boom := errors.New("disk gone")
 	calls := 0
 	g := NewGroupCommitter(func() error {
 		calls++
 		return boom
-	}, 0, 0, 0)
+	}, 0)
 	g.Appended(1)
 	if err := g.WaitSynced(1); !errors.Is(err, boom) {
 		t.Fatalf("WaitSynced = %v, want %v", err, boom)
 	}
-	if err := g.Reserve(); !errors.Is(err, boom) {
-		t.Fatalf("Reserve after failure = %v, want %v", err, boom)
+	if err := g.Check(); !errors.Is(err, boom) {
+		t.Fatalf("Check after failure = %v, want %v", err, boom)
 	}
 	// Poison with a second error must not displace the first.
 	g.Poison(errors.New("later"))
@@ -208,7 +186,10 @@ func TestGroupCommitPoison(t *testing.T) {
 // TestGroupCommitClose checks close semantics: unsatisfied waits fail with
 // ErrCommitterClosed, already-durable waits still succeed.
 func TestGroupCommitClose(t *testing.T) {
-	g := NewGroupCommitter(func() error { return nil }, 5, 0, 0)
+	g := NewGroupCommitter(func() error { return nil }, 5)
+	if err := g.Check(); err != nil {
+		t.Fatalf("Check before Close = %v", err)
+	}
 	g.Close()
 	if err := g.WaitSynced(3); err != nil {
 		t.Fatalf("already-durable wait after Close = %v", err)
@@ -216,31 +197,7 @@ func TestGroupCommitClose(t *testing.T) {
 	if err := g.WaitSynced(9); !errors.Is(err, ErrCommitterClosed) {
 		t.Fatalf("undurable wait after Close = %v, want ErrCommitterClosed", err)
 	}
-	if err := g.Reserve(); !errors.Is(err, ErrCommitterClosed) {
-		t.Fatalf("Reserve after Close = %v, want ErrCommitterClosed", err)
-	}
-}
-
-// TestGroupCommitLinger checks that a max delay widens the sync group: with
-// a linger, batches appended just after the leader starts still ride the
-// leader's fsync.
-func TestGroupCommitLinger(t *testing.T) {
-	var fsyncs atomic.Int64
-	g := NewGroupCommitter(func() error { fsyncs.Add(1); return nil }, 0, 20*time.Millisecond, 0)
-
-	g.Appended(1)
-	done := make(chan error, 1)
-	go func() { done <- g.WaitSynced(1) }()
-	// Join during the leader's linger window.
-	time.Sleep(2 * time.Millisecond)
-	g.Appended(2)
-	if err := g.WaitSynced(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := fsyncs.Load(); got != 1 {
-		t.Fatalf("lingering leader ran %d fsyncs, want 1 shared", got)
+	if err := g.Check(); !errors.Is(err, ErrCommitterClosed) {
+		t.Fatalf("Check after Close = %v, want ErrCommitterClosed", err)
 	}
 }

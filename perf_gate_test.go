@@ -24,8 +24,7 @@ func TestReadThroughputGate(t *testing.T) {
 	if os.Getenv("DYNFD_PERF_GATE") == "" {
 		t.Skip("set DYNFD_PERF_GATE=1 to run the read throughput gate")
 	}
-	mon, err := dynfd.OpenDurable(t.TempDir(), []string{"zip", "city", "state"},
-		dynfd.WithSyncMaxDelay(100*time.Microsecond), dynfd.WithCheckpointEvery(64))
+	mon, err := dynfd.OpenDurable(t.TempDir(), []string{"zip", "city", "state"}, dynfd.WithCheckpointEvery(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +46,8 @@ func TestReadThroughputGate(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; !stop.Load(); i++ {
+					// Pace the writer: a batch every ~100µs plus its commit.
+					time.Sleep(100 * time.Microsecond)
 					if _, err := mon.Apply(dynfd.Insert(
 						fmt.Sprint("g", i), fmt.Sprint("city", i%17), fmt.Sprint("s", i%5))); err != nil {
 						t.Error(err)

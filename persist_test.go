@@ -148,13 +148,15 @@ func TestSaveLoadPreservesWitnesses(t *testing.T) {
 }
 
 // retiredConfigKeys puts the engine-config keys that older releases wrote
-// ("DisableStealing", "StealChunk", "DeltaPruning") back into a
-// JSON-decoded config object, as a file from such a release would carry
-// them.
+// ("DisableStealing", "StealChunk", "DeltaPruning", "EfficiencyThreshold",
+// "DFSSampleRate") back into a JSON-decoded config object, as a file from
+// such a release would carry them.
 func retiredConfigKeys(cfg map[string]any) {
 	cfg["DisableStealing"] = true
 	cfg["StealChunk"] = 1
 	cfg["DeltaPruning"] = true
+	cfg["EfficiencyThreshold"] = 0.1
+	cfg["DFSSampleRate"] = 0.1
 }
 
 // decodeJSONDoc decodes a JSON object keeping numbers exact.
@@ -289,7 +291,7 @@ func TestLoadMonitorIgnoresSavedWorkers(t *testing.T) {
 
 // TestRestoreIgnoresRetiredConfigKeys pins that monitor snapshots and
 // durable checkpoints written while the engine config still had the
-// stealing and delta-pruning knobs keep loading, with identical covers:
+// stealing, delta-pruning and threshold knobs keep loading, with identical covers:
 // the decoders ignore unknown fields.
 func TestRestoreIgnoresRetiredConfigKeys(t *testing.T) {
 	t.Parallel()

@@ -40,6 +40,7 @@ func streamWrites(b *testing.B, mon *DurableMonitor, writers int, stop *atomic.B
 		go func() {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
+				time.Sleep(100 * time.Microsecond) // pace the writer
 				mu.Lock()
 				_, commit, err := mon.ApplyStaged(
 					Insert(fmt.Sprintf("w%d-%d", w, i), fmt.Sprint("city", i%17), fmt.Sprint("s", i%5)))
@@ -68,7 +69,7 @@ func BenchmarkReadWhileWrite(b *testing.B) {
 	for _, writers := range []int{0, 1} {
 		for _, readers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("writers=%d/readers=%d", writers, readers), func(b *testing.B) {
-				mon := openBenchMonitor(b, WithSyncMaxDelay(100*time.Microsecond), WithCheckpointEvery(64))
+				mon := openBenchMonitor(b, WithCheckpointEvery(64))
 				var stop atomic.Bool
 				wg := streamWrites(b, mon, writers, &stop)
 
@@ -125,21 +126,20 @@ func BenchmarkReadWhileWrite(b *testing.B) {
 }
 
 // BenchmarkGroupCommit measures fsyncs per durably committed batch under
-// concurrent commit pressure: without a linger every leader syncs whatever
-// piled up, with a linger the groups grow further. fsyncs/op well below 1
-// is the group committer doing its job.
+// concurrent commit pressure: every leader syncs whatever piled up while
+// the previous fsync ran. fsyncs/op well below 1 is the group committer
+// doing its job. BENCH_groupcommit.json records why there is no linger.
 func BenchmarkGroupCommit(b *testing.B) {
 	for _, tc := range []struct {
-		name  string
-		delay time.Duration
-		conc  int
+		name string
+		conc int
 	}{
-		{"serial/delay=0", 0, 1},
-		{"conc=8/delay=0", 0, 8},
-		{"conc=8/delay=200us", 200 * time.Microsecond, 8},
+		{"serial", 1},
+		{"conc=2", 2},
+		{"conc=8", 8},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			mon := openBenchMonitor(b, WithSyncMaxDelay(tc.delay), WithCheckpointEvery(-1))
+			mon := openBenchMonitor(b, WithCheckpointEvery(-1))
 			base := mon.WALStats().Syncs
 			var (
 				mu   sync.Mutex

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // fingerprintSnapshot reduces everything a reader can observe from one
@@ -46,7 +45,7 @@ func fingerprintSnapshot(s *ResultSnapshot) string {
 func TestSnapshotReadersVsWriter(t *testing.T) {
 	dir := t.TempDir()
 	cols := []string{"zip", "city", "state"}
-	mon, err := OpenDurable(dir, cols, WithCheckpointEvery(8), WithSyncMaxDelay(100*time.Microsecond))
+	mon, err := OpenDurable(dir, cols, WithCheckpointEvery(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestSnapshotReadersVsWriter(t *testing.T) {
 func TestApplyStagedOverlappingCommits(t *testing.T) {
 	dir := t.TempDir()
 	cols := []string{"a", "b"}
-	mon, err := OpenDurable(dir, cols, WithCheckpointEvery(-1), WithSyncMaxDelay(200*time.Microsecond))
+	mon, err := OpenDurable(dir, cols, WithCheckpointEvery(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
